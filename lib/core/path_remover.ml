@@ -9,6 +9,8 @@ type slot = {
   src_pos : int;  (* row-offset index of the source within its step *)
   dst_pos : int;  (* row-offset index of the destination in step+1 *)
   mutable allowed : bool;
+  mutable listed : bool;
+      (* still a deletion candidate in the user index; implies [allowed] *)
 }
 
 type cstate = {
@@ -49,6 +51,7 @@ let make_state ?fault mesh comm =
                  src_pos = core_pos rect k l.src;
                  dst_pos = core_pos rect (k + 1) l.dst;
                  allowed = usable id;
+                 listed = false;
                })
              (Noc.Rect.links_on_step rect k)))
   in
@@ -76,7 +79,7 @@ let recompute st =
   Array.iter
     (fun slots -> m.Metrics.dp_cells <- m.Metrics.dp_cells + Array.length slots)
     st.steps;
-  let reset a = Array.iteri (fun i _ -> a.(i) <- false) a in
+  let reset a = Array.fill a 0 (Array.length a) false in
   Array.iter reset st.fwd;
   Array.iter reset st.bwd;
   st.fwd.(0).(0) <- true;
@@ -182,41 +185,30 @@ let surviving_paths ~limit mesh st =
   dfs 0 0 [ st.comm.Traffic.Communication.src ];
   List.rev !results
 
-let try_remove loads users st_idx st id =
-  let found = ref None in
-  Array.iter
-    (fun slots ->
-      Array.iter (fun s -> if s.id = id && s.allowed then found := Some s) slots)
-    st.steps;
-  match !found with
-  | None ->
-      Hashtbl.remove users.(id) st_idx;
-      false
-  | Some slot ->
-      spread loads st (-1.);
-      slot.allowed <- false;
-      if recompute st then begin
-        spread loads st 1.;
-        (* Refresh this state's user-index entries for links that died. *)
-        Array.iter
-          (fun slots ->
-            Array.iter
-              (fun s ->
-                if not s.allowed then Hashtbl.remove users.(s.id) st_idx)
-              slots)
-          st.steps;
-        true
-      end
-      else begin
-        (* A failed recompute bails out before pruning, so restoring the
-           one flag restores the exact previous alive set. Allowed sets
-           only ever shrink, so this deletion can never succeed later:
-           drop the pair from the candidacy index for good. *)
-        slot.allowed <- true;
-        spread loads st 1.;
-        Hashtbl.remove users.(id) st_idx;
-        false
-      end
+(* Delete a listed slot from its communication: respread over the
+   survivors when a path remains, else restore the slot. Either way the
+   slot leaves the user index, and so does every slot the path cleaning
+   killed. *)
+let try_remove loads st slot =
+  spread loads st (-1.);
+  slot.allowed <- false;
+  if recompute st then begin
+    spread loads st 1.;
+    Array.iter
+      (Array.iter (fun s -> if not s.allowed then s.listed <- false))
+      st.steps;
+    true
+  end
+  else begin
+    (* A failed recompute bails out before pruning, so restoring the
+       one flag restores the exact previous alive set. Allowed sets
+       only ever shrink, so this deletion can never succeed later:
+       drop the slot from the candidacy index for good. *)
+    slot.allowed <- true;
+    spread loads st 1.;
+    slot.listed <- false;
+    false
+  end
 
 let extract_path loads st =
   (* Cheapest surviving path by current loads (unique when finalized). *)
@@ -269,6 +261,44 @@ let extract_path loads st =
   done;
   Noc.Path.of_cores cores
 
+(* Per-link user index, flat: the entries [first.(id) .. first.(id+1) - 1]
+   of [owner] and [slot] are the communications whose rectangle allowed
+   link [id] after pruning, in deletion-preference order, each with its
+   slot for that link. Entries are never removed, only unlisted. *)
+type users = { first : int array; owner : int array; slot : slot array }
+
+let index_users nlinks states order =
+  let first = Array.make (nlinks + 1) 0 in
+  let iter_allowed f st =
+    Array.iter (Array.iter (fun s -> if s.allowed then f s)) st.steps
+  in
+  Array.iter
+    (iter_allowed (fun s -> first.(s.id + 1) <- first.(s.id + 1) + 1))
+    states;
+  for id = 0 to nlinks - 1 do
+    first.(id + 1) <- first.(id + 1) + first.(id)
+  done;
+  let next = Array.sub first 0 nlinks in
+  let total = first.(nlinks) in
+  let owner = Array.make total 0 in
+  let slot =
+    Array.make total
+      { id = -1; src_step = 0; src_pos = 0; dst_pos = 0; allowed = false;
+        listed = false }
+  in
+  Array.iter
+    (fun idx ->
+      iter_allowed
+        (fun s ->
+          let e = next.(s.id) in
+          owner.(e) <- idx;
+          slot.(e) <- s;
+          next.(s.id) <- e + 1;
+          s.listed <- true)
+        states.(idx))
+    order;
+  { first; owner; slot }
+
 (* Core PR loop, parameterized by the per-communication stopping rule:
    keep deleting links from the hottest down until [finished] holds for
    every communication. *)
@@ -277,20 +307,10 @@ let solve ~finished ?fault mesh comms =
   let states =
     Array.of_list (List.map (make_state_pruned ?fault mesh) comms)
   in
-  let users : (int, unit) Hashtbl.t array =
-    Array.init (Noc.Mesh.num_links mesh) (fun _ -> Hashtbl.create 4)
-  in
-  Array.iteri
-    (fun idx st ->
+  Array.iter
+    (fun st ->
       st.finished <- finished st;
-      spread loads st 1.;
-      Array.iter
-        (fun slots ->
-          Array.iter
-            (fun (s : slot) ->
-              if s.allowed then Hashtbl.replace users.(s.id) idx ())
-            slots)
-        st.steps)
+      spread loads st 1.)
     states;
   let order = Array.init (Array.length states) Fun.id in
   Array.sort
@@ -298,40 +318,34 @@ let solve ~finished ?fault mesh comms =
       Float.compare states.(b).comm.Traffic.Communication.rate
         states.(a).comm.Traffic.Communication.rate)
     order;
+  let users = index_users (Noc.Mesh.num_links mesh) states order in
+  (* An entry still wanting its link deleted. *)
+  let open_entry e =
+    users.slot.(e).listed && not states.(users.owner.(e)).finished
+  in
+  let rec wanted e stop = e < stop && (open_entry e || wanted (e + 1) stop) in
   let remaining = ref 0 in
   Array.iter (fun st -> if not st.finished then incr remaining) states;
   let rec loop () =
-    if !remaining > 0 then begin
-      let candidate =
-        Array.find_opt
-          (fun id ->
-            Hashtbl.fold
-              (fun idx () acc -> acc || not states.(idx).finished)
-              users.(id) false)
-          (Noc.Load.sorted_ids loads)
-      in
-      match candidate with
+    if !remaining > 0 then
+      match
+        Noc.Load.hottest loads (fun id ->
+            wanted users.first.(id) users.first.(id + 1))
+      with
       | None -> () (* unreachable in theory; defensive stop *)
       | Some id ->
-          let removed =
-            Array.exists
-              (fun idx ->
-                let st = states.(idx) in
-                (not st.finished)
-                && Hashtbl.mem users.(id) idx
-                && begin
-                     let ok = try_remove loads users idx st id in
-                     if ok then begin
-                       st.finished <- finished st;
-                       if st.finished then decr remaining
-                     end;
-                     ok
-                   end)
-              order
+          (* The largest communication that can give the link up. *)
+          let rec remove e stop =
+            if e < stop then
+              let st = states.(users.owner.(e)) in
+              if open_entry e && try_remove loads st users.slot.(e) then begin
+                st.finished <- finished st;
+                if st.finished then decr remaining
+              end
+              else remove (e + 1) stop
           in
-          ignore removed;
+          remove users.first.(id) users.first.(id + 1);
           loop ()
-    end
   in
   loop ();
   (loads, states)

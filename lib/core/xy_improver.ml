@@ -94,40 +94,47 @@ let move_delta sc loads rate old_p new_p =
 (* Local-search core shared by [route] (XY start) and [improve] (arbitrary
    single-path start): divert communications off the hottest links while it
    pays, with the link list pruned as in the paper. Mutates [paths] and
-   [loads]. *)
+   [loads]. Each path's link ids are cached so that only the paths crossing
+   the hot link are offered a diversion ([divert] returns [None] on the
+   others). *)
 let improve_in_place mesh model ~max_moves comms paths loads =
   let sc = Delta.scorer model loads in
   let dead = Array.make (Noc.Mesh.num_links mesh) false in
+  let link_ids p = Array.map (Noc.Mesh.link_id mesh) (Noc.Path.links p) in
+  let crossing = Array.map link_ids paths in
+  let crosses i id =
+    let ids : int array = crossing.(i) in
+    let rec go k = k < Array.length ids && (ids.(k) = id || go (k + 1)) in
+    go 0
+  in
   let moves = ref 0 in
   let rec improve () =
     if !moves >= max_moves then ()
-    else begin
-      let ids = Noc.Load.sorted_ids loads in
-      let next =
-        Array.find_opt
-          (fun id -> Noc.Load.get loads id > 0. && not dead.(id))
-          ids
-      in
-      match next with
+    else
+      match
+        Noc.Load.hottest loads (fun id ->
+            Noc.Load.get loads id > 0. && not dead.(id))
+      with
       | None -> ()
       | Some id ->
           let link = Noc.Mesh.link_of_id mesh id in
           let best = ref None in
           Array.iteri
             (fun i p ->
-              match divert p link with
-              | None -> ()
-              | Some np ->
-                  let m = Metrics.current () in
-                  m.Metrics.paths_scored <- m.Metrics.paths_scored + 1;
-                  let rate = comms.(i).Traffic.Communication.rate in
-                  let delta = move_delta sc loads rate p np in
-                  let better =
-                    match !best with
-                    | None -> delta < -1e-9
-                    | Some (_, _, bd) -> delta < bd
-                  in
-                  if better then best := Some (i, np, delta))
+              if crosses i id then
+                match divert p link with
+                | None -> ()
+                | Some np ->
+                    let m = Metrics.current () in
+                    m.Metrics.paths_scored <- m.Metrics.paths_scored + 1;
+                    let rate = comms.(i).Traffic.Communication.rate in
+                    let delta = move_delta sc loads rate p np in
+                    let better =
+                      match !best with
+                      | None -> delta < -1e-9
+                      | Some (_, _, bd) -> delta < bd
+                    in
+                    if better then best := Some (i, np, delta))
             paths;
           (match !best with
           | Some (i, np, _) ->
@@ -137,10 +144,10 @@ let improve_in_place mesh model ~max_moves comms paths loads =
               Noc.Load.remove_path loads paths.(i) rate;
               Noc.Load.add_path loads np rate;
               paths.(i) <- np;
+              crossing.(i) <- link_ids np;
               incr moves
           | None -> dead.(id) <- true);
           improve ()
-    end
   in
   improve ()
 

@@ -18,6 +18,76 @@ let default_jobs () =
           fallback)
   | None -> Domain.recommended_domain_count ()
 
+(* Helper domains are spawned on demand, never joined, and park on [wake]
+   between calls: every spawn/join cycle leaves memory behind in the
+   runtime, and a campaign calls [map] once per row. A call posts a job
+   with one seat per helper it wants, works on it itself, then withdraws
+   the job and waits only for the helpers that took a seat — never for
+   ones still busy elsewhere, which is what keeps a [map] nested inside
+   a worker from deadlocking. *)
+type job = {
+  work : unit -> unit;  (* the call's worker loop; never raises *)
+  mutable seats : int;  (* helpers that may still join *)
+  mutable inside : int;  (* helpers running [work] *)
+}
+
+let lock = Mutex.create ()
+let wake = Condition.create ()
+let left = Condition.create ()
+let posted : job list ref = ref [] (* jobs with free seats, oldest first *)
+let spawned = ref 0
+
+let rec helper () =
+  Mutex.lock lock;
+  let rec take () =
+    match !posted with
+    | [] ->
+        Condition.wait wake lock;
+        take ()
+    | j :: rest ->
+        j.seats <- j.seats - 1;
+        j.inside <- j.inside + 1;
+        if j.seats = 0 then posted := rest;
+        j
+  in
+  let j = take () in
+  Mutex.unlock lock;
+  j.work ();
+  Mutex.protect lock (fun () ->
+      j.inside <- j.inside - 1;
+      if j.inside = 0 then Condition.broadcast left);
+  helper ()
+
+(* Spawn outside the lock, one reserved slot at a time. *)
+let spawn_helpers k =
+  let reserve () =
+    Mutex.protect lock (fun () ->
+        !spawned < k
+        && begin
+             incr spawned;
+             true
+           end)
+  in
+  while reserve () do
+    try ignore (Domain.spawn helper : unit Domain.t)
+    with e ->
+      Mutex.protect lock (fun () -> decr spawned);
+      raise e
+  done
+
+let share ~helpers work =
+  spawn_helpers helpers;
+  let j = { work; seats = helpers; inside = 0 } in
+  Mutex.protect lock (fun () ->
+      posted := !posted @ [ j ];
+      Condition.broadcast wake);
+  work ();
+  Mutex.protect lock (fun () ->
+      posted := List.filter (fun j' -> j' != j) !posted;
+      while j.inside > 0 do
+        Condition.wait left lock
+      done)
+
 let map ?tick ?jobs n f =
   if n <= 0 then [||]
   else
@@ -60,9 +130,7 @@ let map ?tick ?jobs n f =
               running := false
         done
       in
-      let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join domains;
+      share ~helpers:(jobs - 1) worker;
       (match Atomic.get failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ());

@@ -109,13 +109,17 @@ let iter f t = Array.iteri f t.loads
 
 (* Hottest-first by *effective* load, so fault-aware consumers (PR's link
    removal, XYI's hot-link scan) see a degraded link as proportionally
-   fuller. Identical to raw-load order when the accounting carries no
-   fault. *)
-let sorted_ids t =
-  let ids = Array.init (Array.length t.loads) Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare (get_effective t b) (get_effective t a) in
-      if c <> 0 then c else Int.compare a b)
-    ids;
-  ids
+   fuller: one scan in id order under [Float.compare], keeping the first
+   maximum, is the head of the descending order with ties to the lower
+   id. The predicate is only consulted for ids that would take the lead,
+   so it must be pure. *)
+let hottest t p =
+  let best = ref (-1) and best_eff = ref 0. in
+  for id = 0 to Array.length t.loads - 1 do
+    let eff = get_effective t id in
+    if (!best < 0 || Float.compare eff !best_eff > 0) && p id then begin
+      best := id;
+      best_eff := eff
+    end
+  done;
+  if !best < 0 then None else Some !best

@@ -110,6 +110,10 @@ val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter : (int -> float -> unit) -> t -> unit
 
-val sorted_ids : t -> int array
-(** All link ids sorted by decreasing {e effective} load (ties by id) —
-    the raw-load order when the accounting carries no fault. *)
+val hottest : t -> (int -> bool) -> int option
+(** [hottest t p] is the link id of greatest {e effective} load
+    ({!get_effective}, compared with [Float.compare]; ties to the lower
+    id) among those satisfying [p], or [None] when none does — the
+    raw-load order when the accounting carries no fault. One O(links)
+    scan; [p] is called on some ids only, in no promised order, so it
+    must be pure. *)

@@ -141,16 +141,28 @@ let fold_all f acc ~src ~snk =
   in
   go acc 0 dc dr
 
-let count ~src ~snk =
-  let dr = abs (snk.Coord.row - src.Coord.row)
-  and dc = abs (snk.Coord.col - src.Coord.col) in
-  let k = min dr dc and n = dr + dc in
-  (* C(n,k) computed multiplicatively; exact while it fits in an int. *)
+(* C(n, k) multiplicatively, the running value C(n-k+i, i) reduced by
+   gcd(c, i) before the product: i / g then divides n-k+i exactly, and the
+   running value never exceeds the result, so whatever fits in an int
+   comes out exact and the rest is caught before it wraps. *)
+let binomial n k =
+  if k < 0 || n < k then invalid_arg "Path.binomial";
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let r = min k (n - k) in
   let c = ref 1 in
-  for i = 1 to k do
-    c := !c * (n - k + i) / i
+  for i = 1 to r do
+    let g = gcd !c i in
+    let m = (n - r + i) / (i / g) and c' = !c / g in
+    if c' > max_int / m then
+      invalid_arg (Printf.sprintf "binomial: C(%d,%d) overflows int" n k);
+    c := c' * m
   done;
   !c
+
+let count ~src ~snk =
+  binomial
+    (abs (snk.Coord.row - src.Coord.row) + abs (snk.Coord.col - src.Coord.col))
+    (abs (snk.Coord.row - src.Coord.row))
 
 let random ~choose ~src ~snk =
   let dr = abs (snk.Coord.row - src.Coord.row)

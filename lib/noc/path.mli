@@ -64,9 +64,17 @@ val fold_all : ('a -> t -> 'a) -> 'a -> src:Coord.t -> snk:Coord.t -> 'a
     lexicographic move order ([H] before [V]). Beware: there are
     [C(length, |drow|)] of them (Lemma 1). *)
 
+val binomial : int -> int -> int
+(** [binomial n k] is [C(n, k)], exact whenever it fits in an OCaml [int]
+    (the product is reduced by a gcd before each step, so no intermediate
+    exceeds the result).
+    @raise Invalid_argument if [k < 0] or [n < k], or if [C(n, k)]
+    exceeds [max_int]. *)
+
 val count : src:Coord.t -> snk:Coord.t -> int
-(** Number of Manhattan paths, [C(dr + dc, dr)] (Lemma 1 of the paper).
-    Exact as long as it fits in an OCaml [int]. *)
+(** Number of Manhattan paths, [C(dr + dc, dr)] (Lemma 1 of the paper),
+    by {!binomial}.
+    @raise Invalid_argument if the count exceeds [max_int]. *)
 
 val random : choose:(int -> int) -> src:Coord.t -> snk:Coord.t -> t
 (** A uniformly random Manhattan path. [choose n] must return a uniform

@@ -1,11 +1,6 @@
 let binomial n k =
   if k < 0 || n < k then invalid_arg "Counting.binomial";
-  let k = min k (n - k) in
-  let c = ref 1 in
-  for i = 1 to k do
-    c := !c * (n - k + i) / i
-  done;
-  !c
+  Noc.Path.binomial n k
 
 let grid_paths ~rows ~cols = binomial (rows + cols - 2) (rows - 1)
 

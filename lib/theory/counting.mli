@@ -7,11 +7,14 @@
     than this count). *)
 
 val binomial : int -> int -> int
-(** [binomial n k] is [C(n, k)], exact while it fits in an OCaml [int].
-    @raise Invalid_argument if [k < 0] or [n < k]. *)
+(** [binomial n k] is [C(n, k)] ({!Noc.Path.binomial}), exact whenever it
+    fits in an OCaml [int].
+    @raise Invalid_argument if [k < 0] or [n < k], or if [C(n, k)]
+    exceeds [max_int]. *)
 
 val grid_paths : rows:int -> cols:int -> int
-(** Lemma 1's closed form: [binomial (rows + cols - 2) (rows - 1)]. *)
+(** Lemma 1's closed form: [binomial (rows + cols - 2) (rows - 1)] —
+    exact on a 32x32 mesh, [Invalid_argument] from 34x34 on. *)
 
 val grid_paths_recurrence : rows:int -> cols:int -> int
 (** Same value by the proof's recurrence (dynamic programming). *)

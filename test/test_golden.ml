@@ -255,6 +255,77 @@ let test_power_per_rate_degraded_consistent () =
   check_bool "degraded-infeasible load" true
     (Routing.Evaluate.power_per_rate ~fault km s_over = None)
 
+(* ------------------------------------------------------------------ *)
+(* PR / XYI golden digests
+
+   One MD5 per (heuristic, figure size) over seeded draws, each routed
+   healthy and under a 2-kill dead-link fault: every route's cores,
+   shares and detour count, then the work counters the call bumped. The
+   counters are CSV columns, so the digests pin the work sequence as well
+   as the routes. The values were recorded from the reference kernels
+   that re-sorted every link per step. *)
+
+let golden_draws_per_x = 16
+
+let golden_digest (fig : Harness.Figure.t) run =
+  let mesh = Harness.Figure.mesh in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun x ->
+      for t = 0 to golden_draws_per_x - 1 do
+        let rng =
+          Traffic.Rng.of_key ("golden-" ^ fig.id)
+            [ Int64.bits_of_float x; Int64.of_int t ]
+        in
+        let comms = fig.generate rng x in
+        let dead =
+          Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:2 mesh
+        in
+        List.iter
+          (fun fault ->
+            let before = Routing.Metrics.snapshot () in
+            let sol = run ?fault mesh comms in
+            let work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before in
+            List.iter
+              (fun (r : Routing.Solution.route) ->
+                Printf.bprintf buf "%d:" r.comm.Traffic.Communication.id;
+                List.iter
+                  (fun (p, share) ->
+                    Array.iter
+                      (fun (c : Noc.Coord.t) ->
+                        Printf.bprintf buf "%d,%d " c.row c.col)
+                      (Noc.Path.cores p);
+                    Printf.bprintf buf "@%h;" share)
+                  r.paths;
+                Printf.bprintf buf "+%d\n" (List.length r.detours))
+              (Routing.Solution.routes sol);
+            Buffer.add_string buf
+              (Format.asprintf "|%a\n" Routing.Metrics.pp work))
+          [ None; Some dead ]
+      done)
+    fig.xs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_figures =
+  Harness.Figure.[ fig7b; fig7c; fig9a ]
+
+let golden_case name run expected () =
+  List.iter2
+    (fun (fig : Harness.Figure.t) want ->
+      Alcotest.(check string) (name ^ " " ^ fig.id) want (golden_digest fig run))
+    golden_figures expected
+
+let golden_pr ?fault mesh comms = Routing.Path_remover.route ?fault mesh comms
+
+let golden_prmp s ?fault mesh comms =
+  Routing.Path_remover.route_multipath ~s ?fault mesh comms
+
+let golden_xyi ?fault mesh comms = Routing.Xy_improver.route ?fault mesh km comms
+
+let golden_xyi_sg ?fault mesh comms =
+  Routing.Xy_improver.improve ?fault km
+    (Routing.Simple_greedy.route ?fault mesh comms)
+
 let () =
   Alcotest.run "golden"
     [
@@ -281,5 +352,33 @@ let () =
             test_dead_link_reported_infinite;
           Alcotest.test_case "power_per_rate degraded consistency" `Quick
             test_power_per_rate_degraded_consistent;
+        ] );
+      ( "pr-xyi-digests",
+        [
+          Alcotest.test_case "PR" `Quick
+            (golden_case "PR" golden_pr
+              [ "d0de2dafa5eb7f18389be24d9b34dfd8";
+                "b5da5da77158f5d3a31e51d2f19688a8";
+                "e324890738ddc16940a106297a1cbefc" ]);
+          Alcotest.test_case "PR-MP s=2" `Quick
+            (golden_case "PR-MP2" (golden_prmp 2)
+              [ "1c6833e2b818c3afda97ed3a0e279d00";
+                "0257b402fd330186015d7f966a12b97e";
+                "fa0bcd5633649788b402d6baf84b801c" ]);
+          Alcotest.test_case "PR-MP s=4" `Quick
+            (golden_case "PR-MP4" (golden_prmp 4)
+              [ "4fa85ba97973cbf41f51211f1a68c1e5";
+                "facb516aa4e50906b404c9772a430ec1";
+                "d217094f6705d27d9e402205c3b409eb" ]);
+          Alcotest.test_case "XYI" `Quick
+            (golden_case "XYI" golden_xyi
+              [ "1f43353bd2b83d8a50c009a3ca1763d2";
+                "71b2bf5ba861f4bf7ce95b18812b82ea";
+                "c8ea2a57ca3b2bb5d9e7af7ff1f0ca15" ]);
+          Alcotest.test_case "XYI from SG" `Quick
+            (golden_case "XYI-SG" golden_xyi_sg
+              [ "6197a616dc85c5ee065dd17b76cc451b";
+                "752a6054b8b0ec465f4e651aa6aa2a59";
+                "061f122bc5a46c79354e2493f08f3ec9" ]);
         ] );
     ]

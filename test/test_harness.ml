@@ -149,6 +149,83 @@ let test_pool_map_propagates_exceptions () =
         (Harness.Pool.map ~jobs:3 64 (fun i ->
              if i = 13 then invalid_arg "boom" else i)))
 
+(* Helper domains are spawned once and parked between calls, so calling
+   [map] in a loop must not grow the process: memory a short-lived domain
+   promoted piles up when every call spawns and joins its own. *)
+let vm_hwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             try Scanf.sscanf line "VmHWM: %d kB" Option.some
+             with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+
+let test_pool_reuse_keeps_memory_flat () =
+  match vm_hwm_kb () with
+  | None -> Alcotest.skip ()
+  | Some _ ->
+      (* Each index builds a 5000-cell list, as a trial builds its
+         scratch state: it lives across minor collections, so part of it
+         is promoted on the domain that built it. *)
+      let f i = List.length (List.init 5000 (fun j -> i + j)) in
+      (* Warm-up: the helper exists and both minor heaps are in use. *)
+      for _ = 1 to 200 do
+        ignore (Harness.Pool.map ~jobs:2 4 f)
+      done;
+      let before = Option.get (vm_hwm_kb ()) in
+      for _ = 1 to 2000 do
+        ignore (Harness.Pool.map ~jobs:2 4 f)
+      done;
+      let grown = Option.get (vm_hwm_kb ()) - before in
+      check_bool
+        (Printf.sprintf "2000 maps grew VmHWM by %d kB (< 4 MB)" grown)
+        true (grown < 4096)
+
+let test_pool_nested_map_completes () =
+  let a =
+    Harness.Pool.map ~jobs:2 6 (fun i ->
+        Array.fold_left ( + ) 0 (Harness.Pool.map ~jobs:2 10 (fun j -> i * j)))
+  in
+  Array.iteri (fun i v -> check_int "nested sum" (i * 45) v) a
+
+let test_pool_exception_then_reuse () =
+  ignore (Harness.Pool.map ~jobs:2 4 Fun.id);
+  Alcotest.check_raises "re-raised in the caller" (Failure "parked")
+    (fun () ->
+      ignore
+        (Harness.Pool.map ~jobs:2 32 (fun i ->
+             if i = 0 then failwith "parked" else i)));
+  let a = Harness.Pool.map ~jobs:2 32 (fun i -> i + 1) in
+  Array.iteri (fun i v -> check_int "next map works" (i + 1) v) a
+
+(* Telemetry buffers are domain-local and keyed per sink: a helper that
+   outlives one sink must still record into the next. *)
+let test_pool_helper_spans_reach_fresh_sink () =
+  let main = (Domain.self () :> int) in
+  let helper_spans () =
+    let sink = Harness.Telemetry.create () in
+    Harness.Telemetry.install sink;
+    Fun.protect ~finally:Harness.Telemetry.uninstall (fun () ->
+        let arrived = Atomic.make 0 in
+        ignore
+          (Harness.Pool.map ~jobs:2 2 (fun _ ->
+               (* Both indices wait (bounded) for each other, so a helper
+                  takes one of them. *)
+               Atomic.incr arrived;
+               let deadline = Unix.gettimeofday () +. 5. in
+               while
+                 Atomic.get arrived < 2 && Unix.gettimeofday () < deadline
+               do
+                 Domain.cpu_relax ()
+               done;
+               if (Domain.self () :> int) <> main then
+                 Harness.Telemetry.span "helper" ignore)));
+    Harness.Telemetry.event_count sink
+  in
+  check_int "first sink records the helper's span" 1 (helper_spans ());
+  check_int "a fresh sink records it too" 1 (helper_spans ())
+
 let test_summary_merge_matches_sequential () =
   (* Folding two halves into separate accumulators and merging equals one
      sequential accumulation. *)
@@ -904,6 +981,11 @@ let () =
           quick "map propagates exceptions" test_pool_map_propagates_exceptions;
           quick "summary merge" test_summary_merge_matches_sequential;
           quick "tick counts completions" test_pool_tick_counts_completions;
+          quick "reuse keeps memory flat" test_pool_reuse_keeps_memory_flat;
+          quick "nested map completes" test_pool_nested_map_completes;
+          quick "exception then reuse" test_pool_exception_then_reuse;
+          quick "helper spans reach a fresh sink"
+            test_pool_helper_spans_reach_fresh_sink;
         ] );
       ( "telemetry",
         [

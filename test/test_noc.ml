@@ -191,7 +191,12 @@ let test_fold_all_count_matches_binomial () =
     [ (coord 3 3, 6); (coord 4 4, 20); (coord 2 5, 5); (coord 1 4, 1) ]
 
 let test_count_degenerate () =
-  check_int "same core" 1 (Noc.Path.count ~src:(coord 2 2) ~snk:(coord 2 2))
+  check_int "same core" 1 (Noc.Path.count ~src:(coord 2 2) ~snk:(coord 2 2));
+  check_int "32x32 corner to corner" 465428353255261088
+    (Noc.Path.count ~src:(coord 1 1) ~snk:(coord 32 32));
+  Alcotest.check_raises "34x34 does not fit"
+    (Invalid_argument "binomial: C(66,33) overflows int") (fun () ->
+      ignore (Noc.Path.count ~src:(coord 34 34) ~snk:(coord 1 1)))
 
 let test_mem_link () =
   let p = Noc.Path.xy ~src:(coord 1 1) ~snk:(coord 2 3) in
@@ -386,8 +391,9 @@ let test_load_overloaded_sorted () =
   | _ -> Alcotest.fail "expected two overloads in order");
   check_int "none above 10" 0
     (List.length (Noc.Load.overloaded loads ~capacity:10.));
-  let ids = Noc.Load.sorted_ids loads in
-  check_int "sorted head" (Noc.Mesh.link_id m l2) ids.(0)
+  Alcotest.(check (option int))
+    "hottest" (Some (Noc.Mesh.link_id m l2))
+    (Noc.Load.hottest loads (fun _ -> true))
 
 let test_load_copy_isolated () =
   let m = Noc.Mesh.square 3 in
@@ -412,6 +418,55 @@ let prop_load_cancellation =
       Noc.Load.remove_path loads p rate;
       Noc.Load.remove_path loads p (rate /. 3.);
       Noc.Load.max_load loads = 0.)
+
+(* qcheck: [hottest] is the first id of the reference order (effective
+   load descending, ties by increasing id) that satisfies the predicate.
+   Loads come from a small palette so ties and zeros are common; a link
+   degraded to 0.5 ties with a healthy one at twice its load, dead links
+   carrying traffic read infinity and idle dead links 0. Sparse masks
+   leave some draws with no eligible link at all. *)
+let prop_hottest_is_sorted_head =
+  let m = Noc.Mesh.square 4 in
+  let n = Noc.Mesh.num_links m in
+  let palette = [| 0.; 0.; 250.; 500.; 500.; 1000.; 1750.; 3500. |] in
+  let gen =
+    QCheck.Gen.(
+      bool >>= fun sparse ->
+      let flag =
+        if sparse then frequency [ (1, return true); (15, return false) ]
+        else bool
+      in
+      quad bool
+        (array_repeat n (int_range 0 (Array.length palette - 1)))
+        (array_repeat n (int_range 0 5))
+        (array_repeat n flag))
+  in
+  QCheck.Test.make ~name:"hottest = head of the effective-load sort"
+    ~count:500 (QCheck.make gen) (fun (faulty, picks, kinds, mask) ->
+      let fault =
+        if not faulty then None
+        else
+          let f = ref (Noc.Fault.healthy m) in
+          Array.iteri
+            (fun id kind ->
+              let l = Noc.Mesh.link_of_id m id in
+              if kind = 0 then f := Noc.Fault.kill_link !f l
+              else if kind = 1 then f := Noc.Fault.degrade_link !f l 0.5)
+            kinds;
+          Some !f
+      in
+      let loads = Noc.Load.create ?fault m in
+      Array.iteri (fun id i -> Noc.Load.set loads id palette.(i)) picks;
+      let eff = Noc.Load.get_effective loads in
+      let reference =
+        List.sort
+          (fun a b ->
+            let c = Float.compare (eff b) (eff a) in
+            if c <> 0 then c else Int.compare a b)
+          (List.init n Fun.id)
+      in
+      Noc.Load.hottest loads (fun id -> mask.(id))
+      = List.find_opt (fun id -> mask.(id)) reference)
 
 let () =
   Alcotest.run "noc"
@@ -474,5 +529,6 @@ let () =
             test_load_overloaded_sorted;
           Alcotest.test_case "copy isolated" `Quick test_load_copy_isolated;
           QCheck_alcotest.to_alcotest prop_load_cancellation;
+          QCheck_alcotest.to_alcotest prop_hottest_is_sorted_head;
         ] );
     ]

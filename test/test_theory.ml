@@ -18,6 +18,18 @@ let test_binomial_values () =
   Alcotest.check_raises "negative" (Invalid_argument "Counting.binomial")
     (fun () -> ignore (Theory.Counting.binomial 3 5))
 
+(* Exact whenever the result fits in an int — C(62,31) is the 32x32
+   corner-to-corner path count — and a typed error beyond. *)
+let test_binomial_exact_to_max_int () =
+  check_int "C(62,31)" 465428353255261088 (Theory.Counting.binomial 62 31);
+  check_int "32x32 grid paths" 465428353255261088
+    (Theory.Counting.grid_paths ~rows:32 ~cols:32);
+  check_int "C(64,32)" 1832624140942590534 (Theory.Counting.binomial 64 32);
+  check_int "C(64,1)" 64 (Theory.Counting.binomial 64 1);
+  Alcotest.check_raises "C(66,33) does not fit"
+    (Invalid_argument "binomial: C(66,33) overflows int") (fun () ->
+      ignore (Theory.Counting.binomial 66 33))
+
 let prop_lemma1_closed_form_equals_recurrence =
   QCheck.Test.make ~name:"Lemma 1: binomial = N(u,v) recurrence" ~count:100
     (QCheck.make QCheck.Gen.(pair (int_range 1 12) (int_range 1 12)))
@@ -265,6 +277,7 @@ let () =
       ( "lemma 1",
         [
           quick "binomial values" test_binomial_values;
+          quick "binomial exact up to max_int" test_binomial_exact_to_max_int;
           QCheck_alcotest.to_alcotest prop_lemma1_closed_form_equals_recurrence;
           QCheck_alcotest.to_alcotest prop_lemma1_matches_enumeration;
           quick "max-MP path bound" test_max_mp_paths;
