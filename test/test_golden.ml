@@ -326,6 +326,31 @@ let golden_xyi_sg ?fault mesh comms =
   Routing.Xy_improver.improve ?fault km
     (Routing.Simple_greedy.route ?fault mesh comms)
 
+(* ------------------------------------------------------------------ *)
+(* Campaign output digests *)
+
+(* A small audited campaign (2 trials per point on 2 worker domains) of
+   each engine figure, digested: the CSV (including the empty-when-absent
+   engine columns) and the audit JSONL must not move under a harness
+   refactor. *)
+let campaign_digests (fig : Harness.Figure.t) =
+  let dir = Filename.temp_file "manroute-golden" "" in
+  Sys.remove dir;
+  let r = Harness.Runner.run ~trials:2 ~jobs:2 ~seed:1 ~audit:dir fig in
+  let audit =
+    In_channel.with_open_bin
+      (Filename.concat dir (fig.id ^ "-audit.jsonl"))
+      In_channel.input_all
+  in
+  ( Digest.to_hex (Digest.string (Harness.Render.csv r)),
+    Digest.to_hex (Digest.string audit) )
+
+let campaign_case (fig : Harness.Figure.t) ~csv ~audit =
+  Alcotest.test_case fig.id `Quick (fun () ->
+      let got_csv, got_audit = campaign_digests fig in
+      Alcotest.(check string) (fig.id ^ " CSV") csv got_csv;
+      Alcotest.(check string) (fig.id ^ " audit JSONL") audit got_audit)
+
 let () =
   Alcotest.run "golden"
     [
@@ -381,4 +406,18 @@ let () =
                 "752a6054b8b0ec465f4e651aa6aa2a59";
                 "061f122bc5a46c79354e2493f08f3ec9" ]);
         ] );
+      ( "campaign-digests",
+        Harness.Figure.
+          [
+            campaign_case figf ~csv:"8717d656fb6ca2f37e0e1e72d6f65f42"
+              ~audit:"918e10aedae5634eac877a6431fd32fb";
+            campaign_case figpf ~csv:"dc3e42612b10ccc7d6be81f1a0de5f4c"
+              ~audit:"b13dbca64b367d34d54ca21b1a59cb5e";
+            campaign_case figrec ~csv:"832aadc19a88e37d34bba16c1a03929a"
+              ~audit:"cc220ac0ed82625d74c27e27b72478fa";
+            campaign_case figpareto ~csv:"19570239e1890ca1792754b823843aae"
+              ~audit:"f68e0d33064e905047c6d29ffda2140b";
+            campaign_case figserve ~csv:"9684fd4e22dda3a2552924fc6bf923df"
+              ~audit:"dcbc24ddad73ceb3d7f2807797f8344b";
+          ] );
     ]
