@@ -642,7 +642,7 @@ let smp_sweep () =
     [ 1; 2; 4; 8 ];
   (* The single-path competitor on the same instances: negotiated
      congestion never splits, so its row is directly comparable to s=1. *)
-  row "pf" (fun comms -> Optim.Pathfinder.engine model mesh comms)
+  row "pf" (fun comms -> fst (Optim.Pathfinder.engine model mesh comms))
 
 (* E23: the negotiated-congestion engine — how many passes the
    rip-up-and-reroute negotiation needs. Same 40 instances as E22 (same
@@ -698,7 +698,9 @@ let pf_sweep () =
       let before = Routing.Metrics.snapshot () in
       List.iter
         (fun (comms, best, fw_lb) ->
-          let sol = Optim.Pathfinder.engine ~iterations:cap model mesh comms in
+          let sol, _ =
+            Optim.Pathfinder.engine ~iterations:cap model mesh comms
+          in
           let r = Routing.Evaluate.solution model sol in
           if r.Routing.Evaluate.feasible then begin
             incr feas;
@@ -879,10 +881,10 @@ let serve_sweep () =
       let p95 = ref 0. and sheds = ref 0 and sleeps = ref 0 in
       List.iter
         (fun comms ->
-          ignore (Optim.Online.engine ~rate model mesh comms);
-          let s = Option.get (Optim.Online.take_session ()) in
-          ignore (Optim.Online.engine ~rate ~sleep:false model mesh comms);
-          let s0 = Option.get (Optim.Online.take_session ()) in
+          let session ?sleep () =
+            Option.get (snd (Optim.Online.engine ~rate ?sleep model mesh comms))
+          in
+          let s = session () and s0 = session ~sleep:false () in
           (* Same stream, same admissions: the sleeping run's
              always-awake column is the disabled run's mean power. *)
           if s.Optim.Online.mean_power_nosleep <> s0.Optim.Online.mean_power

@@ -1,7 +1,8 @@
 (* figures: regenerate every simulation figure of the paper to CSV plus an
    ASCII rendering on stdout. Output directory: first argument, default
-   ./results; worker domains: second argument, default MANROUTE_JOBS or
-   the core count. Trials per point: MANROUTE_TRIALS (default 150).
+   ./results; worker domains: second argument (a positive integer),
+   default MANROUTE_JOBS or the core count. Trials per point:
+   MANROUTE_TRIALS (default 150).
    MANROUTE_TRACE=FILE records the whole run as a Chrome trace;
    MANROUTE_PROGRESS=1 keeps a live progress line on stderr;
    MANROUTE_AUDIT=DIR appends per-figure JSON audit records (worst-power,
@@ -15,11 +16,19 @@
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "results" in
   let jobs =
-    if Array.length Sys.argv > 2 then int_of_string_opt Sys.argv.(2) else None
+    if Array.length Sys.argv <= 2 then None
+    else
+      match int_of_string_opt Sys.argv.(2) with
+      | Some j when j > 0 -> Some j
+      | _ ->
+          Printf.eprintf "error: JOBS must be a positive integer, got %S\n"
+            Sys.argv.(2);
+          exit 1
   in
   Format.printf "trials/point: %d, jobs: %d@."
     (Harness.Runner.default_trials ())
     (match jobs with Some j -> j | None -> Harness.Pool.default_jobs ());
+  Harness.Runner.exit_on_error @@ fun () ->
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let checkpoint = Filename.concat dir "checkpoint.tsv" in
   let acc = Harness.Summary.create () in

@@ -281,7 +281,8 @@ let figure_cmd =
             "One of fig7a..fig7c, fig8a..fig8c, fig9a..fig9c, figf (fault \
              sweep), figs (s-MP split sweep), figpf (PathFinder \
              iteration-cap sweep), figrec (fault-event recovery sweep), \
-             or all.")
+             figserve (online-serving arrival-rate sweep), figpareto \
+             (Pareto simulated-cycle sweep), or all.")
   in
   let trials_t =
     Arg.(
@@ -367,6 +368,7 @@ let figure_cmd =
         exit 1
     | _ -> ());
     let acc = Harness.Summary.create () in
+    Harness.Runner.exit_on_error @@ fun () ->
     Harness.Telemetry.tracing (Harness.Telemetry.trace_file ?cli:trace ())
     @@ fun () ->
     List.iter
@@ -701,44 +703,27 @@ let inspect_cmd =
                 Printf.eprintf "unknown heuristic %s\n" heuristic;
                 exit 1
         in
-        (* Run the heuristics one by one, draining the engines'
-           annotation stashes around each, so negotiation and recovery
-           telemetry can be printed next to the cell that produced it. *)
+        (* The campaign's attempt step, heuristic by heuristic, so the
+           engines' notes (negotiation, recovery timeline) print next to
+           the cell that produced them. *)
         let attempts =
-          List.map
-            (fun (h : Routing.Heuristic.t) ->
-              ignore (Optim.Pathfinder.take_annotation ());
-              ignore (Optim.Recover.take_reports ());
-              match h.run ?fault model mesh comms with
-              | solution ->
-                  ( h,
-                    Ok
-                      {
-                        Routing.Best.heuristic = h;
-                        solution;
-                        report = Routing.Evaluate.solution ?fault model solution;
-                      },
-                    Optim.Pathfinder.take_annotation (),
-                    Optim.Recover.take_reports () )
-              | exception e -> (h, Error (Printexc.to_string e), None, None))
-            heuristics
+          List.map (Harness.Runner.attempt ?fault model mesh comms) heuristics
         in
         List.iter
-          (fun ((h : Routing.Heuristic.t), r, pf, rec_) ->
-            (match r with
-            | Ok (o : Routing.Best.outcome) ->
-                Format.printf "%-5s %a@." h.name Routing.Evaluate.pp_report
+          (fun (a : Harness.Runner.attempt) ->
+            let name = a.heuristic.Routing.Heuristic.name in
+            (match a.outcome with
+            | Ok o ->
+                Format.printf "%-5s %a@." name Routing.Evaluate.pp_report
                   o.report
-            | Error m -> Format.printf "%-5s error: %s@." h.name m);
-            (match pf with
-            | Some (a : Optim.Pathfinder.annotation) ->
+            | Error m -> Format.printf "%-5s error: %s@." name m);
+            match a.note with
+            | Some (Optim.Pathfinder.Negotiation n) ->
                 Format.printf
                   "      negotiation: %d iterations, %d rips, %s@."
-                  a.Optim.Pathfinder.a_iterations a.a_rips
-                  (if a.a_kept then "result kept" else "fell back to base")
-            | None -> ());
-            match rec_ with
-            | Some reports ->
+                  n.a_iterations n.a_rips
+                  (if n.a_kept then "result kept" else "fell back to base")
+            | Some (Optim.Recover.Reports reports) ->
                 List.iteri
                   (fun i (r : Optim.Recover.report) ->
                     Format.printf
@@ -749,10 +734,12 @@ let inspect_cmd =
                       r.rung r.live
                       (List.length r.shed_now))
                   reports
-            | None -> ())
+            | _ -> ())
           attempts;
         let outcomes =
-          List.filter_map (fun (_, r, _, _) -> Result.to_option r) attempts
+          List.filter_map
+            (fun (a : Harness.Runner.attempt) -> Result.to_option a.outcome)
+            attempts
         in
         let chosen =
           match Routing.Best.best_of outcomes with

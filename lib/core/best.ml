@@ -30,3 +30,19 @@ let best_of outcomes =
 
 let route ?heuristics ?fault model mesh comms =
   best_of (run_all ?heuristics ?fault model mesh comms)
+
+let penalized ?fault model solution =
+  Evaluate.penalized model (Solution.loads ?fault solution)
+
+let baseline ?fault model mesh comms =
+  let outcomes = run_all ?fault model mesh comms in
+  match best_of outcomes with
+  | Some o -> o
+  | None ->
+      let scored =
+        List.map (fun o -> (penalized ?fault model o.solution, o)) outcomes
+      in
+      snd
+        (List.fold_left
+           (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
+           (List.hd scored) (List.tl scored))

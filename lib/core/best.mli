@@ -29,3 +29,17 @@ val route :
   Traffic.Communication.t list ->
   outcome option
 (** [best_of (run_all ...)]. *)
+
+val penalized : ?fault:Noc.Fault.t -> Power.Model.t -> Solution.t -> float
+(** {!Evaluate.penalized} of the solution's loads: how far from feasible
+    an infeasible routing is. *)
+
+val baseline :
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Noc.Mesh.t ->
+  Traffic.Communication.t list ->
+  outcome
+(** The single-path baseline the engines guard their results against:
+    the best feasible outcome of {!run_all}, or the least-{!penalized}
+    one (first on ties) when every heuristic fails. *)

@@ -27,6 +27,34 @@ let of_fault_aware ~name ~description aware =
         repair fault model (aware ?fault model mesh comms));
   }
 
+type note = ..
+
+(* One slot per domain, written only by the [of_noted] adapter: a run is
+   synchronous on its domain, so whatever the slot holds when [h.run]
+   returns is the note of that very run. *)
+let slot : note option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let of_noted ~name ~description engine =
+  of_fault_aware ~name ~description (fun ?fault model mesh comms ->
+      let solution, note = engine ?fault model mesh comms in
+      Domain.DLS.get slot := note;
+      solution)
+
+let run_noted h ?fault model mesh comms =
+  let slot = Domain.DLS.get slot in
+  slot := None;
+  let drain () =
+    let note = !slot in
+    slot := None;
+    note
+  in
+  match h.run ?fault model mesh comms with
+  | solution -> (solution, drain ())
+  | exception e ->
+      ignore (drain ());
+      raise e
+
 let of_plain ~name ~description plain =
   of_fault_aware ~name ~description (fun ?fault:_ model mesh comms ->
       plain model mesh comms)
@@ -77,6 +105,26 @@ let find name =
    name always resolves the same way however many resolvers are in. *)
 let resolvers : (string -> t option) list ref = ref []
 let register resolve = resolvers := !resolvers @ [ resolve ]
+
+let parse_family ~prefix ~default ~min name =
+  let name = String.lowercase_ascii (String.trim name) in
+  if not (String.starts_with ~prefix name) then None
+  else
+    let n = String.length prefix in
+    match String.sub name n (String.length name - n) with
+    | "" -> Some default
+    | rest -> (
+        let rest =
+          if
+            String.length rest >= 2
+            && rest.[0] = '('
+            && rest.[String.length rest - 1] = ')'
+          then String.sub rest 1 (String.length rest - 2)
+          else rest
+        in
+        match int_of_string_opt rest with
+        | Some k when k >= min -> Some k
+        | _ -> None)
 
 let find_extended name =
   match find name with

@@ -38,6 +38,36 @@ val of_fault_aware :
     still corner itself into a dead end its native steering cannot fix).
     All built-in policies and the s-MP engine go through this. *)
 
+type note = ..
+(** An engine's typed extra result, handed over next to its solution:
+    PathFinder's negotiation annotation, Recover's per-event reports, an
+    Online session. The engines above this library extend it. *)
+
+val of_noted :
+  name:string ->
+  description:string ->
+  (?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Noc.Mesh.t ->
+  Traffic.Communication.t list ->
+  Solution.t * note option) ->
+  t
+(** {!of_fault_aware} for an engine that also returns a note: the adapter
+    leaves the note in a per-domain slot, where {!run_noted} picks it up.
+    [run] keeps its plain type, so wrappers that override it by record
+    update still work. *)
+
+val run_noted :
+  t ->
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Noc.Mesh.t ->
+  Traffic.Communication.t list ->
+  Solution.t * note option
+(** [h.run] plus the note its engine left: clears this domain's slot,
+    runs, and drains the slot — also when [h.run] raises, so a note never
+    outlives its run. [None] for heuristics built without {!of_noted}. *)
+
 val of_plain :
   name:string ->
   description:string ->
@@ -71,6 +101,13 @@ val register : (string -> t option) -> unit
     consulted by {!find_extended} in registration order, after the
     builtins; registering the same family twice is harmless (the first
     wins). *)
+
+val parse_family :
+  prefix:string -> default:int -> min:int -> string -> int option
+(** The parameter of a family spelling, case-insensitive and trimmed: the
+    bare [prefix] gives [default], [prefixN] and [prefix(N)] give [N]
+    when [N >= min]; [None] for anything else. Shared by the engines'
+    resolvers (["pf8"], ["REC(12)"], ...). *)
 
 val find_extended : string -> t option
 (** {!find}, falling back to the registered resolvers — the lookup the

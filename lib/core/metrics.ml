@@ -33,94 +33,70 @@ let zero () =
 let key = Domain.DLS.new_key zero
 let current () = Domain.DLS.get key
 
+type field = {
+  name : string;
+  suffix : string;
+  label : string;
+  get : counters -> int;
+  set : counters -> int -> unit;
+}
+
+let fields =
+  let f name suffix label get set = { name; suffix; label; get; set } in
+  [
+    f "paths_scored" "paths" "paths"
+      (fun c -> c.paths_scored)
+      (fun c v -> c.paths_scored <- v);
+    f "dp_cells" "dp" "dp" (fun c -> c.dp_cells) (fun c v -> c.dp_cells <- v);
+    f "bb_nodes" "bb" "bb" (fun c -> c.bb_nodes) (fun c v -> c.bb_nodes <- v);
+    f "detour_searches" "reroutes" "detours"
+      (fun c -> c.detour_searches)
+      (fun c v -> c.detour_searches <- v);
+    f "feasibility_checks" "evals" "evals"
+      (fun c -> c.feasibility_checks)
+      (fun c v -> c.feasibility_checks <- v);
+    f "delta_evals" "delta_evals" "delta"
+      (fun c -> c.delta_evals)
+      (fun c v -> c.delta_evals <- v);
+    f "pf_iterations" "pf_iters" "pf-it"
+      (fun c -> c.pf_iterations)
+      (fun c v -> c.pf_iterations <- v);
+    f "pf_rips" "pf_rips" "pf-rips"
+      (fun c -> c.pf_rips)
+      (fun c v -> c.pf_rips <- v);
+    f "recover_events" "recover_events" "rec-ev"
+      (fun c -> c.recover_events)
+      (fun c v -> c.recover_events <- v);
+    f "recover_sheds" "recover_sheds" "rec-shed"
+      (fun c -> c.recover_sheds)
+      (fun c v -> c.recover_sheds <- v);
+    f "recover_rung_max" "recover_rung_max" "rec-rung"
+      (fun c -> c.recover_rung_max)
+      (fun c v -> c.recover_rung_max <- v);
+  ]
+
+let init value =
+  let c = zero () in
+  List.iter (fun f -> f.set c (value f)) fields;
+  c
+
 let snapshot () =
   let c = current () in
-  {
-    paths_scored = c.paths_scored;
-    dp_cells = c.dp_cells;
-    bb_nodes = c.bb_nodes;
-    detour_searches = c.detour_searches;
-    feasibility_checks = c.feasibility_checks;
-    delta_evals = c.delta_evals;
-    pf_iterations = c.pf_iterations;
-    pf_rips = c.pf_rips;
-    recover_events = c.recover_events;
-    recover_sheds = c.recover_sheds;
-    recover_rung_max = c.recover_rung_max;
-  }
+  init (fun f -> f.get c)
 
-let diff a b =
-  {
-    paths_scored = a.paths_scored - b.paths_scored;
-    dp_cells = a.dp_cells - b.dp_cells;
-    bb_nodes = a.bb_nodes - b.bb_nodes;
-    detour_searches = a.detour_searches - b.detour_searches;
-    feasibility_checks = a.feasibility_checks - b.feasibility_checks;
-    delta_evals = a.delta_evals - b.delta_evals;
-    pf_iterations = a.pf_iterations - b.pf_iterations;
-    pf_rips = a.pf_rips - b.pf_rips;
-    recover_events = a.recover_events - b.recover_events;
-    recover_sheds = a.recover_sheds - b.recover_sheds;
-    recover_rung_max = a.recover_rung_max - b.recover_rung_max;
-  }
-
-let add ~into c =
-  into.paths_scored <- into.paths_scored + c.paths_scored;
-  into.dp_cells <- into.dp_cells + c.dp_cells;
-  into.bb_nodes <- into.bb_nodes + c.bb_nodes;
-  into.detour_searches <- into.detour_searches + c.detour_searches;
-  into.feasibility_checks <- into.feasibility_checks + c.feasibility_checks;
-  into.delta_evals <- into.delta_evals + c.delta_evals;
-  into.pf_iterations <- into.pf_iterations + c.pf_iterations;
-  into.pf_rips <- into.pf_rips + c.pf_rips;
-  into.recover_events <- into.recover_events + c.recover_events;
-  into.recover_sheds <- into.recover_sheds + c.recover_sheds;
-  into.recover_rung_max <- into.recover_rung_max + c.recover_rung_max
-
-let is_zero c =
-  c.paths_scored = 0 && c.dp_cells = 0 && c.bb_nodes = 0
-  && c.detour_searches = 0
-  && c.feasibility_checks = 0 && c.delta_evals = 0
-  && c.pf_iterations = 0 && c.pf_rips = 0
-  && c.recover_events = 0 && c.recover_sheds = 0
-  && c.recover_rung_max = 0
-
-let equal a b =
-  a.paths_scored = b.paths_scored
-  && a.dp_cells = b.dp_cells
-  && a.bb_nodes = b.bb_nodes
-  && a.detour_searches = b.detour_searches
-  && a.feasibility_checks = b.feasibility_checks
-  && a.delta_evals = b.delta_evals
-  && a.pf_iterations = b.pf_iterations
-  && a.pf_rips = b.pf_rips
-  && a.recover_events = b.recover_events
-  && a.recover_sheds = b.recover_sheds
-  && a.recover_rung_max = b.recover_rung_max
+let diff a b = init (fun f -> f.get a - f.get b)
+let add ~into c = List.iter (fun f -> f.set into (f.get into + f.get c)) fields
+let is_zero c = List.for_all (fun f -> f.get c = 0) fields
+let equal a b = List.for_all (fun f -> f.get a = f.get b) fields
 
 let pp ppf c =
   if is_zero c then Format.pp_print_string ppf "-"
-  else begin
-    let first = ref true in
-    let field name v =
-      if v <> 0 then begin
-        if not !first then Format.pp_print_char ppf ' ';
-        first := false;
-        Format.fprintf ppf "%s=%d" name v
-      end
-    in
-    field "paths" c.paths_scored;
-    field "dp" c.dp_cells;
-    field "bb" c.bb_nodes;
-    field "detours" c.detour_searches;
-    field "evals" c.feasibility_checks;
-    field "delta" c.delta_evals;
-    field "pf-it" c.pf_iterations;
-    field "pf-rips" c.pf_rips;
-    field "rec-ev" c.recover_events;
-    field "rec-shed" c.recover_sheds;
-    field "rec-rung" c.recover_rung_max
-  end
+  else
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
+      (fun ppf f -> Format.fprintf ppf "%s=%d" f.label (f.get c))
+      ppf
+      (List.filter (fun f -> f.get c <> 0) fields)
 
 let span_hook : (string -> unit -> unit) option Atomic.t = Atomic.make None
 let set_span_hook h = Atomic.set span_hook h

@@ -62,6 +62,23 @@ type counters = {
 val zero : unit -> counters
 (** A fresh all-zero block. *)
 
+type field = {
+  name : string;  (** The record field, also the audit JSON key. *)
+  suffix : string;  (** Figure CSV column suffix and checkpoint column. *)
+  label : string;  (** Short {!pp} label. *)
+  get : counters -> int;
+  set : counters -> int -> unit;
+}
+
+val fields : field list
+(** Every counter once, in declaration order: the table {!snapshot},
+    {!diff}, {!add}, {!pp}, the figure CSV, the campaign checkpoint and
+    the audit JSON iterate. Increments in the hot loops stay direct
+    field writes. *)
+
+val init : (field -> int) -> counters
+(** [init value] is a fresh block with each field [f] set to [value f]. *)
+
 val current : unit -> counters
 (** The calling domain's running totals. Monotonically increasing for the
     life of the domain; meaningful only as differences between two

@@ -185,21 +185,11 @@ let json_of_recover (r : Optim.Recover.report) =
              r.readmitted) );
     ]
 
-let json_of_counters (c : Routing.Metrics.counters) =
+let json_of_counters c =
   Obj
-    [
-      ("paths_scored", Int c.Routing.Metrics.paths_scored);
-      ("dp_cells", Int c.Routing.Metrics.dp_cells);
-      ("bb_nodes", Int c.Routing.Metrics.bb_nodes);
-      ("detour_searches", Int c.Routing.Metrics.detour_searches);
-      ("feasibility_checks", Int c.Routing.Metrics.feasibility_checks);
-      ("delta_evals", Int c.Routing.Metrics.delta_evals);
-      ("pf_iterations", Int c.Routing.Metrics.pf_iterations);
-      ("pf_rips", Int c.Routing.Metrics.pf_rips);
-      ("recover_events", Int c.Routing.Metrics.recover_events);
-      ("recover_sheds", Int c.Routing.Metrics.recover_sheds);
-      ("recover_rung_max", Int c.Routing.Metrics.recover_rung_max);
-    ]
+    (List.map
+       (fun (f : Routing.Metrics.field) -> (f.name, Int (f.get c)))
+       Routing.Metrics.fields)
 
 (* ------------------------------------------------------------------ *)
 (* Audit records *)
@@ -214,8 +204,7 @@ let kind_label = function
 type cell = {
   cell_name : string;
   outcome : (Routing.Evaluate.report, string) result;
-  pathfinder : Optim.Pathfinder.annotation option;
-  recover : Optim.Recover.report list option;
+  note : Routing.Heuristic.note option;
   objectives : Optim.Pareto.objectives option;
 }
 
@@ -248,8 +237,8 @@ let json_of_cell c =
      (match c.outcome with
      | Ok r -> [ ("report", json_of_report r) ]
      | Error m -> [ ("error", Str m) ])
-    @ (match c.pathfinder with
-      | Some (a : Optim.Pathfinder.annotation) ->
+    @ (match c.note with
+      | Some (Optim.Pathfinder.Negotiation a) ->
           [
             ( "pathfinder",
               Obj
@@ -259,11 +248,9 @@ let json_of_cell c =
                   ("kept", Bool a.a_kept);
                 ] );
           ]
-      | None -> [])
-    @ (match c.recover with
-      | Some reports ->
+      | Some (Optim.Recover.Reports reports) ->
           [ ("recover", List (List.map json_of_recover reports)) ]
-      | None -> [])
+      | _ -> [])
     @
     match c.objectives with
     | Some o -> [ ("objectives", json_of_objectives o) ]
@@ -360,7 +347,10 @@ let write_inspect_file ~path ~meta probe =
     (Obj ((("schema", Str inspect_schema) :: meta) @ [ ("probe", json_of_probe probe) ]))
 
 let audit_dir ?cli () =
-  match cli with Some _ -> cli | None -> Sys.getenv_opt "MANROUTE_AUDIT"
+  match cli with
+  | Some _ -> cli
+  | None -> (
+      match Sys.getenv_opt "MANROUTE_AUDIT" with Some "" -> None | v -> v)
 
 (* ------------------------------------------------------------------ *)
 (* Artifact checkers (CI; no external JSON tool) *)

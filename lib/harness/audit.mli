@@ -66,12 +66,10 @@ val kind_label : kind -> string
 type cell = {
   cell_name : string;
   outcome : (Routing.Evaluate.report, string) result;
-  pathfinder : Optim.Pathfinder.annotation option;
-      (** Negotiation annotation, when this cell ran the PathFinder
-          engine. *)
-  recover : Optim.Recover.report list option;
-      (** Per-event recovery reports, when this cell ran the recovery
-          engine. *)
+  note : Routing.Heuristic.note option;
+      (** The engine's note: a PathFinder negotiation annotation or the
+          recovery engine's per-event reports are recorded; other notes
+          (an online session) are not. *)
   objectives : Optim.Pareto.objectives option;
       (** The cell's Pareto point (power, simulated p50/p95, slope), when
           the trial belonged to a Pareto figure and the cell was
@@ -136,7 +134,7 @@ val write_inspect_file :
 
 val audit_dir : ?cli:string -> unit -> string option
 (** The audit destination: [cli] when given, else [MANROUTE_AUDIT] from
-    the environment, else [None]. *)
+    the environment when set and non-empty, else [None]. *)
 
 (** {1 Artifact checkers} *)
 

@@ -1,90 +1,82 @@
 type key = { figure_id : string; seed : int; trials : int }
 
-type cell = {
-  name : string;
-  failure_ratio : float;
-  error_ratio : float;
-  norm_inv_power : float;
-  norm_stderr : float;
-  mean_power : float option;
-  mean_detour_hops : float;
-  error_example : string option;
-  counters : Routing.Metrics.counters;
-  mean_p50 : float option;
-  mean_p95 : float option;
-  mean_slope : float option;
-  front_ratio : float option;
-  srv_power : float option;
-  srv_saved : float option;
-  srv_p95 : float option;
+type value =
+  | Float of float
+  | Opt of float option
+  | Int of int
+  | Msg of string option
+
+type reader = {
+  float : string -> float;
+  opt : string -> float option;
+  int : string -> int;
+  msg : string -> string option;
 }
 
 let magic = "row"
-let version = "v1"
+let version = "v2"
 
-(* Name + 7 stat fields + 11 counter ints + 4 Pareto fields + 3 serve
-   fields: what [line] writes today. *)
-let max_fields_per_cell = 26
+exception Corrupt of { path : string; line : int; reason : string }
+exception Mismatch of { path : string; line : int; found : string }
+
+let () =
+  Printexc.register_printer (function
+    | Corrupt { path; line; reason } ->
+        Some
+          (Printf.sprintf
+             "checkpoint %s, line %d: corrupt row (%s); delete the line (or \
+              the sidecar) to recompute it"
+             path line reason)
+    | Mismatch { path; line; found } ->
+        Some
+          (Printf.sprintf
+             "checkpoint %s, line %d: row written by another manroute \
+              version (found %s; this build writes %s rows with its own \
+              columns); delete the sidecar to recompute"
+             path line found version)
+    | _ -> None)
 
 (* Floats travel as "%h" hex literals: [float_of_string] round-trips them
    bit-exactly, which is what lets a resumed campaign reproduce the very
-   rows a fresh run would compute. *)
-let float_field f = Printf.sprintf "%h" f
-let opt_float_field = function None -> "-" | Some f -> float_field f
+   rows a fresh run would compute. "%h" drops a NaN's payload, so a NaN
+   travels as its bit pattern instead. *)
+let float_text f =
+  if Float.is_nan f then Printf.sprintf "nan:%Lx" (Int64.bits_of_float f)
+  else Printf.sprintf "%h" f
+
+let parse_float s =
+  match String.split_on_char ':' s with
+  | [ "nan"; bits ] ->
+      Option.map Int64.float_of_bits (Int64.of_string_opt ("0x" ^ bits))
+  | _ -> float_of_string_opt s
 
 (* [String.escaped] leaves no literal tab or newline in the payload, and
    the "=" prefix keeps an escaped message that happens to read "-" from
    colliding with the absent marker. *)
-let msg_field = function None -> "-" | Some m -> "=" ^ String.escaped m
+let text = function
+  | Float f | Opt (Some f) -> float_text f
+  | Opt None | Msg None -> "-"
+  | Int i -> string_of_int i
+  | Msg (Some m) -> "=" ^ String.escaped m
 
 let line key ~x cells =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (String.concat "\t"
-       [
-         magic;
-         version;
-         key.figure_id;
-         string_of_int key.seed;
-         string_of_int key.trials;
-         float_field x;
-         string_of_int (List.length cells);
-       ]);
-  List.iter
-    (fun c ->
-      Buffer.add_char buf '\t';
-      Buffer.add_string buf
-        (String.concat "\t"
-           [
-             c.name;
-             float_field c.failure_ratio;
-             float_field c.error_ratio;
-             float_field c.norm_inv_power;
-             float_field c.norm_stderr;
-             opt_float_field c.mean_power;
-             float_field c.mean_detour_hops;
-             msg_field c.error_example;
-             string_of_int c.counters.Routing.Metrics.paths_scored;
-             string_of_int c.counters.Routing.Metrics.dp_cells;
-             string_of_int c.counters.Routing.Metrics.bb_nodes;
-             string_of_int c.counters.Routing.Metrics.detour_searches;
-             string_of_int c.counters.Routing.Metrics.feasibility_checks;
-             string_of_int c.counters.Routing.Metrics.delta_evals;
-             string_of_int c.counters.Routing.Metrics.pf_iterations;
-             string_of_int c.counters.Routing.Metrics.pf_rips;
-             string_of_int c.counters.Routing.Metrics.recover_events;
-             string_of_int c.counters.Routing.Metrics.recover_sheds;
-             string_of_int c.counters.Routing.Metrics.recover_rung_max;
-             opt_float_field c.mean_p50;
-             opt_float_field c.mean_p95;
-             opt_float_field c.mean_slope;
-             opt_float_field c.front_ratio;
-             opt_float_field c.srv_power;
-             opt_float_field c.srv_saved;
-             opt_float_field c.srv_p95;
-           ]))
-    cells;
-  Buffer.contents buf
+  let columns =
+    match cells with (_, fields) :: _ -> List.map fst fields | [] -> []
+  in
+  String.concat "\t"
+    ([
+       magic;
+       version;
+       key.figure_id;
+       string_of_int key.seed;
+       string_of_int key.trials;
+       float_text x;
+       string_of_int (List.length cells);
+       String.concat "," columns;
+     ]
+    @ List.concat_map
+        (fun (name, fields) -> name :: List.map (fun (_, v) -> text v) fields)
+        cells)
 
 let append ~path key ~x cells =
   (* A crash can leave a torn final line without its newline; gluing the
@@ -110,10 +102,8 @@ let append ~path key ~x cells =
   flush oc;
   close_out oc
 
-let parse_float = float_of_string_opt
-
-let parse_opt_float s =
-  if s = "-" then Some None else Option.map Option.some (float_of_string_opt s)
+let parse_opt s =
+  if s = "-" then Some None else Option.map Option.some (parse_float s)
 
 let parse_msg s =
   if s = "-" then Some None
@@ -123,222 +113,65 @@ let parse_msg s =
     | exception _ -> None
   else None
 
-let parse_counters ?(de = "0") ?(pi = "0") ?(pr = "0") ?(re = "0") ?(rs = "0")
-    ?(rr = "0") p d b ds fc =
-  match
-    ( ( int_of_string_opt p,
-        int_of_string_opt d,
-        int_of_string_opt b,
-        int_of_string_opt ds,
-        int_of_string_opt fc,
-        int_of_string_opt de,
-        int_of_string_opt pi,
-        int_of_string_opt pr ),
-      (int_of_string_opt re, int_of_string_opt rs, int_of_string_opt rr) )
-  with
-  | ( ( Some paths_scored,
-        Some dp_cells,
-        Some bb_nodes,
-        Some detour_searches,
-        Some feasibility_checks,
-        Some delta_evals,
-        Some pf_iterations,
-        Some pf_rips ),
-      (Some recover_events, Some recover_sheds, Some recover_rung_max) ) ->
-      Some
-        {
-          Routing.Metrics.paths_scored;
-          dp_cells;
-          bb_nodes;
-          detour_searches;
-          feasibility_checks;
-          delta_evals;
-          pf_iterations;
-          pf_rips;
-          recover_events;
-          recover_sheds;
-          recover_rung_max;
-        }
-  | _ -> None
+exception Unparsable of string
 
-exception
-  Newer_version of { path : string; line : int; fields_per_cell : int }
-
-exception Corrupt of { path : string; line : int; reason : string }
-
-let () =
-  Printexc.register_printer (function
-    | Newer_version { path; line; fields_per_cell } ->
-        Some
-          (Printf.sprintf
-             "checkpoint %s, line %d: row from a newer manroute version (%d \
-              fields per cell, this build reads at most %d); delete it or \
-              upgrade"
-             path line fields_per_cell max_fields_per_cell)
-    | Corrupt { path; line; reason } ->
-        Some
-          (Printf.sprintf
-             "checkpoint %s, line %d: corrupt row (%s); delete the line (or \
-              the sidecar) to recompute it"
-             path line reason)
-    | _ -> None)
-
-let parse_cells ~path ~line n fields =
-  (* Checkpoints written before the telemetry layer carry 8 fields per
-     cell; the telemetry layer appended five counter ints (13), the
-     delta engine a sixth (14), the PathFinder engine two more (16), the
-     recovery engine three more (19), the Pareto layer four optional
-     floats (23) and the serve layer three more (26). Same magic, same
-     version: the arity is read off the total field count, so old resume
-     files keep loading — missing counters parse as zero and missing
-     Pareto/serve cells as absent. A row
-     whose cells carry {e more} fields than this build writes was made by
-     a newer build: silently misparsing (or silently dropping) it would
-     quietly recompute rows the user thinks are checkpointed, so that
-     fails fast instead. *)
-  let arity =
-    match List.length fields with
-    | len when n > 0 && len = n * 26 -> `Serve3
-    | len when n > 0 && len = n * 23 -> `Pareto4
-    | len when n > 0 && len = n * 19 -> `Counters11
-    | len when n > 0 && len = n * 16 -> `Counters8
-    | len when n > 0 && len = n * 14 -> `Counters6
-    | len when n > 0 && len = n * 13 -> `Counters5
-    | len when len = n * 8 -> `NoCounters
-    | len when n > 0 && len mod n = 0 && len / n > max_fields_per_cell ->
-        raise (Newer_version { path; line; fields_per_cell = len / n })
-    | _ -> `Serve3 (* wrong shape either way; fail in the loop below *)
+(* Typed access to one cell's named values; a missing or unparsable
+   column aborts the whole row. *)
+let reader values =
+  let get parse column =
+    match Option.bind (List.assoc_opt column values) parse with
+    | Some v -> v
+    | None -> raise (Unparsable column)
   in
-  let rec go acc k = function
-    | [] when k = 0 -> Some (List.rev acc)
-    | name :: fail :: err :: norm :: stderr :: power :: detour :: msg :: tl
-      when k > 0 -> (
-        let counters, tl =
-          match arity with
-          | `NoCounters -> (Some (Routing.Metrics.zero ()), tl)
-          | `Counters5 -> (
-              match tl with
-              | p :: d :: b :: ds :: fc :: tl -> (parse_counters p d b ds fc, tl)
-              | _ -> (None, tl))
-          | `Counters6 -> (
-              match tl with
-              | p :: d :: b :: ds :: fc :: de :: tl ->
-                  (parse_counters ~de p d b ds fc, tl)
-              | _ -> (None, tl))
-          | `Counters8 -> (
-              match tl with
-              | p :: d :: b :: ds :: fc :: de :: pi :: pr :: tl ->
-                  (parse_counters ~de ~pi ~pr p d b ds fc, tl)
-              | _ -> (None, tl))
-          | `Counters11 | `Pareto4 | `Serve3 -> (
-              match tl with
-              | p :: d :: b :: ds :: fc :: de :: pi :: pr :: re :: rs :: rr
-                :: tl ->
-                  (parse_counters ~de ~pi ~pr ~re ~rs ~rr p d b ds fc, tl)
-              | _ -> (None, tl))
-        in
-        let pareto, tl =
-          match arity with
-          | `Pareto4 | `Serve3 -> (
-              match tl with
-              | p50 :: p95 :: sl :: fr :: tl -> (
-                  match
-                    ( parse_opt_float p50,
-                      parse_opt_float p95,
-                      parse_opt_float sl,
-                      parse_opt_float fr )
-                  with
-                  | Some a, Some b, Some c, Some d -> (Some (a, b, c, d), tl)
-                  | _ -> (None, tl))
-              | _ -> (None, tl))
-          | _ -> (Some (None, None, None, None), tl)
-        in
-        let serve, tl =
-          match arity with
-          | `Serve3 -> (
-              match tl with
-              | sp :: ss :: sq :: tl -> (
-                  match
-                    ( parse_opt_float sp,
-                      parse_opt_float ss,
-                      parse_opt_float sq )
-                  with
-                  | Some a, Some b, Some c -> (Some (a, b, c), tl)
-                  | _ -> (None, tl))
-              | _ -> (None, tl))
-          | _ -> (Some (None, None, None), tl)
-        in
-        match
-          ( parse_float fail,
-            parse_float err,
-            parse_float norm,
-            parse_float stderr,
-            parse_opt_float power,
-            parse_float detour,
-            parse_msg msg,
-            counters,
-            pareto,
-            serve )
-        with
-        | ( Some failure_ratio,
-            Some error_ratio,
-            Some norm_inv_power,
-            Some norm_stderr,
-            Some mean_power,
-            Some mean_detour_hops,
-            Some error_example,
-            Some counters,
-            Some (mean_p50, mean_p95, mean_slope, front_ratio),
-            Some (srv_power, srv_saved, srv_p95) ) ->
-            go
-              ({
-                 name;
-                 failure_ratio;
-                 error_ratio;
-                 norm_inv_power;
-                 norm_stderr;
-                 mean_power;
-                 mean_detour_hops;
-                 error_example;
-                 counters;
-                 mean_p50;
-                 mean_p95;
-                 mean_slope;
-                 front_ratio;
-                 srv_power;
-                 srv_saved;
-                 srv_p95;
-               }
-              :: acc)
-              (k - 1) tl
-        | _ -> None)
-    | _ -> None
-  in
-  go [] n fields
+  {
+    float = get parse_float;
+    opt = get parse_opt;
+    int = get int_of_string_opt;
+    msg = get parse_msg;
+  }
 
 (* [`Foreign] is any line that does not claim to be one of this
-   campaign's rows (other magic/version/figure/seed/trials — the sidecar
-   is shared); [`Corrupt] is a line that does claim the key but fails to
-   parse, which load localizes by path and line number. *)
-let parse_line ~path ~line key l =
+   campaign's rows (other magic/figure/seed/trials — the sidecar is
+   shared, and a line torn before its column names claims nothing);
+   [`Corrupt] is a line that does claim the key but fails to parse, which
+   load localizes by path and line number. *)
+let parse_line ~path ~line ~columns key decode l =
   match String.split_on_char '\t' l with
-  | m :: v :: fid :: seed :: trials :: x :: ncells :: rest
-    when m = magic && v = version ->
-      if
-        fid <> key.figure_id
-        || int_of_string_opt seed <> Some key.seed
-        || int_of_string_opt trials <> Some key.trials
-      then `Foreign
-      else (
-        match (parse_float x, int_of_string_opt ncells) with
-        | Some x, Some n when n >= 0 -> (
-            match parse_cells ~path ~line n rest with
-            | Some cells -> `Row (x, cells)
-            | None -> `Corrupt "malformed cell fields")
-        | _ -> `Corrupt "unparsable x or cell count")
+  | m :: v :: fid :: seed :: trials :: x :: ncells :: header :: rest
+    when m = magic && fid = key.figure_id
+         && int_of_string_opt seed = Some key.seed
+         && int_of_string_opt trials = Some key.trials -> (
+      if v <> version then raise (Mismatch { path; line; found = v });
+      let names = String.split_on_char ',' header in
+      let fields = Array.of_list rest in
+      let k = List.length names + 1 in
+      if fields = [||] then `Corrupt "no cells"
+      else
+        match
+          ( List.find_opt (fun c -> not (List.mem c columns)) names,
+            List.find_opt (fun c -> not (List.mem c names)) columns )
+        with
+        | Some c, _ | None, Some c ->
+            raise (Mismatch { path; line; found = "column " ^ c })
+        | None, None -> (
+            match (parse_float x, int_of_string_opt ncells) with
+            | Some x, Some n
+              when n > 0
+                   && n <= Array.length fields
+                   && Array.length fields = n * k -> (
+                let cell i =
+                  let values =
+                    List.mapi (fun j c -> (c, fields.((i * k) + 1 + j))) names
+                  in
+                  (fields.(i * k), decode (reader values))
+                in
+                match List.init n cell with
+                | cells -> `Row (x, cells)
+                | exception Unparsable c -> `Corrupt ("unparsable " ^ c))
+            | _ -> `Corrupt "unparsable x or cell count"))
   | _ -> `Foreign
 
-let load ~path key =
+let load ~path key ~columns decode =
   if not (Sys.file_exists path) then []
   else begin
     let ic = open_in path in
@@ -356,7 +189,7 @@ let load ~path key =
     let rows = ref [] in
     List.iteri
       (fun i l ->
-        match parse_line ~path ~line:(i + 1) key l with
+        match parse_line ~path ~line:(i + 1) ~columns key decode l with
         | `Row row -> rows := row :: !rows
         | `Foreign -> ()
         | `Corrupt reason ->

@@ -16,26 +16,26 @@ type t = {
   sim : (float -> sim_spec) option;
 }
 
-(* MANROUTE_SIM=0 turns the simulator columns off wholesale — campaigns
-   fall back to pure model-power scoring, Pareto cells read as absent. *)
-let sim_enabled () = Sys.getenv_opt "MANROUTE_SIM" <> Some "0"
-
 let mesh = Noc.Mesh.square 8
 
-let count_sweep id title weight xs =
+(* A healthy, unpaired sweep over the default heuristics: what every
+   paper figure is, and what the sweeps beyond it start from. *)
+let sweep id title xlabel xs generate =
   {
     id;
     title;
-    xlabel = "number of communications";
-    xs = List.map float_of_int xs;
-    generate =
-      (fun rng x ->
-        Traffic.Workload.uniform rng mesh ~n:(int_of_float x) ~weight);
+    xlabel;
+    xs;
+    generate;
     scenario = None;
     paired = false;
     heuristics = None;
     sim = None;
   }
+
+let count_sweep id title weight xs =
+  sweep id title "number of communications" (List.map float_of_int xs)
+    (fun rng x -> Traffic.Workload.uniform rng mesh ~n:(int_of_float x) ~weight)
 
 let fig7a =
   count_sweep "fig7a" "Fig. 7(a): #comms, small weights" Traffic.Workload.small
@@ -50,19 +50,8 @@ let fig7c =
     [ 2; 5; 10; 15; 20; 25; 30 ]
 
 let weight_sweep id title ~n xs =
-  {
-    id;
-    title;
-    xlabel = "average weight (Mb/s)";
-    xs;
-    generate =
-      (fun rng x ->
-        Traffic.Workload.uniform rng mesh ~n ~weight:(Traffic.Workload.around x));
-    scenario = None;
-    paired = false;
-    heuristics = None;
-    sim = None;
-  }
+  sweep id title "average weight (Mb/s)" xs (fun rng x ->
+      Traffic.Workload.uniform rng mesh ~n ~weight:(Traffic.Workload.around x))
 
 let fig8a =
   weight_sweep "fig8a" "Fig. 8(a): weight sweep, 10 comms" ~n:10
@@ -77,20 +66,9 @@ let fig8c =
     [ 200.; 400.; 600.; 800.; 1000.; 1200.; 1400.; 1600.; 1800. ]
 
 let length_sweep id title ~n weight =
-  {
-    id;
-    title;
-    xlabel = "average length (hops)";
-    xs = [ 2.; 4.; 6.; 8.; 10.; 12.; 14. ];
-    generate =
-      (fun rng x ->
-        Traffic.Workload.with_length rng mesh ~n ~weight
-          ~target:(int_of_float x));
-    scenario = None;
-    paired = false;
-    heuristics = None;
-    sim = None;
-  }
+  sweep id title "average length (hops)" [ 2.; 4.; 6.; 8.; 10.; 12.; 14. ]
+    (fun rng x ->
+      Traffic.Workload.with_length rng mesh ~n ~weight ~target:(int_of_float x))
 
 let fig9a =
   length_sweep "fig9a" "Fig. 9(a): length sweep, 100 small comms" ~n:100
@@ -112,132 +90,83 @@ let fig9c =
    set extends the previous row's. Only the damage level varies along x. *)
 let figf =
   {
-    id = "figf";
-    title = "Fig. F: fault sweep, 32 small comms vs killed links";
-    xlabel = "killed links";
-    xs = [ 0.; 2.; 4.; 6.; 8.; 10.; 12. ];
-    generate =
-      (fun rng _ ->
-        Traffic.Workload.uniform rng mesh ~n:32 ~weight:Traffic.Workload.small);
+    (sweep "figf" "Fig. F: fault sweep, 32 small comms vs killed links"
+       "killed links" [ 0.; 2.; 4.; 6.; 8.; 10.; 12. ] (fun rng _ ->
+         Traffic.Workload.uniform rng mesh ~n:32
+           ~weight:Traffic.Workload.small))
+    with
     scenario =
       Some
         (fun rng x ->
           Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng)
             ~kills:(int_of_float x) mesh);
     paired = true;
-    heuristics = None;
-    sim = None;
   }
 
-(* Split sweep (beyond the paper): the x axis is the per-communication
-   path budget [s] of the flow-guided s-MP engine. Paired like figf —
-   trial [t] draws the same 25 mixed communications at every s, so the
-   SMP column descends along x by construction while the six single-path
-   cells stay flat (they ignore s). The mixed-weight workload is dense
-   enough that single-path routing sometimes fails outright where
-   splitting is certified feasible — the failure-ratio recovery the
-   s-sweep is meant to exhibit. *)
+(* The engine sweeps beyond the paper: [n] mixed communications, paired
+   like figf — trial [t] draws the same workload at every x — and the six
+   single-path cells (flat along x, they ignore its parameter) next to the
+   engine cells [extra x]. *)
+let engine_sweep id title xlabel ~n xs extra =
+  {
+    (sweep id title xlabel xs (fun rng _ ->
+         Traffic.Workload.uniform rng mesh ~n ~weight:Traffic.Workload.mixed))
+    with
+    paired = true;
+    heuristics = Some (fun x -> Routing.Heuristic.all @ extra x);
+  }
+
+(* Split sweep: the x axis is the per-communication path budget [s] of
+   the flow-guided s-MP engine, so the SMP column descends along x by
+   construction. The mixed-weight workload is dense enough that
+   single-path routing sometimes fails outright where splitting is
+   certified feasible — the failure-ratio recovery the s-sweep is meant
+   to exhibit. *)
 let figs =
-  {
-    id = "figs";
-    title = "Fig. S: split sweep, 25 mixed comms vs allowed paths";
-    xlabel = "allowed paths per communication (s)";
-    xs = [ 1.; 2.; 4.; 8. ];
-    generate =
-      (fun rng _ ->
-        Traffic.Workload.uniform rng mesh ~n:25 ~weight:Traffic.Workload.mixed);
-    scenario = None;
-    paired = true;
-    heuristics =
-      Some
-        (fun x ->
-          Routing.Heuristic.all
-          @ [ Optim.Smp.heuristic ~name:"SMP" ~s:(int_of_float x) () ]);
-    sim = None;
-  }
+  engine_sweep "figs" "Fig. S: split sweep, 25 mixed comms vs allowed paths"
+    "allowed paths per communication (s)" ~n:25 [ 1.; 2.; 4.; 8. ] (fun x ->
+      [ Optim.Smp.heuristic ~name:"SMP" ~s:(int_of_float x) () ])
 
-(* Negotiation sweep (beyond the paper): the x axis is the iteration cap
-   of the PathFinder rip-up-and-reroute engine. Paired like figs — trial
-   [t] draws the same 25 mixed communications at every cap, so the PF
-   column can only improve (more negotiation passes on the identical
-   instance) while the six single-path cells stay flat. The [*_pf_rips]
-   CSV column exposes how much ripping each cap actually bought. *)
+(* Negotiation sweep: the x axis is the iteration cap of the PathFinder
+   rip-up-and-reroute engine, so the PF column can only improve (more
+   negotiation passes on the identical instance). The [*_pf_rips] CSV
+   column exposes how much ripping each cap actually bought. *)
 let figpf =
-  {
-    id = "figpf";
-    title = "Fig. PF: negotiation sweep, 25 mixed comms vs iteration cap";
-    xlabel = "PathFinder iteration cap";
-    xs = [ 1.; 2.; 4.; 8.; 16. ];
-    generate =
-      (fun rng _ ->
-        Traffic.Workload.uniform rng mesh ~n:25 ~weight:Traffic.Workload.mixed);
-    scenario = None;
-    paired = true;
-    heuristics =
-      Some
-        (fun x ->
-          Routing.Heuristic.all
-          @ [
-              Optim.Pathfinder.heuristic ~name:"PF"
-                ~iterations:(int_of_float x) ();
-            ]);
-    sim = None;
-  }
+  engine_sweep "figpf"
+    "Fig. PF: negotiation sweep, 25 mixed comms vs iteration cap"
+    "PathFinder iteration cap" ~n:25 [ 1.; 2.; 4.; 8.; 16. ] (fun x ->
+      [ Optim.Pathfinder.heuristic ~name:"PF" ~iterations:(int_of_float x) () ])
 
-(* Recovery sweep (beyond the paper): the x axis is the number of fault
-   events the live-recovery engine must survive. Paired like figpf —
-   trial [t] draws the same 25 mixed communications at every x, and the
-   REC engine keys its fault schedule off the workload itself (see
-   [Optim.Recover.engine]), so the x-event schedule of a trial is a
-   prefix of its (x+k)-event one: only the damage history grows along
-   the row. The [*_recover_events] / [*_recover_sheds] /
-   [*_recover_rung_max] CSV columns expose how hard each x made the
-   escalation ladder work; the six single-path cells stay flat (they
-   never see the schedule, which lives inside the REC engine). *)
+(* Recovery sweep: the x axis is the number of fault events the
+   live-recovery engine must survive. The REC engine keys its fault
+   schedule off the workload itself (see [Optim.Recover.engine]), so the
+   x-event schedule of a trial is a prefix of its (x+k)-event one: only
+   the damage history grows along the row. The [*_recover_events] /
+   [*_recover_sheds] / [*_recover_rung_max] CSV columns expose how hard
+   each x made the escalation ladder work; the single-path cells never
+   see the schedule, which lives inside the REC engine. *)
 let figrec =
-  {
-    id = "figrec";
-    title = "Fig. REC: recovery sweep, 25 mixed comms vs fault events";
-    xlabel = "fault events survived";
-    xs = [ 0.; 2.; 4.; 8.; 12.; 16. ];
-    generate =
-      (fun rng _ ->
-        Traffic.Workload.uniform rng mesh ~n:25 ~weight:Traffic.Workload.mixed);
-    scenario = None;
-    paired = true;
-    heuristics =
-      Some
-        (fun x ->
-          Routing.Heuristic.all
-          @ [ Optim.Recover.heuristic ~name:"REC" ~events:(int_of_float x) () ]);
-    sim = None;
-  }
+  engine_sweep "figrec"
+    "Fig. REC: recovery sweep, 25 mixed comms vs fault events"
+    "fault events survived" ~n:25 [ 0.; 2.; 4.; 8.; 12.; 16. ] (fun x ->
+      [ Optim.Recover.heuristic ~name:"REC" ~events:(int_of_float x) () ])
 
-(* Pareto sweep (beyond the paper): every heuristic point is scored on
-   three objectives — model power, simulated p50/p95 packet latency, and
-   the fault-degradation slope under two deterministic link kills — and
-   each trial emits its non-dominated front. The x axis sweeps the
-   simulator's measured-cycle budget; paired, so trial [t] carries the
-   same 12 mixed communications (and the same slope fault) at every
-   budget and the only thing moving along x is measurement fidelity. The
+(* Pareto sweep: every heuristic point is scored on three objectives —
+   model power, simulated p50/p95 packet latency, and the
+   fault-degradation slope under two deterministic link kills — and each
+   trial emits its non-dominated front. The x axis sweeps the simulator's
+   measured-cycle budget, so the only thing moving along x (the same 12
+   communications, the same slope fault) is measurement fidelity. The
    early-exit tolerance keeps converged runs cheap; an overloaded
    solution still burns its full budget (it never converges), which is
    exactly the regime where the extra cycles matter. *)
 let figpareto =
   {
-    id = "figpareto";
-    title = "Fig. P: Pareto sweep, 12 mixed comms vs sim cycle budget";
-    xlabel = "simulated measured cycles";
-    xs = [ 500.; 1000.; 2000. ];
-    generate =
-      (fun rng _ ->
-        Traffic.Workload.uniform rng mesh ~n:12 ~weight:Traffic.Workload.mixed);
-    scenario = None;
-    paired = true;
-    heuristics =
-      Some
-        (fun _ ->
-          Routing.Heuristic.all @ [ Optim.Smp.heuristic ~name:"SMP" ~s:2 () ]);
+    (engine_sweep "figpareto"
+       "Fig. P: Pareto sweep, 12 mixed comms vs sim cycle budget"
+       "simulated measured cycles" ~n:12 [ 500.; 1000.; 2000. ] (fun _ ->
+         [ Optim.Smp.heuristic ~name:"SMP" ~s:2 () ]))
+    with
     sim =
       Some
         (fun x ->
@@ -248,39 +177,26 @@ let figpareto =
           });
   }
 
-(* Serve sweep (beyond the paper): the workload is routed {e as a
-   stream} — Poisson arrivals of the resident communications merged with
-   a draining churn stream — and the x axis sweeps the arrival rate,
-   i.e. the steady-state concurrency the online engine must hold
-   (Little's law). Paired like figrec — trial [t] draws the same 20
-   mixed communications at every rate, and the SRV engines key their
-   traces off the workload itself (see [Optim.Online.engine]), so only
-   the stream tempo varies along the row. Two served cells ride the
-   sweep: SRV with idle-link switch-off and SRV0 with it disabled; the
-   [*_srv_power] / [*_srv_saved] / [*_srv_p95] CSV columns carry the
-   power-over-time, saving-ratio and work-tail aggregates, and the
-   batch heuristics stay flat as the offline baseline. *)
+(* Serve sweep: the workload is routed {e as a stream} — Poisson
+   arrivals of the resident communications merged with a draining churn
+   stream — and the x axis sweeps the arrival rate, i.e. the
+   steady-state concurrency the online engine must hold (Little's law).
+   The SRV engines key their traces off the workload itself (see
+   [Optim.Online.engine]), so only the stream tempo varies along the
+   row. Two served cells ride the sweep: SRV with idle-link switch-off
+   and SRV0 with it disabled; the [*_srv_power] / [*_srv_saved] /
+   [*_srv_p95] CSV columns carry the power-over-time, saving-ratio and
+   work-tail aggregates, and the batch heuristics stay flat as the
+   offline baseline. *)
 let figserve =
-  {
-    id = "figserve";
-    title = "Fig. SRV: serve sweep, 20 mixed comms vs arrival rate";
-    xlabel = "arrival rate (communications per unit time)";
-    xs = [ 2.; 4.; 8.; 16. ];
-    generate =
-      (fun rng _ ->
-        Traffic.Workload.uniform rng mesh ~n:20 ~weight:Traffic.Workload.mixed);
-    scenario = None;
-    paired = true;
-    heuristics =
-      Some
-        (fun x ->
-          Routing.Heuristic.all
-          @ [
-              Optim.Online.heuristic ~name:"SRV" ~rate:x ();
-              Optim.Online.heuristic ~name:"SRV0" ~rate:x ~sleep:false ();
-            ]);
-    sim = None;
-  }
+  engine_sweep "figserve"
+    "Fig. SRV: serve sweep, 20 mixed comms vs arrival rate"
+    "arrival rate (communications per unit time)" ~n:20 [ 2.; 4.; 8.; 16. ]
+    (fun x ->
+      [
+        Optim.Online.heuristic ~name:"SRV" ~rate:x ();
+        Optim.Online.heuristic ~name:"SRV0" ~rate:x ~sleep:false ();
+      ])
 
 let all =
   [

@@ -40,15 +40,10 @@ type t = {
       (** Per-x simulation budget. [Some] switches the runner into Pareto
           mode: every feasible cell is additionally scored on simulated
           p50/p95 packet latency and the fault-degradation slope, per-trial
-          non-dominated fronts are computed ({!Optim.Pareto}), and four
-          extra CSV column families ([_p50], [_p95], [_slope], [_front])
-          appear. [None] keeps the classic power-only campaign. *)
+          non-dominated fronts are computed ({!Optim.Pareto}), and the
+          [_p50], [_p95], [_slope] and [_front] CSV columns fill in. [None]
+          keeps the classic power-only campaign. *)
 }
-
-val sim_enabled : unit -> bool
-(** [false] iff [MANROUTE_SIM=0]: the kill switch that disables the
-    simulation columns of Pareto figures wholesale (cells score as if
-    {!t.sim} were [None]). *)
 
 val mesh : Noc.Mesh.t
 (** The paper's 8x8 CMP. *)

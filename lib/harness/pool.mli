@@ -15,9 +15,10 @@
     across calls, just as on the caller's domain: the
     {!Routing.Metrics} counters keep counting (take snapshot differences,
     as {!Runner} does), per-domain scratch such as [Sim.Network.Arena] is
-    reused, and engine stashes left on a helper by one call are still
-    there in the next. {!Telemetry} buffers are keyed per sink, so a
-    fresh sink still receives a reused helper's spans. *)
+    reused, and so is the engine-note slot, which
+    {!Routing.Heuristic.run_noted} clears before and drains after every
+    run. {!Telemetry} buffers are keyed per sink, so a fresh sink still
+    receives a reused helper's spans. *)
 
 val default_jobs : unit -> int
 (** The [MANROUTE_JOBS] environment variable when it parses as a positive

@@ -22,62 +22,27 @@ let csv (r : Runner.result) =
   Buffer.add_string buf "x";
   List.iter
     (fun name ->
-      Buffer.add_string buf
-        (Printf.sprintf ",%s_norm,%s_stderr,%s_fail,%s_err,%s_detour,%s_power"
-           name name name name name name);
-      Buffer.add_string buf
-        (Printf.sprintf ",%s_paths,%s_dp,%s_bb,%s_reroutes,%s_evals" name name
-           name name name);
-      Buffer.add_string buf (Printf.sprintf ",%s_delta_evals" name);
-      Buffer.add_string buf
-        (Printf.sprintf ",%s_pf_iters,%s_pf_rips" name name);
-      Buffer.add_string buf
-        (Printf.sprintf ",%s_recover_events,%s_recover_sheds,%s_recover_rung_max"
-           name name name);
-      Buffer.add_string buf
-        (Printf.sprintf ",%s_p50,%s_p95,%s_slope,%s_front" name name name name);
-      Buffer.add_string buf
-        (Printf.sprintf ",%s_srv_power,%s_srv_saved,%s_srv_p95" name name name))
+      List.iter
+        (fun (suffix, _) -> Printf.bprintf buf ",%s_%s" name suffix)
+        Runner.fields)
     names;
   Buffer.add_char buf '\n';
   List.iter
     (fun (row : Runner.row) ->
-      Buffer.add_string buf (Printf.sprintf "%g" row.x);
+      Printf.bprintf buf "%g" row.x;
       List.iter
-        (fun (_, (s : Runner.stats)) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",%.6f,%.6f,%.6f,%.6f,%.6f" s.norm_inv_power
-               s.norm_stderr s.failure_ratio s.error_ratio s.mean_detour_hops);
-          (* Mean power over the successful trials; empty when every trial
-             failed (the column would otherwise need a sentinel). *)
-          Buffer.add_string buf
-            (match s.mean_power with
-            | Some p -> Printf.sprintf ",%.6f" p
-            | None -> ",");
-          let c = s.counters in
-          Buffer.add_string buf
-            (Printf.sprintf ",%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
-               c.Routing.Metrics.paths_scored c.Routing.Metrics.dp_cells
-               c.Routing.Metrics.bb_nodes c.Routing.Metrics.detour_searches
-               c.Routing.Metrics.feasibility_checks
-               c.Routing.Metrics.delta_evals c.Routing.Metrics.pf_iterations
-               c.Routing.Metrics.pf_rips c.Routing.Metrics.recover_events
-               c.Routing.Metrics.recover_sheds
-               c.Routing.Metrics.recover_rung_max);
-          (* Pareto columns: empty on non-sim figures (and on cells with
-             no feasible measured trial), like mean power above. *)
-          let opt v =
-            match v with Some f -> Printf.sprintf ",%.6f" f | None -> ","
-          in
-          Buffer.add_string buf (opt s.mean_p50);
-          Buffer.add_string buf (opt s.mean_p95);
-          Buffer.add_string buf (opt s.mean_slope);
-          Buffer.add_string buf (opt s.front_ratio);
-          (* Serve columns: empty for heuristics that are not online
-             services — only the SRV cells of figserve fill them. *)
-          Buffer.add_string buf (opt s.srv_power);
-          Buffer.add_string buf (opt s.srv_saved);
-          Buffer.add_string buf (opt s.srv_p95))
+        (fun (_, s) ->
+          List.iter
+            (fun (_, get) ->
+              match get s with
+              | Checkpoint.Float f | Opt (Some f) ->
+                  Printf.bprintf buf ",%.6f" f
+              | Int i -> Printf.bprintf buf ",%d" i
+              (* Absent values (mean power when every trial failed, the
+                 engine columns of cells that never simulated or served)
+                 leave the column empty rather than need a sentinel. *)
+              | Opt None | Msg _ -> Buffer.add_char buf ',')
+            Runner.fields)
         row.cells;
       Buffer.add_char buf '\n')
     r.rows;

@@ -6,8 +6,8 @@ val pp_result : Format.formatter -> Runner.result -> unit
     the paper's two plot rows. *)
 
 val csv : Runner.result -> string
-(** CSV with header
-    [x,<H>_norm,<H>_fail,...] — one row per x value. *)
+(** CSV with header [x,<H>_norm,<H>_stderr,...]: one column per
+    {!Runner.fields} entry per heuristic [H], one row per x value. *)
 
 val write_csv : dir:string -> Runner.result -> string
 (** Writes [<dir>/<figure id>.csv] (creating [dir] if needed) and returns

@@ -7,13 +7,7 @@ type stats = {
   mean_detour_hops : float;
   error_example : string option;
   counters : Routing.Metrics.counters;
-  mean_p50 : float option;
-  mean_p95 : float option;
-  mean_slope : float option;
-  front_ratio : float option;
-  srv_power : float option;
-  srv_saved : float option;
-  srv_p95 : float option;
+  engine : float option list;
 }
 
 type row = { x : float; cells : (string * stats) list }
@@ -47,22 +41,233 @@ let trial_rng ~figure_id ~x ~seed ~trial =
   Traffic.Rng.of_key figure_id
     [ Int64.of_int seed; Int64.bits_of_float x; Int64.of_int trial ]
 
-(* What the Pareto layer measured for one feasible cell: simulated
-   latency quantiles, the fault-degradation slope, and whether the cell's
-   point survived the trial's non-dominated front. *)
-type simobs = {
-  so_p50 : float;
-  so_p95 : float;
-  so_slope : float;
-  so_front : bool;
+(* ------------------------------------------------------------------ *)
+(* The trial pipeline: shared by a campaign trial, its audit re-capture
+   and [manroute inspect] *)
+
+type attempt = {
+  heuristic : Routing.Heuristic.t;
+  outcome : (Routing.Best.outcome, string) Stdlib.result;
+  note : Routing.Heuristic.note option;
+  work : Routing.Metrics.counters;
+  seconds : float;
 }
 
-(* What the online service measured for one served cell: mean power over
-   time (the quantity the switch-off exists to lower), the fraction of
-   the always-awake power it saved, and the p95 of the per-event
-   [delta_evals] work proxy. All three are deterministic functions of
-   the trial rng key — jobs- and backend-invariant like the rest. *)
-type serveobs = { sv_power : float; sv_saved : float; sv_p95 : float }
+let attempt ?fault model mesh comms (h : Routing.Heuristic.t) =
+  Telemetry.span ~cat:"heuristic" h.name @@ fun () ->
+  let before = Routing.Metrics.snapshot () in
+  let t0 = now_s () in
+  let outcome, note =
+    match
+      let solution, note =
+        Routing.Heuristic.run_noted h ?fault model mesh comms
+      in
+      let report =
+        Telemetry.span ~cat:"evaluate" "evaluate" (fun () ->
+            Routing.Evaluate.solution ?fault model solution)
+      in
+      ({ Routing.Best.heuristic = h; solution; report }, note)
+    with
+    | outcome, note -> (Ok outcome, note)
+    | exception e -> (Error (Printexc.to_string e), None)
+  in
+  let seconds = now_s () -. t0 in
+  {
+    heuristic = h;
+    outcome;
+    note;
+    seconds;
+    work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before;
+  }
+
+let name_of a = a.heuristic.Routing.Heuristic.name
+
+(* Everything one trial computed, before any of it is folded. *)
+type capture = {
+  attempts : attempt list;
+  best : Routing.Best.outcome option;
+  fault : Noc.Fault.t option;
+  objectives : (string * Optim.Pareto.objectives) list;
+      (* Per-heuristic Pareto points of a sim figure, in attempt order. *)
+  front : string list option;
+      (* The trial's non-dominated front; [Some] exactly on sim figures. *)
+  trial_work : Routing.Metrics.counters;
+      (* The whole trial: draw, every heuristic, repair, evaluation and
+         Pareto scoring. *)
+}
+
+let capture ~model ~heuristics ~figure ~x ~seed t =
+  let before = Routing.Metrics.snapshot () in
+  (* Paired figures key their trials across x: the rng is keyed by the
+     trial alone, so trial [t] draws the same communications at every x.
+     Scenario generators that sample kills sequentially (e.g.
+     {!Noc.Fault.random_dead}) then draw nested fault sets — row [x+dx]
+     damages a superset of row [x]'s links — and parameter sweeps like the
+     s-MP path budget see the very same instances at every budget. The
+     sweep is monotone by construction instead of up to Monte-Carlo
+     noise. *)
+  let rng_x = if figure.Figure.paired then 0. else x in
+  let rng = trial_rng ~figure_id:figure.Figure.id ~x:rng_x ~seed ~trial:t in
+  let sim = Option.map (fun f -> f x) figure.Figure.sim in
+  (* The workload comes off the rng before the fault, so a trial's
+     communications are the same whatever the scenario does with x. The
+     Pareto slope fault draws last — after workload and scenario — so it
+     perturbs neither, and on paired figures (the rng ignores x) trial [t]
+     probes resilience against the very same damage at every budget. *)
+  match
+    let comms = figure.Figure.generate rng x in
+    let fault = Option.map (fun f -> f rng x) figure.Figure.scenario in
+    let sim_fault =
+      match sim with
+      | Some sp when sp.Figure.sim_kills > 0 ->
+          Some
+            (Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng)
+               ~kills:sp.Figure.sim_kills Figure.mesh)
+      | _ -> None
+    in
+    (comms, fault, sim_fault)
+  with
+  | exception e -> Error (Printexc.to_string e)
+  | comms, fault, sim_fault ->
+      let attempts =
+        List.map (attempt ?fault model Figure.mesh comms) heuristics
+      in
+      let outcomes =
+        List.filter_map (fun a -> Result.to_option a.outcome) attempts
+      in
+      (* Pareto scoring: every feasible attempt is simulated (one shared
+         per-domain arena recycles the buffers) and probed for its slope,
+         then the trial's non-dominated front is computed over the
+         heuristic points. Deterministic — the simulator carries no RNG
+         and the slope fault was drawn above — so the points are
+         jobs-invariant like every other contribution. *)
+      let objectives =
+        match sim with
+        | None -> []
+        | Some sp ->
+            Telemetry.span ~cat:"sim" "pareto" @@ fun () ->
+            let arena = Sim.Network.Arena.domain () in
+            let budget =
+              {
+                Optim.Pareto.cycles = sp.Figure.sim_cycles;
+                tolerance = sp.Figure.sim_tolerance;
+                warmup = None;
+              }
+            in
+            List.filter_map
+              (fun (o : Routing.Best.outcome) ->
+                Option.map
+                  (fun obj -> (o.heuristic.Routing.Heuristic.name, obj))
+                  (Optim.Pareto.measure ~arena ~budget ?fault:sim_fault
+                     ~kills:sp.Figure.sim_kills model ~report:o.report
+                     o.solution))
+              outcomes
+      in
+      let front =
+        Option.map
+          (fun _ ->
+            List.map
+              (fun (p : Optim.Pareto.point) -> p.pt_name)
+              (Optim.Pareto.front
+                 (List.map
+                    (fun (pt_name, pt_obj) -> { Optim.Pareto.pt_name; pt_obj })
+                    objectives)))
+          sim
+      in
+      Ok
+        {
+          attempts;
+          best = Routing.Best.best_of outcomes;
+          fault;
+          objectives;
+          front;
+          trial_work =
+            Routing.Metrics.diff (Routing.Metrics.snapshot ()) before;
+        }
+
+(* ------------------------------------------------------------------ *)
+(* Keyed columns *)
+
+type column = {
+  name : string;
+  fill :
+    sim:(Optim.Pareto.objectives * bool) option ->
+    Routing.Heuristic.note option ->
+    float option;
+}
+
+let columns =
+  (* A NaN quantile (nothing delivered inside the measured window) stays
+     out of the latency means but still counts toward the slope and front
+     populations — the point existed and competed. *)
+  let latency get ~sim _ =
+    match sim with
+    | Some ((o : Optim.Pareto.objectives), _)
+      when Float.is_finite o.p50 && Float.is_finite o.p95 ->
+        Some (get o)
+    | _ -> None
+  in
+  let scored get ~sim _ = Option.map get sim in
+  let served get ~sim:_ = function
+    | Some (Optim.Online.Session s) -> Some (get s)
+    | _ -> None
+  in
+  [
+    { name = "p50"; fill = latency (fun o -> o.p50) };
+    { name = "p95"; fill = latency (fun o -> o.p95) };
+    { name = "slope"; fill = scored (fun (o, _) -> o.Optim.Pareto.slope) };
+    { name = "front"; fill = scored (fun (_, on) -> if on then 1. else 0.) };
+    { name = "srv_power"; fill = served (fun s -> s.Optim.Online.mean_power) };
+    { name = "srv_saved"; fill = served (fun s -> s.Optim.Online.saved_ratio) };
+    { name = "srv_p95"; fill = served (fun s -> s.Optim.Online.p95_work) };
+  ]
+
+let fields =
+  [
+    ("norm", fun s -> Checkpoint.Float s.norm_inv_power);
+    ("stderr", fun s -> Checkpoint.Float s.norm_stderr);
+    ("fail", fun s -> Checkpoint.Float s.failure_ratio);
+    ("err", fun s -> Checkpoint.Float s.error_ratio);
+    ("detour", fun s -> Checkpoint.Float s.mean_detour_hops);
+    ("power", fun s -> Checkpoint.Opt s.mean_power);
+  ]
+  @ List.map
+      (fun (f : Routing.Metrics.field) ->
+        (f.suffix, fun s -> Checkpoint.Int (f.get s.counters)))
+      Routing.Metrics.fields
+  @ List.mapi
+      (fun i c -> (c.name, fun s -> Checkpoint.Opt (List.nth s.engine i)))
+      columns
+
+(* The checkpoint carries every CSV field plus the error example. *)
+let checkpoint_fields =
+  fields @ [ ("error", fun s -> Checkpoint.Msg s.error_example) ]
+
+let stats_of (r : Checkpoint.reader) =
+  {
+    norm_inv_power = r.float "norm";
+    norm_stderr = r.float "stderr";
+    failure_ratio = r.float "fail";
+    error_ratio = r.float "err";
+    mean_detour_hops = r.float "detour";
+    mean_power = r.opt "power";
+    error_example = r.msg "error";
+    counters = Routing.Metrics.init (fun f -> r.int f.suffix);
+    engine = List.map (fun c -> r.opt c.name) columns;
+  }
+
+let append_row ~path key row =
+  Checkpoint.append ~path key ~x:row.x
+    (List.map
+       (fun (name, s) ->
+         (name, List.map (fun (c, get) -> (c, get s)) checkpoint_fields))
+       row.cells)
+
+let load_rows ~path key =
+  Checkpoint.load ~path key ~columns:(List.map fst checkpoint_fields) stats_of
+
+(* ------------------------------------------------------------------ *)
+(* Folding trials into cells *)
 
 (* What one trial contributes to one cell. Immutable: trials are evaluated
    on worker domains and folded afterwards in trial order, so the floating
@@ -74,8 +279,7 @@ type contribution =
       norm : float;
       power : float;
       detour : int;
-      sim : simobs option;
-      serve : serveobs option;
+      engine : float option list;  (* one value per [columns] entry *)
     }
 
 type trial = {
@@ -104,220 +308,70 @@ let errored_trial ~names msg =
     obs = None;
   }
 
+let fold_trial c =
+  let best_power =
+    Option.map
+      (fun (o : Routing.Best.outcome) -> o.report.Routing.Evaluate.total_power)
+      c.best
+  in
+  let contribution a =
+    match (a.outcome, best_power) with
+    | Ok o, Some pb when o.report.feasible ->
+        let name = name_of a in
+        let on_front = Option.fold ~none:false ~some:(List.mem name) c.front in
+        let sim =
+          Option.map
+            (fun obj -> (obj, on_front))
+            (List.assoc_opt name c.objectives)
+        in
+        Feasible
+          {
+            norm = pb /. o.report.total_power;
+            power = o.report.total_power;
+            detour = o.report.detour_hops;
+            engine = List.map (fun col -> col.fill ~sim a.note) columns;
+          }
+    | Ok _, _ -> Fail
+    | Error msg, _ -> Errored msg
+  in
+  let outcomes =
+    List.filter_map (fun a -> Result.to_option a.outcome) c.attempts
+  in
+  let work =
+    List.map (fun a -> (name_of a, a.work)) c.attempts
+    @ [ ("BEST", c.trial_work) ]
+  in
+  {
+    contribs =
+      List.map (fun a -> (name_of a, contribution a)) c.attempts
+      @ [
+          ( "BEST",
+            (* The BEST cell mirrors its winner's measurement — same point,
+               same front membership, same serve session. *)
+            match c.best with
+            | Some o ->
+                contribution
+                  (List.find (fun a -> name_of a = o.heuristic.name) c.attempts)
+            | None -> Fail );
+        ];
+    work;
+    obs =
+      (if List.exists (fun a -> Result.is_error a.outcome) c.attempts then None
+       else
+         Some
+           (Summary.observation ~pareto:c.objectives ~outcomes ~best:c.best
+              ~times:(List.map (fun a -> (name_of a, a.seconds)) c.attempts)
+              ~counters:work));
+  }
+
 let run_trial ~model ~heuristics ~figure ~x ~seed t =
   Telemetry.span ~cat:"trial"
     ~args:[ ("trial", string_of_int t); ("x", Printf.sprintf "%g" x) ]
     "trial"
   @@ fun () ->
-  let trial_before = Routing.Metrics.snapshot () in
-  (* Paired figures key their trials across x: the rng is keyed by the
-     trial alone, so trial [t] draws the same communications at every x.
-     Scenario generators that sample kills sequentially (e.g.
-     {!Noc.Fault.random_dead}) then draw nested fault sets — row [x+dx]
-     damages a superset of row [x]'s links — and parameter sweeps like the
-     s-MP path budget see the very same instances at every budget. The
-     sweep is monotone by construction instead of up to Monte-Carlo
-     noise. *)
-  let rng_x = if figure.Figure.paired then 0. else x in
-  let rng = trial_rng ~figure_id:figure.Figure.id ~x:rng_x ~seed ~trial:t in
-  let simspec =
-    match figure.Figure.sim with
-    | Some f when Figure.sim_enabled () -> Some (f x)
-    | _ -> None
-  in
-  (* The workload comes off the rng before the fault, so a trial's
-     communications are the same whatever the scenario does with x. The
-     Pareto slope fault draws last — after workload and scenario — so it
-     perturbs neither, and on paired figures (the rng ignores x) trial [t]
-     probes resilience against the very same damage at every budget. *)
-  match
-    try
-      let comms = figure.Figure.generate rng x in
-      let fault = Option.map (fun f -> f rng x) figure.Figure.scenario in
-      let sim_fault =
-        match simspec with
-        | Some sp when sp.Figure.sim_kills > 0 ->
-            Some
-              (Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng)
-                 ~kills:sp.Figure.sim_kills Figure.mesh)
-        | _ -> None
-      in
-      Ok (comms, fault, sim_fault)
-    with e -> Error (Printexc.to_string e)
-  with
+  match capture ~model ~heuristics ~figure ~x ~seed t with
   | Error msg -> errored_trial ~names:(cell_names heuristics) msg
-  | Ok (comms, fault, sim_fault) ->
-      let times = ref [] in
-      let counts = ref [] in
-      let serves = ref [] in
-      let attempts =
-        List.map
-          (fun (h : Routing.Heuristic.t) ->
-            Telemetry.span ~cat:"heuristic" h.name @@ fun () ->
-            let before = Routing.Metrics.snapshot () in
-            let delta () =
-              Routing.Metrics.diff (Routing.Metrics.snapshot ()) before
-            in
-            (* Clear any stale serve-session stash: the trial runs whole
-               on one domain, so whatever [take_session] yields after the
-               run belongs to this heuristic alone. *)
-            ignore (Optim.Online.take_session ());
-            let t0 = now_s () in
-            match
-              let solution = h.run ?fault model Figure.mesh comms in
-              {
-                Routing.Best.heuristic = h;
-                solution;
-                report =
-                  Telemetry.span ~cat:"evaluate" "evaluate" (fun () ->
-                      Routing.Evaluate.solution ?fault model solution);
-              }
-            with
-            | outcome ->
-                times := (h.name, now_s () -. t0) :: !times;
-                counts := (h.name, delta ()) :: !counts;
-                (match Optim.Online.take_session () with
-                | Some s -> serves := (h.name, s) :: !serves
-                | None -> ());
-                (h.name, Ok outcome)
-            | exception e ->
-                counts := (h.name, delta ()) :: !counts;
-                ignore (Optim.Online.take_session ());
-                (h.name, Error (Printexc.to_string e)))
-          heuristics
-      in
-      let outcomes =
-        List.filter_map (fun (_, r) -> Result.to_option r) attempts
-      in
-      let best = Routing.Best.best_of outcomes in
-      let best_power =
-        match best with
-        | Some o -> Some o.report.Routing.Evaluate.total_power
-        | None -> None
-      in
-      (* Pareto scoring: every feasible attempt is simulated (one shared
-         per-domain arena recycles the buffers) and probed for its slope,
-         then the trial's non-dominated front is computed over the
-         heuristic points. Deterministic — the simulator carries no RNG
-         and the slope fault was drawn above — so the per-cell [simobs]
-         are jobs-invariant like every other contribution. *)
-      let sims =
-        match simspec with
-        | None -> []
-        | Some sp ->
-            Telemetry.span ~cat:"sim" "pareto"
-            @@ fun () ->
-            let arena = Sim.Network.Arena.domain () in
-            let budget =
-              {
-                Optim.Pareto.cycles = sp.Figure.sim_cycles;
-                tolerance = sp.Figure.sim_tolerance;
-                warmup = None;
-              }
-            in
-            List.filter_map
-              (fun (name, r) ->
-                match r with
-                | Ok (o : Routing.Best.outcome) ->
-                    Option.map
-                      (fun obj -> (name, obj))
-                      (Optim.Pareto.measure ~arena ~budget ?fault:sim_fault
-                         ~kills:sp.Figure.sim_kills model ~report:o.report
-                         o.solution)
-                | Error _ -> None)
-              attempts
-      in
-      let front_names =
-        List.map
-          (fun (p : Optim.Pareto.point) -> p.pt_name)
-          (Optim.Pareto.front
-             (List.map
-                (fun (name, obj) ->
-                  { Optim.Pareto.pt_name = name; pt_obj = obj })
-                sims))
-      in
-      let simobs_for name =
-        Option.map
-          (fun (obj : Optim.Pareto.objectives) ->
-            {
-              so_p50 = obj.p50;
-              so_p95 = obj.p95;
-              so_slope = obj.slope;
-              so_front = List.mem name front_names;
-            })
-          (List.assoc_opt name sims)
-      in
-      let serveobs_for name =
-        Option.map
-          (fun (s : Optim.Online.session) ->
-            {
-              sv_power = s.mean_power;
-              sv_saved = s.saved_ratio;
-              sv_p95 = s.p95_work;
-            })
-          (List.assoc_opt name !serves)
-      in
-      let contribution ~sim ~serve (report : Routing.Evaluate.report option) =
-        match (report, best_power) with
-        | Some r, Some pb when r.feasible ->
-            Feasible
-              {
-                norm = pb /. r.total_power;
-                power = r.total_power;
-                detour = r.detour_hops;
-                sim;
-                serve;
-              }
-        | _ -> Fail
-      in
-      let contribs =
-        List.map
-          (fun (name, r) ->
-            match r with
-            | Ok (o : Routing.Best.outcome) ->
-                ( name,
-                  contribution ~sim:(simobs_for name)
-                    ~serve:(serveobs_for name) (Some o.report) )
-            | Error msg -> (name, Errored msg))
-          attempts
-        @ [
-            ( "BEST",
-              (* The BEST cell mirrors its winner's measurement — same
-                 point, same front membership, same serve session. *)
-              (let winner =
-                 Option.map
-                   (fun (o : Routing.Best.outcome) ->
-                     o.heuristic.Routing.Heuristic.name)
-                   best
-               in
-               contribution
-                 ~sim:(Option.bind winner simobs_for)
-                 ~serve:(Option.bind winner serveobs_for)
-                 (Option.map (fun (o : Routing.Best.outcome) -> o.report) best))
-            );
-          ]
-      in
-      let work =
-        List.map
-          (fun (h : Routing.Heuristic.t) ->
-            (h.Routing.Heuristic.name, List.assoc h.name !counts))
-          heuristics
-        @ [
-            (* The BEST cell gets the whole trial: heuristics plus
-               workload/fault generation, repair and evaluation. *)
-            ( "BEST",
-              Routing.Metrics.diff (Routing.Metrics.snapshot ()) trial_before
-            );
-          ]
-      in
-      let obs =
-        if List.exists (fun (_, r) -> Result.is_error r) attempts then None
-        else
-          Some
-            (Summary.observation ~pareto:sims ~outcomes ~best ~times:!times
-               ~counters:work)
-      in
-      { contribs; work; obs }
+  | Ok c -> fold_trial c
 
 type cell_acc = {
   fails : int;
@@ -328,16 +382,9 @@ type cell_acc = {
   power_sum : float;
   power_n : int;
   detour_sum : int;
-  sim_n : int;  (* feasible trials that were Pareto-scored *)
-  lat_n : int;  (* of those, with finite latency quantiles *)
-  p50_sum : float;
-  p95_sum : float;
-  slope_sum : float;
-  front_n : int;
-  srv_n : int;  (* feasible trials that carried a serve session *)
-  srv_power_sum : float;
-  srv_saved_sum : float;
-  srv_p95_sum : float;
+  sums : (float * int) list;
+      (* Per engine column: the sum over its own population, in trial
+         order, and that population's size. *)
   work : Routing.Metrics.counters;
       (* Mutable block accumulated in place across the functional updates
          below — which is why this must be a function, not a shared
@@ -354,16 +401,7 @@ let cell_zero () =
     power_sum = 0.;
     power_n = 0;
     detour_sum = 0;
-    sim_n = 0;
-    lat_n = 0;
-    p50_sum = 0.;
-    p95_sum = 0.;
-    slope_sum = 0.;
-    front_n = 0;
-    srv_n = 0;
-    srv_power_sum = 0.;
-    srv_saved_sum = 0.;
-    srv_p95_sum = 0.;
+    sums = List.map (fun _ -> (0., 0)) columns;
     work = Routing.Metrics.zero ();
   }
 
@@ -377,45 +415,20 @@ let cell_add c = function
         error_example =
           (match c.error_example with Some _ as e -> e | None -> Some msg);
       }
-  | Feasible { norm = v; power; detour; sim; serve } ->
-      let c =
-        {
-          c with
-          norm_sum = c.norm_sum +. v;
-          norm_sumsq = c.norm_sumsq +. (v *. v);
-          power_sum = c.power_sum +. power;
-          power_n = c.power_n + 1;
-          detour_sum = c.detour_sum + detour;
-        }
-      in
-      let c =
-        match serve with
-        | None -> c
-        | Some s ->
-            {
-              c with
-              srv_n = c.srv_n + 1;
-              srv_power_sum = c.srv_power_sum +. s.sv_power;
-              srv_saved_sum = c.srv_saved_sum +. s.sv_saved;
-              srv_p95_sum = c.srv_p95_sum +. s.sv_p95;
-            }
-      in
-      (match sim with
-      | None -> c
-      | Some s ->
-          (* A NaN quantile (nothing delivered inside the measured window)
-             stays out of the latency means but still counts toward the
-             slope and front populations — the point existed and competed. *)
-          let finite = Float.is_finite s.so_p50 && Float.is_finite s.so_p95 in
-          {
-            c with
-            sim_n = c.sim_n + 1;
-            lat_n = (c.lat_n + if finite then 1 else 0);
-            p50_sum = (c.p50_sum +. if finite then s.so_p50 else 0.);
-            p95_sum = (c.p95_sum +. if finite then s.so_p95 else 0.);
-            slope_sum = c.slope_sum +. s.so_slope;
-            front_n = (c.front_n + if s.so_front then 1 else 0);
-          })
+  | Feasible { norm = v; power; detour; engine } ->
+      {
+        c with
+        norm_sum = c.norm_sum +. v;
+        norm_sumsq = c.norm_sumsq +. (v *. v);
+        power_sum = c.power_sum +. power;
+        power_n = c.power_n + 1;
+        detour_sum = c.detour_sum + detour;
+        sums =
+          List.map2
+            (fun (sum, n) -> function
+              | Some v -> (sum +. v, n + 1) | None -> (sum, n))
+            c.sums engine;
+      }
 
 let stats_of_cell ~trials c =
   let n = float_of_int trials in
@@ -433,64 +446,10 @@ let stats_of_cell ~trials c =
        else float_of_int c.detour_sum /. float_of_int c.power_n);
     error_example = c.error_example;
     counters = c.work;
-    mean_p50 =
-      (if c.lat_n = 0 then None else Some (c.p50_sum /. float_of_int c.lat_n));
-    mean_p95 =
-      (if c.lat_n = 0 then None else Some (c.p95_sum /. float_of_int c.lat_n));
-    mean_slope =
-      (if c.sim_n = 0 then None
-       else Some (c.slope_sum /. float_of_int c.sim_n));
-    front_ratio =
-      (if c.sim_n = 0 then None
-       else Some (float_of_int c.front_n /. float_of_int c.sim_n));
-    srv_power =
-      (if c.srv_n = 0 then None
-       else Some (c.srv_power_sum /. float_of_int c.srv_n));
-    srv_saved =
-      (if c.srv_n = 0 then None
-       else Some (c.srv_saved_sum /. float_of_int c.srv_n));
-    srv_p95 =
-      (if c.srv_n = 0 then None
-       else Some (c.srv_p95_sum /. float_of_int c.srv_n));
-  }
-
-let stats_of_checkpoint (c : Checkpoint.cell) =
-  {
-    failure_ratio = c.failure_ratio;
-    error_ratio = c.error_ratio;
-    norm_inv_power = c.norm_inv_power;
-    norm_stderr = c.norm_stderr;
-    mean_power = c.mean_power;
-    mean_detour_hops = c.mean_detour_hops;
-    error_example = c.error_example;
-    counters = c.counters;
-    mean_p50 = c.mean_p50;
-    mean_p95 = c.mean_p95;
-    mean_slope = c.mean_slope;
-    front_ratio = c.front_ratio;
-    srv_power = c.srv_power;
-    srv_saved = c.srv_saved;
-    srv_p95 = c.srv_p95;
-  }
-
-let checkpoint_of_stats (name, s) =
-  {
-    Checkpoint.name;
-    failure_ratio = s.failure_ratio;
-    error_ratio = s.error_ratio;
-    norm_inv_power = s.norm_inv_power;
-    norm_stderr = s.norm_stderr;
-    mean_power = s.mean_power;
-    mean_detour_hops = s.mean_detour_hops;
-    error_example = s.error_example;
-    counters = s.counters;
-    mean_p50 = s.mean_p50;
-    mean_p95 = s.mean_p95;
-    mean_slope = s.mean_slope;
-    front_ratio = s.front_ratio;
-    srv_power = s.srv_power;
-    srv_saved = s.srv_saved;
-    srv_p95 = s.srv_p95;
+    engine =
+      List.map
+        (fun (sum, n) -> if n = 0 then None else Some (sum /. float_of_int n))
+        c.sums;
   }
 
 (* What the audit selector needs to know about one finished trial, read
@@ -515,161 +474,57 @@ let audit_verdict = function
       in
       { Audit.best_power; errored; shed }
 
-(* Re-run one selected trial on the calling domain to capture its audit
-   record: the rng replay is exact ([trial_rng] is keyed identically to
-   [run_trial]'s), the engines' annotation stashes are drained around
-   each heuristic, and the best solution is probed. Selection reads the
-   trial-ordered result array and capture is single-domain, so the
-   artifact is byte-identical whatever [MANROUTE_JOBS] was. *)
-let audit_capture ~model ~heuristics ~figure ~x ~seed ~trials ~kinds t =
+(* Re-run one selected trial through the same pipeline on the calling
+   domain to capture its audit record: [trial_rng] replays it exactly,
+   and the best solution is probed. Selection reads the trial-ordered
+   result array and capture is single-domain, so the artifact is
+   byte-identical whatever [MANROUTE_JOBS] was. *)
+let audit_record ~model ~heuristics ~figure ~x ~seed ~trials (t, kinds) =
   Telemetry.span ~cat:"audit" ~args:[ ("trial", string_of_int t) ] "audit"
   @@ fun () ->
-  let rng_x = if figure.Figure.paired then 0. else x in
-  let rng = trial_rng ~figure_id:figure.Figure.id ~x:rng_x ~seed ~trial:t in
-  let simspec =
-    match figure.Figure.sim with
-    | Some f when Figure.sim_enabled () -> Some (f x)
-    | _ -> None
+  let cell name outcome note objectives =
+    { Audit.cell_name = name; outcome; note; objectives }
   in
-  let base ~cells ~best ~front ~probe =
-    {
-      Audit.figure_id = figure.Figure.id;
-      seed;
-      trials;
-      x;
-      trial = t;
-      kinds;
-      cells;
-      best;
-      front;
-      probe;
-    }
+  let cells, best, front, probe =
+    match capture ~model ~heuristics ~figure ~x ~seed t with
+    | Error msg ->
+        ( List.map
+            (fun (h : Routing.Heuristic.t) -> cell h.name (Error msg) None None)
+            heuristics,
+          None,
+          None,
+          None )
+    | Ok c ->
+        ( List.map
+            (fun a ->
+              cell (name_of a)
+                (Result.map
+                   (fun (o : Routing.Best.outcome) -> o.report)
+                   a.outcome)
+                a.note
+                (List.assoc_opt (name_of a) c.objectives))
+            c.attempts,
+          Option.map
+            (fun (o : Routing.Best.outcome) -> o.heuristic.name)
+            c.best,
+          c.front,
+          Option.map
+            (fun (o : Routing.Best.outcome) ->
+              Routing.Probe.solution ?fault:c.fault model o.solution)
+            c.best )
   in
-  match
-    try
-      let comms = figure.Figure.generate rng x in
-      let fault = Option.map (fun f -> f rng x) figure.Figure.scenario in
-      (* Same draw order as [run_trial]: workload, scenario, slope fault. *)
-      let sim_fault =
-        match simspec with
-        | Some sp when sp.Figure.sim_kills > 0 ->
-            Some
-              (Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng)
-                 ~kills:sp.Figure.sim_kills Figure.mesh)
-        | _ -> None
-      in
-      Ok (comms, fault, sim_fault)
-    with e -> Error (Printexc.to_string e)
-  with
-  | Error msg ->
-      base
-        ~cells:
-          (List.map
-             (fun (h : Routing.Heuristic.t) ->
-               {
-                 Audit.cell_name = h.Routing.Heuristic.name;
-                 outcome = Error msg;
-                 pathfinder = None;
-                 recover = None;
-                 objectives = None;
-               })
-             heuristics)
-        ~best:None ~front:None ~probe:None
-  | Ok (comms, fault, sim_fault) ->
-      let attempts =
-        List.map
-          (fun (h : Routing.Heuristic.t) ->
-            ignore (Optim.Pathfinder.take_annotation ());
-            ignore (Optim.Recover.take_reports ());
-            ignore (Optim.Online.take_session ());
-            match
-              let solution = h.run ?fault model Figure.mesh comms in
-              {
-                Routing.Best.heuristic = h;
-                solution;
-                report = Routing.Evaluate.solution ?fault model solution;
-              }
-            with
-            | outcome ->
-                ( h.Routing.Heuristic.name,
-                  Ok outcome,
-                  Optim.Pathfinder.take_annotation (),
-                  Optim.Recover.take_reports () )
-            | exception e ->
-                (h.Routing.Heuristic.name, Error (Printexc.to_string e), None, None))
-          heuristics
-      in
-      let outcomes =
-        List.filter_map (fun (_, r, _, _) -> Result.to_option r) attempts
-      in
-      let best = Routing.Best.best_of outcomes in
-      (* Same Pareto measurement as [run_trial] — shared arena, same
-         budget, same slope fault — so the audited objectives are the
-         very numbers the campaign folded. *)
-      let sims =
-        match simspec with
-        | None -> []
-        | Some sp ->
-            let arena = Sim.Network.Arena.domain () in
-            let budget =
-              {
-                Optim.Pareto.cycles = sp.Figure.sim_cycles;
-                tolerance = sp.Figure.sim_tolerance;
-                warmup = None;
-              }
-            in
-            List.filter_map
-              (fun (name, r, _, _) ->
-                match r with
-                | Ok (o : Routing.Best.outcome) ->
-                    Option.map
-                      (fun obj -> (name, obj))
-                      (Optim.Pareto.measure ~arena ~budget ?fault:sim_fault
-                         ~kills:sp.Figure.sim_kills model ~report:o.report
-                         o.solution)
-                | Error _ -> None)
-              attempts
-      in
-      let front =
-        match simspec with
-        | None -> None
-        | Some _ ->
-            Some
-              (List.map
-                 (fun (p : Optim.Pareto.point) -> p.pt_name)
-                 (Optim.Pareto.front
-                    (List.map
-                       (fun (name, obj) ->
-                         { Optim.Pareto.pt_name = name; pt_obj = obj })
-                       sims)))
-      in
-      let cells =
-        List.map
-          (fun (name, r, pf, rec_) ->
-            {
-              Audit.cell_name = name;
-              outcome =
-                Result.map
-                  (fun (o : Routing.Best.outcome) -> o.Routing.Best.report)
-                  r;
-              pathfinder = pf;
-              recover = rec_;
-              objectives = List.assoc_opt name sims;
-            })
-          attempts
-      in
-      base ~cells
-        ~best:
-          (Option.map
-             (fun (o : Routing.Best.outcome) ->
-               o.Routing.Best.heuristic.Routing.Heuristic.name)
-             best)
-        ~front
-        ~probe:
-          (Option.map
-             (fun (o : Routing.Best.outcome) ->
-               Routing.Probe.solution ?fault model o.Routing.Best.solution)
-             best)
+  {
+    Audit.figure_id = figure.Figure.id;
+    seed;
+    trials;
+    x;
+    trial = t;
+    kinds;
+    cells;
+    best;
+    front;
+    probe;
+  }
 
 let run ?trials ?(seed = 1) ?(model = Power.Model.kim_horowitz)
     ?(heuristics = Routing.Heuristic.all) ?jobs ?summary ?checkpoint ?progress
@@ -692,7 +547,7 @@ let run ?trials ?(seed = 1) ?(model = Power.Model.kim_horowitz)
     | None -> []
     (* Reversed so that, should a row ever appear twice, the most recently
        appended one wins the [assoc] lookup. *)
-    | Some path -> List.rev (Checkpoint.load ~path key)
+    | Some path -> List.rev (load_rows ~path key)
   in
   let rows =
     Telemetry.span ~cat:"campaign"
@@ -710,13 +565,7 @@ let run ?trials ?(seed = 1) ?(model = Power.Model.kim_horowitz)
                 Telemetry.Progress.advance p trials;
                 Telemetry.Progress.row p
             | None -> ());
-            {
-              x;
-              cells =
-                List.map
-                  (fun (c : Checkpoint.cell) -> (c.name, stats_of_checkpoint c))
-                  cells;
-            }
+            { x; cells }
         | None ->
             Telemetry.span ~cat:"row"
               ~args:[ ("x", Printf.sprintf "%g" x) ]
@@ -746,14 +595,10 @@ let run ?trials ?(seed = 1) ?(model = Power.Model.kim_horowitz)
             let cells =
               Array.fold_left
                 (fun cells trial ->
-                  let contribs, work =
+                  let t =
                     match trial with
-                    | Ok t -> (t.contribs, t.work)
-                    | Error msg ->
-                        ( List.map (fun n -> (n, Errored msg)) names,
-                          List.map
-                            (fun n -> (n, Routing.Metrics.zero ()))
-                            names )
+                    | Ok t -> t
+                    | Error msg -> errored_trial ~names msg
                   in
                   List.map2
                     (fun (name, c) ((name', contrib), (_, w)) ->
@@ -761,7 +606,7 @@ let run ?trials ?(seed = 1) ?(model = Power.Model.kim_horowitz)
                       Routing.Metrics.add ~into:c.work w;
                       (name, cell_add c contrib))
                     cells
-                    (List.combine contribs work))
+                    (List.combine t.contribs t.work))
                 (List.map (fun name -> (name, cell_zero ())) names)
                 results
             in
@@ -778,26 +623,35 @@ let run ?trials ?(seed = 1) ?(model = Power.Model.kim_horowitz)
             | Some sink ->
                 let verdicts = Array.map audit_verdict results in
                 List.iter
-                  (fun (t, kinds) ->
+                  (fun selected ->
                     Audit.write sink
-                      (audit_capture ~model ~heuristics ~figure ~x ~seed
-                         ~trials ~kinds t))
+                      (audit_record ~model ~heuristics ~figure ~x ~seed
+                         ~trials selected))
                   (Audit.select verdicts));
-            let cells =
-              List.map
-                (fun (name, c) -> (name, stats_of_cell ~trials c))
-                cells
+            let row =
+              {
+                x;
+                cells =
+                  List.map
+                    (fun (name, c) -> (name, stats_of_cell ~trials c))
+                    cells;
+              }
             in
-            (match checkpoint with
-            | Some path ->
-                Checkpoint.append ~path key ~x
-                  (List.map checkpoint_of_stats cells)
-            | None -> ());
-            (match progress with
-            | Some p -> Telemetry.Progress.row p
-            | None -> ());
-            { x; cells })
+            Option.iter (fun path -> append_row ~path key row) checkpoint;
+            Option.iter Telemetry.Progress.row progress;
+            row)
       figure.Figure.xs
   in
   Option.iter Audit.close audit_sink;
   { figure; trials; seed; rows }
+
+let exit_on_error f =
+  let fail msg =
+    Printf.eprintf "error: %s\n%!" msg;
+    exit 1
+  in
+  match f () with
+  | v -> v
+  | exception Sys_error msg -> fail msg
+  | exception ((Checkpoint.Corrupt _ | Checkpoint.Mismatch _) as e) ->
+      fail (Printexc.to_string e)

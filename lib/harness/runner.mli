@@ -37,32 +37,11 @@ type stats = {
           Deterministic and jobs-invariant like the statistics: a trial's
           work is a function of its rng key, measured as a snapshot
           difference on the one domain that ran it. *)
-  mean_p50 : float option;
-      (** Mean simulated median packet latency over the cell's
-          Pareto-scored trials with finite quantiles; [None] on non-sim
-          figures (or under [MANROUTE_SIM=0]), and when no trial measured
-          a finite quantile. *)
-  mean_p95 : float option;
-      (** Same for the 95th percentile. *)
-  mean_slope : float option;
-      (** Mean fault-degradation slope (penalized-cost increase per killed
-          link) over the Pareto-scored trials; [None] on non-sim
-          figures. *)
-  front_ratio : float option;
-      (** Fraction of Pareto-scored trials where this cell's point
-          survived the trial's non-dominated front; [None] on non-sim
-          figures. *)
-  srv_power : float option;
-      (** Mean {!Optim.Online} power-over-time (epoch-mean of the served
-          power split's total) over the cell's feasible trials; [None]
-          for heuristics that are not online services. *)
-  srv_saved : float option;
-      (** Mean switch-off saving ratio
-          ([1 - mean_power / mean_power_nosleep]) over the same trials;
-          0 when the cell serves with sleeping disabled. *)
-  srv_p95 : float option;
-      (** Mean p95 of the per-event [delta_evals] work proxy — the
-          deterministic tail-latency column of the serve figure. *)
+  engine : float option list;
+      (** One mean per {!columns} entry, in table order, each over the
+          column's own population of feasible trials; [None] when that
+          population is empty (every column on a figure that neither
+          simulates nor serves). *)
 }
 
 type row = { x : float; cells : (string * stats) list }
@@ -90,6 +69,72 @@ val trial_rng : figure_id:string -> x:float -> seed:int -> trial:int -> Traffic.
     {!Traffic.Rng.of_key} from the trial's coordinates alone, never from
     another trial's stream. This is what makes sharding over domains
     invisible to the statistics. *)
+
+(** {1 The trial pipeline}
+
+    One step shared by a campaign trial, its audit re-capture and
+    [manroute inspect]. *)
+
+type attempt = {
+  heuristic : Routing.Heuristic.t;
+  outcome : (Routing.Best.outcome, string) Stdlib.result;
+      (** The evaluated solution, or the message of whatever the
+          heuristic (or its evaluation) raised. *)
+  note : Routing.Heuristic.note option;  (** The engine's note. *)
+  work : Routing.Metrics.counters;  (** Work done, raising or not. *)
+  seconds : float;  (** Monotonic wall-clock time of run + evaluation. *)
+}
+
+val attempt :
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Noc.Mesh.t ->
+  Traffic.Communication.t list ->
+  Routing.Heuristic.t ->
+  attempt
+(** Run one heuristic through {!Routing.Heuristic.run_noted} and
+    evaluate its solution, inside [heuristic] and [evaluate] spans. Never
+    raises: an exception becomes [Error]. *)
+
+(** {1 Keyed columns} *)
+
+type column = {
+  name : string;  (** CSV suffix and checkpoint column. *)
+  fill :
+    sim:(Optim.Pareto.objectives * bool) option ->
+    Routing.Heuristic.note option ->
+    float option;
+      (** The value a feasible attempt contributes, from its Pareto point
+          and front membership (when the figure simulates) or from its
+          note; [None] keeps the attempt out of the column's
+          population. *)
+}
+
+val columns : column list
+(** The engine columns: simulated [p50]/[p95] (over Pareto-scored trials
+    with both quantiles finite), [slope] and [front] (over all
+    Pareto-scored trials; [front] is the fraction on the trial's
+    non-dominated front), and the {!Optim.Online} session's
+    [srv_power]/[srv_saved]/[srv_p95] (over served trials). BEST mirrors
+    its winner. Adding an engine column is one entry here. *)
+
+val fields : (string * (stats -> Checkpoint.value)) list
+(** Every per-cell CSV column in order — the core statistics, the
+    {!Routing.Metrics.fields} counters, then {!columns} — keyed by CSV
+    suffix. The checkpoint stores these plus the error example. *)
+
+val append_row : path:string -> Checkpoint.key -> row -> unit
+(** Append [row] to the sidecar [path] under [key]: every {!fields}
+    column plus the error example, named once per line. *)
+
+val load_rows :
+  path:string -> Checkpoint.key -> (float * (string * stats) list) list
+(** The rows of sidecar [path] a campaign with this key resumes, in file
+    order: a {!Checkpoint.load} with the {!append_row} columns.
+    @raise Checkpoint.Mismatch on a key-matching row of another version
+    or column set.
+    @raise Checkpoint.Corrupt on a key-matching row that fails to parse
+    before the final line. *)
 
 val run :
   ?trials:int ->
@@ -129,14 +174,17 @@ val run :
     {!stats.error_ratio} / {!stats.error_example}.
 
     [checkpoint] names a sidecar file (its directory must exist): each
-    completed row is appended immediately, and rows already present for
-    this exact (figure, seed, trials) key are reused instead of recomputed
-    — bit-identical to a fresh run thanks to hex-float round-tripping.
-    Resumed rows are not folded into [summary].
+    completed row is appended immediately ({!append_row}), and rows
+    already present for this exact (figure, seed, trials) key are reused
+    instead of recomputed ({!load_rows}, which raises on a sidecar this
+    build cannot resume) — bit-identical to a fresh run thanks to
+    hex-float round-tripping. Resumed rows are not folded into
+    [summary].
 
     [audit] names a directory: after each computed row, the worst-power
     trial plus every errored and every traffic-shedding trial are
-    re-captured deterministically on the calling domain and appended as
+    re-captured deterministically on the calling domain, through the same
+    pipeline as the campaign trial, and appended as
     {!Audit} records to [DIR/<figure>-audit.jsonl] (truncated at campaign
     start). Selection reads the trial-ordered result array and the
     re-capture replays {!trial_rng}, so the artifact is byte-identical
@@ -150,3 +198,10 @@ val run :
     rate). When a {!Telemetry} sink is installed, the whole campaign, each
     computed row, each trial and each heuristic run is additionally
     recorded as a span. Neither affects the statistics. *)
+
+val exit_on_error : (unit -> 'a) -> 'a
+(** [exit_on_error f] is [f ()] for a campaign front end, except that an
+    output that cannot be written ([Sys_error]: trace, audit, checkpoint,
+    CSV) or a sidecar that cannot resume ({!Checkpoint.Corrupt},
+    {!Checkpoint.Mismatch}) ends the process with a one-line [error:]
+    message on stderr and exit code 1. *)

@@ -52,9 +52,6 @@ let add acc obs =
   acc.obs_rev <- obs :: acc.obs_rev;
   acc.count <- acc.count + 1
 
-let observe acc ~outcomes ~best ~times ~counters =
-  add acc (observation ~pareto:[] ~outcomes ~best ~times ~counters)
-
 (* [src]'s observations fold AFTER [into]'s existing ones — the documented
    merge order. Feeding per-worker accumulators shard 0, 1, ... into the
    same [into] therefore reproduces the sequential trial order exactly. *)

@@ -49,15 +49,6 @@ val merge : into:acc -> acc -> unit
     per-worker accumulators in a fixed shard order is bit-identical to a
     single sequential fold — including the counter fields. *)
 
-val observe :
-  acc ->
-  outcomes:Routing.Best.outcome list ->
-  best:Routing.Best.outcome option ->
-  times:(string * float) list ->
-  counters:(string * Routing.Metrics.counters) list ->
-  unit
-(** [add acc (observation ...)] — the sequential convenience path. *)
-
 type t = {
   instances : int;
   success_ratio : (string * float) list;  (** Per heuristic, plus BEST. *)

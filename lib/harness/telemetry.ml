@@ -326,7 +326,10 @@ let validate_file path =
 (* CLI / environment wiring *)
 
 let trace_file ?cli () =
-  match cli with Some _ -> cli | None -> Sys.getenv_opt "MANROUTE_TRACE"
+  match cli with
+  | Some _ -> cli
+  | None -> (
+      match Sys.getenv_opt "MANROUTE_TRACE" with Some "" -> None | v -> v)
 
 let progress_enabled ?cli () =
   match cli with
@@ -340,6 +343,9 @@ let tracing file f =
   match file with
   | None -> f ()
   | Some path -> (
+      (* An unwritable destination fails here, before any work, rather
+         than after the whole run. *)
+      close_out (open_out path);
       let s = create () in
       install s;
       let write () =

@@ -92,10 +92,11 @@ val float_field : string -> string -> float option
 
 val trace_file : ?cli:string -> unit -> string option
 (** The trace destination: [cli] when given, else [MANROUTE_TRACE] from
-    the environment, else [None]. *)
+    the environment when set and non-empty, else [None]. *)
 
 val tracing : string option -> (unit -> 'a) -> 'a
-(** [tracing (Some file) f] creates and installs a sink, runs [f],
+(** [tracing (Some file) f] creates [file] (raising [Sys_error] before
+    [f] runs when it cannot), creates and installs a sink, runs [f],
     uninstalls, writes [file] and prints a one-line note to stderr;
     exceptions still write the partial trace. [tracing None f] is
     [f ()]. *)

@@ -568,27 +568,13 @@ let band comms =
   in
   Traffic.Workload.weight ~lo ~hi
 
-(* Per-domain stash of the last [engine] run's session summary, for the
-   observability layer: the registry heuristic returns only the final
-   solution, so the campaign runner and audit capture read the serving
-   telemetry here right after running it. Domain-local (race-free under
-   the campaign pool); [take_session] clears, so a stale session can
-   never be mistaken for the following heuristic's. *)
-let session_key : session option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_session () =
-  let slot = Domain.DLS.get session_key in
-  let v = !slot in
-  slot := None;
-  v
+type Routing.Heuristic.note += Session of session
 
 let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
     ?wake_penalty ?sleep ?fault model mesh comms =
   if rate <= 0. then invalid_arg "Online.engine: rate <= 0";
   if churn < 0 then invalid_arg "Online.engine: churn < 0";
-  (Domain.DLS.get session_key) := None;
-  if comms = [] then Routing.Solution.make mesh []
+  if comms = [] then (Routing.Solution.make mesh [], None)
   else begin
     let rng = trace_rng comms in
     let max_id =
@@ -605,8 +591,7 @@ let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
     let events = Traffic.Trace.merge churn_events resident in
     let t = create ?fault ?idle_epochs ?wake_penalty ?sleep model mesh in
     ignore (serve t events);
-    (Domain.DLS.get session_key) := Some (session t);
-    solution t
+    (solution t, Some (session t))
   end
 
 let heuristic ?name ?rate ?sleep () =
@@ -614,7 +599,7 @@ let heuristic ?name ?rate ?sleep () =
   | Some r when r <= 0. -> invalid_arg "Online.heuristic: rate <= 0"
   | _ -> ());
   let name = match name with Some n -> n | None -> "SRV" in
-  Routing.Heuristic.of_fault_aware ~name
+  Routing.Heuristic.of_noted ~name
     ~description:
       (Printf.sprintf
          "online service: workload served as a streaming trace (%g \
@@ -623,32 +608,15 @@ let heuristic ?name ?rate ?sleep () =
          (Option.value ~default:default_rate rate)
          default_churn
          (match sleep with Some false -> " disabled" | _ -> ""))
-    (fun ?fault model mesh comms -> engine ?rate ?sleep ?fault model mesh comms)
+    (fun ?fault model mesh comms ->
+      let solution, session = engine ?rate ?sleep ?fault model mesh comms in
+      (solution, Option.map (fun s -> Session s) session))
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "srv" in
-  if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 3 (String.length name - 3) in
-    let rate =
-      if rest = "" then Some default_rate
-      else
-        let rest =
-          if
-            String.length rest >= 2
-            && rest.[0] = '('
-            && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some r when r >= 1 -> Some (float_of_int r)
-        | _ -> None
-    in
-    Option.map
-      (fun rate ->
-        heuristic
-          ~name:(Printf.sprintf "SRV%d" (int_of_float rate))
-          ~rate ())
-      rate
+  Option.map
+    (fun rate ->
+      heuristic
+        ~name:(Printf.sprintf "SRV%d" rate)
+        ~rate:(float_of_int rate) ())
+    (Routing.Heuristic.parse_family ~prefix:"srv"
+       ~default:(int_of_float default_rate) ~min:1 name)

@@ -177,17 +177,18 @@ val engine :
   Power.Model.t ->
   Noc.Mesh.t ->
   Traffic.Communication.t list ->
-  Routing.Solution.t
-(** @raise Invalid_argument on out-of-range knobs. *)
+  Routing.Solution.t * session option
+(** The final live solution with the served session's summary ([None]
+    on an empty workload, where nothing is served).
+    @raise Invalid_argument on out-of-range knobs. *)
 
-val take_session : unit -> session option
-(** Session summary of the last {!engine} run {e on this domain},
-    cleared by the read (and at the start of every [engine] call) — the
-    observability seam the campaign runner and audit capture use. *)
+type Routing.Heuristic.note += Session of session
+(** The {!heuristic}'s note (see {!Routing.Heuristic.run_noted}). *)
 
 val heuristic :
   ?name:string -> ?rate:float -> ?sleep:bool -> unit -> Routing.Heuristic.t
-(** Registry entry (default name ["SRV"]) wrapping {!engine}. *)
+(** Registry entry (default name ["SRV"]) wrapping {!engine} via
+    {!Routing.Heuristic.of_noted}; its note is the {!Session}. *)
 
 val find : string -> Routing.Heuristic.t option
 (** Parse a CLI spelling: ["srv"] (default rate), ["srv8"] / ["SRV(8)"]

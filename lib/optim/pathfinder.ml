@@ -392,51 +392,14 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
   let report = Routing.Delta.report canonical in
   { solution; report; iterations = !passes; rips = !rips }
 
-let penalized_of ?fault model solution =
-  Routing.Evaluate.penalized model (Routing.Solution.loads ?fault solution)
-
-(* The single-path baseline the result is guarded against: best feasible
-   outcome of the registry, or the least-penalized one when every
-   heuristic fails (same policy as {!Smp.engine}). *)
-let baseline ?fault model mesh comms =
-  let outcomes = Routing.Best.run_all ?fault model mesh comms in
-  match Routing.Best.best_of outcomes with
-  | Some o -> o
-  | None ->
-      let scored =
-        List.map
-          (fun (o : Routing.Best.outcome) ->
-            (penalized_of ?fault model o.solution, o))
-          outcomes
-      in
-      snd
-        (List.fold_left
-           (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
-           (List.hd scored) (List.tl scored))
-
 type annotation = { a_iterations : int; a_rips : int; a_kept : bool }
-
-(* Per-domain stash of the last [engine] run, for the observability
-   layer: a registry heuristic returns only a solution, so the audit
-   capture and [manroute inspect] read the negotiation stats here right
-   after running it. Domain-local, hence race-free under the campaign
-   pool; [take_annotation] clears, so a stale value can never be
-   mistaken for the following heuristic's. *)
-let annotation_key : annotation option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_annotation () =
-  let slot = Domain.DLS.get annotation_key in
-  let v = !slot in
-  slot := None;
-  v
+type Routing.Heuristic.note += Negotiation of annotation
 
 let engine ?iterations ?fault model mesh comms =
-  (Domain.DLS.get annotation_key) := None;
-  if comms = [] then Routing.Solution.make mesh []
+  if comms = [] then (Routing.Solution.make mesh [], None)
   else begin
     let pf = negotiate ?iterations ?fault model mesh comms in
-    let base = baseline ?fault model mesh comms in
+    let base = Routing.Best.baseline ?fault model mesh comms in
     (* Never worse than the best single-path heuristic: feasible-first,
        then total power, penalized power when both fail. *)
     let base_report = base.Routing.Best.report in
@@ -451,13 +414,12 @@ let engine ?iterations ?fault model mesh comms =
           pf.report.Routing.Evaluate.total_power
           <= base_report.Routing.Evaluate.total_power
       | false, false ->
-          penalized_of ?fault model pf.solution
-          <= penalized_of ?fault model base.Routing.Best.solution
+          Routing.Best.penalized ?fault model pf.solution
+          <= Routing.Best.penalized ?fault model base.Routing.Best.solution
     in
-    (Domain.DLS.get annotation_key) :=
-      Some
-        { a_iterations = pf.iterations; a_rips = pf.rips; a_kept = keep_pf };
-    if keep_pf then pf.solution else base.Routing.Best.solution
+    ( (if keep_pf then pf.solution else base.Routing.Best.solution),
+      Some { a_iterations = pf.iterations; a_rips = pf.rips; a_kept = keep_pf }
+    )
   end
 
 let heuristic ?name ?iterations () =
@@ -465,35 +427,19 @@ let heuristic ?name ?iterations () =
   | Some i when i < 1 -> invalid_arg "Pathfinder.heuristic: iterations < 1"
   | _ -> ());
   let name = match name with Some n -> n | None -> "PF" in
-  Routing.Heuristic.of_fault_aware ~name
+  Routing.Heuristic.of_noted ~name
     ~description:
       (Printf.sprintf
          "negotiated congestion: PathFinder rip-up-and-reroute over the \
           delta journal, <= %d iterations"
          (Option.value ~default:default_iterations iterations))
-    (fun ?fault model mesh comms -> engine ?iterations ?fault model mesh comms)
+    (fun ?fault model mesh comms ->
+      let solution, a = engine ?iterations ?fault model mesh comms in
+      (solution, Option.map (fun a -> Negotiation a) a))
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "pf" in
-  if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 2 (String.length name - 2) in
-    let iterations =
-      if rest = "" then Some default_iterations
-      else
-        let rest =
-          if String.length rest >= 2
-             && rest.[0] = '('
-             && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some i when i >= 1 -> Some i
-        | _ -> None
-    in
-    Option.map
-      (fun iterations ->
-        heuristic ~name:(Printf.sprintf "PF%d" iterations) ~iterations ())
-      iterations
+  Option.map
+    (fun iterations ->
+      heuristic ~name:(Printf.sprintf "PF%d" iterations) ~iterations ())
+    (Routing.Heuristic.parse_family ~prefix:"pf" ~default:default_iterations
+       ~min:1 name)

@@ -81,38 +81,35 @@ val refine :
     bit-exactly) instead of raising. Bumps [pf_iterations]/[pf_rips].
     The incremental recovery engine's neighborhood and global rungs. *)
 
-val engine :
-  ?iterations:int ->
-  ?fault:Noc.Fault.t ->
-  Power.Model.t ->
-  Noc.Mesh.t ->
-  Traffic.Communication.t list ->
-  Routing.Solution.t
-(** {!negotiate} guarded never-worse than the best single-path
-    heuristic ({!Routing.Best}): feasible beats infeasible, then lower
-    total power, then lower penalized power when both fail. *)
-
 type annotation = {
-  a_iterations : int;  (** Negotiation sweeps the last {!engine} ran. *)
+  a_iterations : int;  (** Negotiation sweeps the {!engine} run made. *)
   a_rips : int;  (** Communications it ripped up and rerouted. *)
   a_kept : bool;
       (** Whether the negotiated solution beat the single-path baseline
           (when [false] the engine returned the baseline). *)
 }
 
-val take_annotation : unit -> annotation option
-(** Stats of the last {!engine} run {e on this domain}, cleared by the
-    read (and at the start of every [engine] call), so a caller that
-    runs a registry heuristic and then takes the annotation can never
-    observe a stale one. [None] when the last run on this domain was not
-    an [engine] run — the observability seam used by [manroute inspect]
-    and the campaign audit capture. *)
+type Routing.Heuristic.note += Negotiation of annotation
+(** The {!heuristic}'s note (see {!Routing.Heuristic.run_noted}). *)
+
+val engine :
+  ?iterations:int ->
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Noc.Mesh.t ->
+  Traffic.Communication.t list ->
+  Routing.Solution.t * annotation option
+(** {!negotiate} guarded never-worse than the best single-path
+    heuristic ({!Routing.Best}): feasible beats infeasible, then lower
+    total power, then lower penalized power when both fail. Returns the
+    negotiation's annotation next to the solution ([None] on an empty
+    workload, where nothing is negotiated). *)
 
 val heuristic :
   ?name:string -> ?iterations:int -> unit -> Routing.Heuristic.t
 (** Registry entry (default name ["PF"]) wrapping {!engine} via
-    {!Routing.Heuristic.of_fault_aware}, for the harness figures and
-    the CLI. *)
+    {!Routing.Heuristic.of_noted}, for the harness figures and the CLI;
+    its note is the {!Negotiation} annotation. *)
 
 val find : string -> Routing.Heuristic.t option
 (** Parse a CLI spelling: ["pf"] (default cap), ["pf8"] / ["PF(8)"]

@@ -354,60 +354,21 @@ let schedule_rng comms =
          ])
        comms)
 
-let penalized_of ?fault model solution =
-  Routing.Evaluate.penalized model (Routing.Solution.loads ?fault solution)
-
-(* Start from the best single-path heuristic, or the least-penalized
-   outcome when all fail — the same baseline policy as {!Pathfinder}. *)
-let baseline ?fault model mesh comms =
-  let outcomes = Routing.Best.run_all ?fault model mesh comms in
-  let o =
-    match Routing.Best.best_of outcomes with
-    | Some o -> o
-    | None ->
-        let scored =
-          List.map
-            (fun (o : Routing.Best.outcome) ->
-              (penalized_of ?fault model o.solution, o))
-            outcomes
-        in
-        snd
-          (List.fold_left
-             (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
-             (List.hd scored) (List.tl scored))
-  in
-  o.Routing.Best.solution
-
-(* Per-domain stash of the last [engine] run's per-event reports, for
-   the observability layer: the registry heuristic returns only the
-   surviving solution, so the audit capture and [manroute inspect] read
-   the rung/shed timeline here right after running it. Domain-local
-   (race-free under the campaign pool); [take_reports] clears, so a
-   stale timeline can never be mistaken for the following heuristic's. *)
-let reports_key : report list option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_reports () =
-  let slot = Domain.DLS.get reports_key in
-  let v = !slot in
-  slot := None;
-  v
+type Routing.Heuristic.note += Reports of report list
 
 let engine ?(events = default_events) ?fault model mesh comms =
   if events < 0 then invalid_arg "Recover.engine: events < 0";
-  (Domain.DLS.get reports_key) := None;
-  if comms = [] then Routing.Solution.make mesh []
+  if comms = [] then (Routing.Solution.make mesh [], None)
   else begin
-    let base = baseline ?fault model mesh comms in
+    let base = Routing.Best.baseline ?fault model mesh comms in
     let rng = schedule_rng comms in
     let schedule =
       Noc.Fault.Schedule.random ?init:fault
         ~choose:(fun b -> Traffic.Rng.int rng b)
         ~events mesh
     in
-    let t, reports = run ?fault model base schedule in
-    (Domain.DLS.get reports_key) := Some reports;
-    solution t
+    let t, reports = run ?fault model base.Routing.Best.solution schedule in
+    (solution t, Some reports)
   end
 
 let heuristic ?name ?events () =
@@ -415,36 +376,18 @@ let heuristic ?name ?events () =
   | Some e when e < 0 -> invalid_arg "Recover.heuristic: events < 0"
   | _ -> ());
   let name = match name with Some n -> n | None -> "REC" in
-  Routing.Heuristic.of_fault_aware ~name
+  Routing.Heuristic.of_noted ~name
     ~description:
       (Printf.sprintf
          "live recovery: %d-event deterministic fault schedule survived by \
           escalating incremental repair with typed shedding"
          (Option.value ~default:default_events events))
-    (fun ?fault model mesh comms -> engine ?events ?fault model mesh comms)
+    (fun ?fault model mesh comms ->
+      let solution, reports = engine ?events ?fault model mesh comms in
+      (solution, Option.map (fun r -> Reports r) reports))
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "rec" in
-  if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 3 (String.length name - 3) in
-    let events =
-      if rest = "" then Some default_events
-      else
-        let rest =
-          if
-            String.length rest >= 2
-            && rest.[0] = '('
-            && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some e when e >= 0 -> Some e
-        | _ -> None
-    in
-    Option.map
-      (fun events ->
-        heuristic ~name:(Printf.sprintf "REC%d" events) ~events ())
-      events
+  Option.map
+    (fun events -> heuristic ~name:(Printf.sprintf "REC%d" events) ~events ())
+    (Routing.Heuristic.parse_family ~prefix:"rec" ~default:default_events
+       ~min:0 name)

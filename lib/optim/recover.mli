@@ -115,26 +115,22 @@ val engine :
   Power.Model.t ->
   Noc.Mesh.t ->
   Traffic.Communication.t list ->
-  Routing.Solution.t
+  Routing.Solution.t * report list option
 (** Registry-shaped entry: route the instance with the best single-path
     heuristic, draw an [events]-long (default 8) schedule from a
     generator keyed on the workload itself (reproducible and
     jobs-invariant without an rng argument), survive it, and return the
-    final live solution.
+    final live solution with its per-event reports ([None] on an empty
+    workload, where no schedule runs).
     @raise Invalid_argument on negative [events]. *)
 
-val take_reports : unit -> report list option
-(** Per-event reports of the last {!engine} run {e on this domain},
-    cleared by the read (and at the start of every [engine] call), so a
-    caller that runs the registry heuristic and then takes the timeline
-    can never observe a stale one. [None] when the last run on this
-    domain was not an [engine] run — the observability seam used by
-    [manroute inspect] and the campaign audit capture. *)
+type Routing.Heuristic.note += Reports of report list
+(** The {!heuristic}'s note (see {!Routing.Heuristic.run_noted}). *)
 
 val heuristic : ?name:string -> ?events:int -> unit -> Routing.Heuristic.t
 (** Registry entry (default name ["REC"]) wrapping {!engine} via
-    {!Routing.Heuristic.of_fault_aware}, for the harness figures and the
-    CLI. *)
+    {!Routing.Heuristic.of_noted}, for the harness figures and the CLI;
+    its note is the {!Reports} timeline. *)
 
 val find : string -> Routing.Heuristic.t option
 (** Parse a CLI spelling: ["rec"] (default events), ["rec12"] /

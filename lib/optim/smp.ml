@@ -238,32 +238,11 @@ let route_of_slot slot =
     Routing.Solution.route_parts slot.comm ~paths:parts ~detours:[]
   end
 
-let penalized_of ?fault model solution =
-  Routing.Evaluate.penalized model (Routing.Solution.loads ?fault solution)
-
-(* The single-path baseline: best feasible outcome of the registry, or
-   the least-penalized one when every heuristic fails. *)
-let baseline ?fault model mesh comms =
-  let outcomes = Routing.Best.run_all ?fault model mesh comms in
-  match Routing.Best.best_of outcomes with
-  | Some o -> o
-  | None ->
-      let scored =
-        List.map
-          (fun (o : Routing.Best.outcome) ->
-            (penalized_of ?fault model o.solution, o))
-          outcomes
-      in
-      snd
-        (List.fold_left
-           (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
-           (List.hd scored) (List.tl scored))
-
 let engine ?(iterations = 120) ~s ?fault model mesh comms =
   if s < 1 then invalid_arg "Smp.engine: s < 1";
   if comms = [] then Routing.Solution.make mesh []
   else begin
-    let base = baseline ?fault model mesh comms in
+    let base = Routing.Best.baseline ?fault model mesh comms in
     (* Pair each communication with its base route, consuming first
        structural matches so duplicate communications each get their own
        route. *)
@@ -338,8 +317,8 @@ let engine ?(iterations = 120) ~s ?fault model mesh comms =
           smp_report.Routing.Evaluate.total_power
           <= base_report.Routing.Evaluate.total_power
       | false, false ->
-          penalized_of ?fault model smp
-          <= penalized_of ?fault model base.Routing.Best.solution
+          Routing.Best.penalized ?fault model smp
+          <= Routing.Best.penalized ?fault model base.Routing.Best.solution
     in
     if keep_smp then smp else base.Routing.Best.solution
   end
@@ -356,24 +335,6 @@ let heuristic ?name ?iterations ~s () =
     (fun ?fault model mesh comms -> engine ?iterations ~s ?fault model mesh comms)
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "smp" in
-  if String.length name < String.length prefix then None
-  else if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 3 (String.length name - 3) in
-    let s =
-      if rest = "" then Some 4
-      else
-        let rest =
-          if String.length rest >= 2
-             && rest.[0] = '('
-             && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some s when s >= 1 -> Some s
-        | _ -> None
-    in
-    Option.map (fun s -> heuristic ~s ()) s
+  Option.map
+    (fun s -> heuristic ~s ())
+    (Routing.Heuristic.parse_family ~prefix:"smp" ~default:4 ~min:1 name)

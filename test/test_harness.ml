@@ -497,7 +497,7 @@ let test_checkpoint_partial_resume () =
   let first_line = input_line ic in
   close_in ic;
   let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv1\ttiny\t13\t4\t0x1p+");
+  output_string oc (first_line ^ "\nrow\tv2\ttiny\t13\t4\t0x1p+");
   close_out oc;
   let resumed =
     Harness.Runner.run ~trials:4 ~seed:13 ~checkpoint:path tiny_figure
@@ -506,7 +506,7 @@ let test_checkpoint_partial_resume () =
   (* The resumed run healed the sidecar: both rows load cleanly now. *)
   let key = { Harness.Checkpoint.figure_id = "tiny"; seed = 13; trials = 4 } in
   check_int "sidecar holds both rows" 2
-    (List.length (Harness.Checkpoint.load ~path key));
+    (List.length (Harness.Runner.load_rows ~path key));
   Sys.remove path
 
 let test_checkpoint_key_mismatch_recomputes () =
@@ -515,72 +515,64 @@ let test_checkpoint_key_mismatch_recomputes () =
   (* A different trial count must not reuse these rows. *)
   let key3 = { Harness.Checkpoint.figure_id = "tiny"; seed = 17; trials = 3 }
   and key5 = { Harness.Checkpoint.figure_id = "tiny"; seed = 17; trials = 5 } in
-  check_int "own key sees rows" 2 (List.length (Harness.Checkpoint.load ~path key3));
-  check_int "other key sees none" 0 (List.length (Harness.Checkpoint.load ~path key5));
+  check_int "own key sees rows" 2 (List.length (Harness.Runner.load_rows ~path key3));
+  check_int "other key sees none" 0 (List.length (Harness.Runner.load_rows ~path key5));
   let fresh5 = Harness.Runner.run ~trials:5 ~seed:17 tiny_figure in
   let via5 = Harness.Runner.run ~trials:5 ~seed:17 ~checkpoint:path tiny_figure in
   check_bool "recomputed, not reused" true (rows_equal fresh5 via5);
   Sys.remove path
 
+let sample_stats =
+  {
+    Harness.Runner.failure_ratio = 0.5;
+    error_ratio = 0.;
+    norm_inv_power = 0.25;
+    norm_stderr = 0.01;
+    mean_power = None;
+    mean_detour_hops = 0.;
+    error_example = Some "multi\nline\tmessage";
+    counters = Routing.Metrics.init (fun f -> String.length f.name);
+    engine =
+      List.mapi
+        (fun i _ -> if i mod 3 = 1 then None else Some (float_of_int i +. 0.5))
+        Harness.Runner.columns;
+  }
+
+let first_line path = In_channel.with_open_bin path In_channel.input_line
+
 let test_checkpoint_corrupt_lines_tolerated () =
   let path = temp_checkpoint "manroute_ckpt_bad.tsv" in
   let key = { Harness.Checkpoint.figure_id = "tiny"; seed = 1; trials = 2 } in
-  let cell =
-    {
-      Harness.Checkpoint.name = "XY";
-      failure_ratio = 0.5;
-      error_ratio = 0.;
-      norm_inv_power = 0.25;
-      norm_stderr = 0.01;
-      mean_power = None;
-      mean_detour_hops = 0.;
-      error_example = Some "multi\nline\tmessage";
-      counters =
-        {
-          Routing.Metrics.paths_scored = 7;
-          dp_cells = 42;
-          bb_nodes = 0;
-          detour_searches = 1;
-          feasibility_checks = 3;
-          delta_evals = 5;
-          pf_iterations = 2;
-          pf_rips = 4;
-          recover_events = 3;
-          recover_sheds = 1;
-          recover_rung_max = 9;
-        };
-      mean_p50 = Some 12.5;
-      mean_p95 = None;
-      mean_slope = Some 0.75;
-      front_ratio = Some 1.;
-      srv_power = Some 4119.5;
-      srv_saved = Some 0.41;
-      srv_p95 = None;
-    }
-  in
-  Harness.Checkpoint.append ~path key ~x:2. [ cell ];
-  (* Foreign lines (other format, other version) and a torn final line
-     are tolerated... *)
+  Harness.Runner.append_row ~path key { x = 2.; cells = [ ("XY", sample_stats) ] };
+  let good = Option.get (first_line path) in
+  (* Foreign lines (other format, another campaign's row) and a torn
+     final line are tolerated... *)
   let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
   output_string oc "not a row at all\n";
-  output_string oc "row\tv0\ttiny\t1\t2\t0x1p+1\t0\n";
-  output_string oc "row\tv1\ttiny\t1\t2\t0x1p+";
+  output_string oc "row\tv0\tother\t1\t2\t0x1p+1\t0\tnorm\n";
+  output_string oc "row\tv2\ttiny\t1\t2\t0x1p+";
   close_out oc;
-  (match Harness.Checkpoint.load ~path key with
-  | [ (x, [ c ]) ] ->
+  (match Harness.Runner.load_rows ~path key with
+  | [ (x, [ ("XY", c) ]) ] ->
       check_float "x round-trips" 2. x;
-      check_bool "cell round-trips, message included" true (c = cell)
+      check_bool "cell round-trips, message included" true (c = sample_stats)
   | rows ->
       Alcotest.failf "expected exactly the one good row, got %d"
         (List.length rows));
   (* ...but a key-matching row that fails to parse anywhere before the
      final line is real corruption: the typed error must localize it by
      sidecar path and line number instead of silently recomputing. *)
+  let bad =
+    String.concat "\t"
+      (List.mapi
+         (fun i f -> if i = 5 then "not-a-float" else f)
+         (String.split_on_char '\t' good))
+  in
   let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-  output_string oc "\nrow\tv1\ttiny\t1\t2\tnot-a-float\t1\tXY\n";
+  output_string oc ("\n" ^ bad ^ "\n");
   output_string oc "trailing junk\n";
   close_out oc;
-  (match Harness.Checkpoint.load ~path key with
+  (match Harness.Runner.load_rows ~path key with
   | _ -> Alcotest.fail "expected Corrupt"
   | exception Harness.Checkpoint.Corrupt { path = p; line; reason = _ } ->
       check_bool "corrupt path surfaced" true (p = path);
@@ -592,6 +584,125 @@ let test_checkpoint_corrupt_lines_tolerated () =
          in
          contains_substring m path && contains_substring m "line 5"));
   Sys.remove path
+
+(* QCheck: random rows round-trip bit for bit — absent columns, -0.,
+   subnormals, infinities, NaN payloads, and messages carrying tabs,
+   newlines and a leading "-" or "=". *)
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ 0.; -0.; 5e-324; -5e-324; 2.2250738585072009e-308; infinity;
+            neg_infinity; nan; -.nan; Int64.float_of_bits 0x7ff4000000000123L ];
+        float;
+      ])
+
+let gen_msg =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 6)
+         (oneofl [ "-"; "="; "\t"; "\n"; "\\"; "\""; "a"; " "; "\xff"; "=-" ])))
+
+let gen_stats =
+  QCheck.Gen.(
+    let* f = array_size (return 5) gen_float in
+    let* power = opt gen_float in
+    let* error_example = opt gen_msg in
+    let* counts = array_size (return (List.length Routing.Metrics.fields)) int in
+    let+ engine =
+      flatten_l (List.map (fun _ -> opt gen_float) Harness.Runner.columns)
+    in
+    {
+      Harness.Runner.failure_ratio = f.(0);
+      error_ratio = f.(1);
+      norm_inv_power = f.(2);
+      norm_stderr = f.(3);
+      mean_power = power;
+      mean_detour_hops = f.(4);
+      error_example;
+      counters =
+        (let i = ref (-1) in
+         Routing.Metrics.init (fun _ ->
+             incr i;
+             counts.(!i)));
+      engine;
+    })
+
+let gen_row =
+  QCheck.Gen.(
+    let* x = gen_float in
+    let+ cells =
+      list_size (int_range 1 4)
+        (pair (oneofl [ "XY"; "PR"; "SRV0"; "BEST" ]) gen_stats)
+    in
+    { Harness.Runner.x; cells })
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_opt a b = Option.equal same_bits a b
+
+let same_stats (a : Harness.Runner.stats) (b : Harness.Runner.stats) =
+  same_bits a.failure_ratio b.failure_ratio
+  && same_bits a.error_ratio b.error_ratio
+  && same_bits a.norm_inv_power b.norm_inv_power
+  && same_bits a.norm_stderr b.norm_stderr
+  && same_opt a.mean_power b.mean_power
+  && same_bits a.mean_detour_hops b.mean_detour_hops
+  && a.error_example = b.error_example
+  && Routing.Metrics.equal a.counters b.counters
+  && List.equal same_opt a.engine b.engine
+
+let fuzz_key = { Harness.Checkpoint.figure_id = "fuzz"; seed = 3; trials = 2 }
+
+let prop_checkpoint_round_trip =
+  QCheck.Test.make ~name:"checkpoint rows round-trip bit for bit" ~count:200
+    (QCheck.make gen_row)
+    (fun (row : Harness.Runner.row) ->
+      let path = temp_checkpoint "manroute_ckpt_fuzz.tsv" in
+      Harness.Runner.append_row ~path fuzz_key row;
+      let loaded = Harness.Runner.load_rows ~path fuzz_key in
+      Sys.remove path;
+      match loaded with
+      | [ (x, cells) ] ->
+          same_bits x row.x
+          && List.equal
+               (fun (n, a) (n', b) -> n = n' && same_stats a b)
+               cells row.cells
+      | _ -> false)
+
+(* QCheck: a valid row torn at any byte, or with one field replaced by
+   garbage, then followed by a valid row, loads, is skipped as foreign,
+   or raises one of the two typed errors — never anything else. *)
+let prop_checkpoint_damage_typed =
+  let gen =
+    QCheck.Gen.(
+      triple gen_row (int_bound 1_000_000)
+        (opt (oneofl [ ""; "-"; "="; "x"; "nan:zz"; "0x1p"; "v1"; "1e999"; "a,b" ])))
+  in
+  QCheck.Test.make ~name:"damaged checkpoint rows fail typed" ~count:300
+    (QCheck.make gen)
+    (fun (row, at, garbage) ->
+      let path = temp_checkpoint "manroute_ckpt_damage.tsv" in
+      Harness.Runner.append_row ~path fuzz_key row;
+      let line = Option.get (first_line path) in
+      let damaged =
+        match garbage with
+        | None -> String.sub line 0 (at mod String.length line)
+        | Some g ->
+            let fields = String.split_on_char '\t' line in
+            let i = at mod List.length fields in
+            String.concat "\t" (List.mapi (fun j f -> if j = i then g else f) fields)
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (damaged ^ "\n" ^ line ^ "\n"));
+      let ok =
+        match Harness.Runner.load_rows ~path fuzz_key with
+        | _ -> true
+        | exception (Harness.Checkpoint.Corrupt _ | Harness.Checkpoint.Mismatch _) ->
+            true
+      in
+      Sys.remove path;
+      ok)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: env fallbacks, spans + trace files, counters, progress *)
@@ -752,52 +863,35 @@ let test_counters_deterministic_and_plausible () =
         && (List.assoc "XY" row.cells).counters.Routing.Metrics.dp_cells = 0))
     r1.rows
 
-let test_checkpoint_backcompat_without_counters () =
-  (* A v1 sidecar written before the counter fields must still resume:
-     8-field cells load with all-zero counters. *)
-  let path = temp_checkpoint "manroute_ckpt_legacy.tsv" in
-  let oc = open_out path in
-  output_string oc
-    "row\tv1\ttiny\t1\t2\t0x1p+1\t1\tXY\t0x1p-1\t0x0p+0\t0x1p-2\t0x1p-7\t-\t0x0p+0\t-\n";
-  close_out oc;
-  let key = { Harness.Checkpoint.figure_id = "tiny"; seed = 1; trials = 2 } in
-  (match Harness.Checkpoint.load ~path key with
-  | [ (x, [ c ]) ] ->
-      check_float "legacy x" 2. x;
-      check_float "legacy stats survive" 0.25 c.norm_inv_power;
-      check_bool "legacy counters read as zero" true
-        (Routing.Metrics.is_zero c.counters)
-  | rows -> Alcotest.failf "expected the legacy row, got %d" (List.length rows));
-  Sys.remove path
+(* A v1 row (positional cells, before named columns) in the campaign's
+   own sidecar does not resume: the loader raises the typed error naming
+   the version, with path and line, instead of silently recomputing. *)
+let v1_row =
+  "row\tv1\ttiny\t1\t2\t0x1p+1\t1\tXY\t0x1p-1\t0x0p+0\t0x1p-2\t0x1p-7\t-\t0x0p+0\t-\n"
 
-let test_checkpoint_newer_version_fails_fast () =
-  (* A key-matched row whose cells carry more fields than this build
-     writes (28 > 26 here) was made by a newer manroute: silently
-     misparsing it would quietly recompute rows the user thinks are
-     checkpointed, so the loader must raise the typed error instead. *)
-  let path = temp_checkpoint "manroute_ckpt_newer.tsv" in
-  let oc = open_out path in
-  output_string oc
-    "row\tv1\ttiny\t1\t2\t0x1p+1\t1\tXY\t0x1p-1\t0x0p+0\t0x1p-2\t0x1p-7\t-\t0x0p+0\t-\t1\t2\t3\t4\t5\t6\t7\t8\t9\t10\t11\t12\t13\t14\t15\t16\t17\t18\t19\t20\n";
-  close_out oc;
+let test_checkpoint_v1_row_fails_fast () =
+  let path = temp_checkpoint "manroute_ckpt_v1.tsv" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc v1_row);
   let key = { Harness.Checkpoint.figure_id = "tiny"; seed = 1; trials = 2 } in
-  (match Harness.Checkpoint.load ~path key with
-  | _ -> Alcotest.fail "expected Newer_version"
-  | exception Harness.Checkpoint.Newer_version { fields_per_cell; path = p; line }
-    ->
-      check_int "cell arity surfaced" 28 fields_per_cell;
+  (match Harness.Runner.load_rows ~path key with
+  | _ -> Alcotest.fail "expected Mismatch"
+  | exception (Harness.Checkpoint.Mismatch { path = p; line; found } as e) ->
+      check_bool "version named" true (found = "v1");
       check_bool "offending path surfaced" true (p = path);
       check_int "offending line surfaced" 1 line;
-      check_bool "printer names the remedy" true
-        (contains_substring
-           (Printexc.to_string
-              (Harness.Checkpoint.Newer_version { path = p; line; fields_per_cell }))
-           "newer manroute version"));
-  (* The same row under a different campaign key is filtered out before
-     the arity check: foreign sidecars never block an unrelated resume. *)
+      check_bool "printer names version and remedy" true
+        (let m = Printexc.to_string e in
+         contains_substring m "v1" && contains_substring m "delete"));
+  Sys.remove path
+
+(* The same v1 row under another campaign's key is filtered out before
+   the version check: foreign sidecar lines never block a resume. *)
+let test_checkpoint_v1_foreign_row_skipped () =
+  let path = temp_checkpoint "manroute_ckpt_v1_foreign.tsv" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc v1_row);
   let other = { Harness.Checkpoint.figure_id = "other"; seed = 1; trials = 2 } in
-  check_bool "foreign keys skip the newer row" true
-    (Harness.Checkpoint.load ~path other = []);
+  check_bool "foreign keys skip the v1 row" true
+    (Harness.Runner.load_rows ~path other = []);
   Sys.remove path
 
 (* Fabricated observations with hand-picked powers, runtimes and counters:
@@ -996,8 +1090,9 @@ let () =
           quick "traced campaign matches untraced"
             test_traced_campaign_matches_untraced;
           quick "counters deterministic" test_counters_deterministic_and_plausible;
-          quick "checkpoint back-compat" test_checkpoint_backcompat_without_counters;
-          quick "checkpoint newer-version fail-fast" test_checkpoint_newer_version_fails_fast;
+          quick "checkpoint v1 row fails fast" test_checkpoint_v1_row_fails_fast;
+          quick "checkpoint v1 foreign row skipped"
+            test_checkpoint_v1_foreign_row_skipped;
           quick "quantiles exact" test_summary_quantiles_exact;
           quick "exposed quantiles follow the rule"
             test_exposed_quantiles_match_rule;
@@ -1034,5 +1129,7 @@ let () =
           quick "checkpoint partial resume" test_checkpoint_partial_resume;
           quick "checkpoint key mismatch" test_checkpoint_key_mismatch_recomputes;
           quick "checkpoint corrupt lines" test_checkpoint_corrupt_lines_tolerated;
+          QCheck_alcotest.to_alcotest prop_checkpoint_round_trip;
+          QCheck_alcotest.to_alcotest prop_checkpoint_damage_typed;
         ] );
     ]

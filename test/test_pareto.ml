@@ -220,7 +220,7 @@ let test_figpareto_kill_and_resume () =
   let first_line = input_line ic in
   close_in ic;
   let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv1\tfigpareto\t9\t2\t0x1p+");
+  output_string oc (first_line ^ "\nrow\tv2\tfigpareto\t9\t2\t0x1p+");
   close_out oc;
   let resumed = campaign ~checkpoint:path true 2 in
   check_bool "kill-and-resume rows bit-identical" true
@@ -229,14 +229,17 @@ let test_figpareto_kill_and_resume () =
     { Harness.Checkpoint.figure_id = "figpareto"; seed = 9; trials = 2 }
   in
   check_int "sidecar healed to both rows" 2
-    (List.length (Harness.Checkpoint.load ~path key));
+    (List.length (Harness.Runner.load_rows ~path key));
   (* The resumed rows round-trip the Pareto cells through the sidecar. *)
+  let names =
+    List.map (fun (c : Harness.Runner.column) -> c.name) Harness.Runner.columns
+  in
   List.iter
     (fun (row : Harness.Runner.row) ->
       List.iter
         (fun ((_, s) : string * Harness.Runner.stats) ->
           check_bool "front ratio present on a sim figure" true
-            (s.Harness.Runner.front_ratio <> None))
+            (List.assoc "front" (List.combine names s.engine) <> None))
         row.cells)
     resumed.rows;
   Sys.remove path

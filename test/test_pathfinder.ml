@@ -116,7 +116,7 @@ let prop_never_worse_than_best =
     (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
     (fun seed ->
       let mesh, _, comms = mixed_instance ~n:12 seed in
-      let sol = Optim.Pathfinder.engine km mesh comms in
+      let sol, _ = Optim.Pathfinder.engine km mesh comms in
       match Routing.Best.route km mesh comms with
       | Some best ->
           let report = Routing.Evaluate.solution km sol in
@@ -224,7 +224,7 @@ let test_rescues_greedy_defeated_instance () =
   check_bool "one communication detours off the rectangle" true
     (Routing.Solution.detour_hops o.solution > 0);
   (* The engine keeps the rescue (feasible beats infeasible baseline). *)
-  let sol = Optim.Pathfinder.engine km mesh comms in
+  let sol, _ = Optim.Pathfinder.engine km mesh comms in
   check_bool "engine returns the feasible negotiation" true
     (Routing.Evaluate.solution km sol).Routing.Evaluate.feasible
 
@@ -383,7 +383,7 @@ let test_figpf_kill_and_resume () =
   let first_line = input_line ic in
   close_in ic;
   let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv1\tfigpf\t7\t2\t0x1p+");
+  output_string oc (first_line ^ "\nrow\tv2\tfigpf\t7\t2\t0x1p+");
   close_out oc;
   let resumed =
     Harness.Runner.run ~trials:2 ~seed:7 ~jobs:2 ~checkpoint:path small_figpf

@@ -390,15 +390,15 @@ let test_engine_deterministic_and_jobs_free () =
   (* The engine derives its schedule from the workload itself, so two
      calls agree bit for bit with no rng in sight. *)
   let mesh, _, comms = mixed_instance ~p:6 ~n:8 42 in
-  let a = Optim.Recover.engine ~events:6 km mesh comms in
-  let b = Optim.Recover.engine ~events:6 km mesh comms in
+  let a, _ = Optim.Recover.engine ~events:6 km mesh comms in
+  let b, _ = Optim.Recover.engine ~events:6 km mesh comms in
   check_bits "same power"
     (Routing.Evaluate.solution km a).Routing.Evaluate.total_power
     (Routing.Evaluate.solution km b).Routing.Evaluate.total_power;
   check_bool "empty workload survives trivially" true
-    (Routing.Solution.routes (Optim.Recover.engine km mesh []) = []);
+    (Routing.Solution.routes (fst (Optim.Recover.engine km mesh [])) = []);
   check_bool "zero events is the baseline" true
-    (Routing.Solution.routes (Optim.Recover.engine ~events:0 km mesh comms)
+    (Routing.Solution.routes (fst (Optim.Recover.engine ~events:0 km mesh comms))
     <> [])
 
 let test_registry_spellings () =
@@ -486,7 +486,7 @@ let test_figrec_kill_and_resume () =
   let first_line = input_line ic in
   close_in ic;
   let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv1\tfigrec\t7\t2\t0x1p+");
+  output_string oc (first_line ^ "\nrow\tv2\tfigrec\t7\t2\t0x1p+");
   close_out oc;
   let resumed =
     Harness.Runner.run ~trials:2 ~seed:7 ~jobs:2 ~checkpoint:path small_figrec

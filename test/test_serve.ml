@@ -347,7 +347,7 @@ let test_create_and_engine_validate () =
     (raises (fun () ->
          Optim.Online.engine ~churn:(-1) km mesh [ comm 0 1 1 2 2 100. ]));
   check_bool "empty workload serves to an empty solution" true
-    (Routing.Solution.routes (Optim.Online.engine km mesh []) = [])
+    (Routing.Solution.routes (fst (Optim.Online.engine km mesh [])) = [])
 
 let test_registry_spellings () =
   let name s = Option.map (fun h -> h.Routing.Heuristic.name) s in
@@ -371,14 +371,20 @@ let test_engine_deterministic_and_session_stash () =
   let comms =
     Traffic.Workload.uniform rng mesh ~n:8 ~weight:Traffic.Workload.mixed
   in
-  ignore (Optim.Online.take_session ());
-  let s1 = Optim.Online.engine ~rate:4. km mesh comms in
-  let sess1 = Optim.Online.take_session () in
-  check_bool "engine stashes a session" true (Option.is_some sess1);
-  check_bool "take_session clears the stash" true
-    (Optim.Online.take_session () = None);
-  let s2 = Optim.Online.engine ~rate:4. km mesh comms in
-  let sess2 = Optim.Online.take_session () in
+  (* The registry heuristic hands its session over as its note... *)
+  let s1, note =
+    Routing.Heuristic.run_noted (Optim.Online.heuristic ~rate:4. ()) km mesh
+      comms
+  in
+  let sess1 =
+    match note with Some (Optim.Online.Session s) -> Some s | _ -> None
+  in
+  check_bool "the heuristic's note is its session" true (Option.is_some sess1);
+  (* ...drained by the read, so the next run cannot observe it. *)
+  check_bool "run_noted drains the slot" true
+    (snd (Routing.Heuristic.run_noted Routing.Heuristic.xy km mesh comms)
+    = None);
+  let s2, sess2 = Optim.Online.engine ~rate:4. km mesh comms in
   check_bool "solutions identical without an rng argument" true
     (Routing.Solution.routes s1 = Routing.Solution.routes s2);
   match (sess1, sess2) with
@@ -389,7 +395,7 @@ let test_engine_deterministic_and_session_stash () =
         b.Optim.Online.p95_work;
       check_reports_bit_equal "final reports deterministic"
         a.Optim.Online.final b.Optim.Online.final
-  | _ -> Alcotest.fail "engine did not stash both sessions"
+  | _ -> Alcotest.fail "engine did not return both sessions"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the figserve campaign is backend-, jobs- and crash-invariant *)
@@ -455,7 +461,7 @@ let test_figserve_kill_and_resume () =
   let first_line = input_line ic in
   close_in ic;
   let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv1\tfigserve\t7\t2\t0x1p+");
+  output_string oc (first_line ^ "\nrow\tv2\tfigserve\t7\t2\t0x1p+");
   close_out oc;
   let resumed =
     Harness.Runner.run ~trials:2 ~seed:7 ~jobs:2 ~checkpoint:path
