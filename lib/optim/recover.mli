@@ -116,9 +116,9 @@ val engine :
   Noc.Mesh.t ->
   Traffic.Communication.t list ->
   Routing.Solution.t * report list option
-(** Registry-shaped entry: route the instance with the best single-path
-    heuristic, draw an [events]-long (default 8) schedule from a
-    generator keyed on the workload itself (reproducible and
+(** The engine behind {!heuristic}: route the instance with the best
+    single-path heuristic, draw an [events]-long (default 8) schedule
+    from a generator keyed on the workload itself (reproducible and
     jobs-invariant without an rng argument), survive it, and return the
     final live solution with its per-event reports ([None] on an empty
     workload, where no schedule runs).

@@ -739,6 +739,25 @@ let test_env_jobs_fallback () =
   check_env_int_fallback "MANROUTE_JOBS" Harness.Pool.default_jobs
     ~fallback:(Domain.recommended_domain_count ())
 
+(* An empty MANROUTE_TRACE / MANROUTE_AUDIT means "off", like an empty
+   MANROUTE_PROGRESS; an unwritable trace destination fails before the
+   traced work runs instead of after it. *)
+let test_env_destinations () =
+  with_env "MANROUTE_TRACE" "" (fun () ->
+      check_bool "empty MANROUTE_TRACE is unset" true
+        (Harness.Telemetry.trace_file () = None));
+  with_env "MANROUTE_AUDIT" "" (fun () ->
+      check_bool "empty MANROUTE_AUDIT is unset" true
+        (Harness.Audit.audit_dir () = None));
+  let ran = ref false in
+  (match
+     Harness.Telemetry.tracing (Some "/nonexistent/manroute/t.json") (fun () ->
+         ran := true)
+   with
+  | () -> Alcotest.fail "expected Sys_error"
+  | exception Sys_error _ -> ());
+  check_bool "unwritable trace fails before the run" false !ran
+
 let test_pool_tick_counts_completions () =
   let ticks = Atomic.make 0 in
   let a =
@@ -1085,6 +1104,7 @@ let () =
         [
           quick "env trials fallback" test_env_trials_fallback;
           quick "env jobs fallback" test_env_jobs_fallback;
+          quick "env destinations" test_env_destinations;
           quick "spans nest and validate" test_trace_spans_nest_and_validate;
           quick "validator rejects garbage" test_trace_validator_rejects_garbage;
           quick "traced campaign matches untraced"
