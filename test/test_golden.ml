@@ -406,7 +406,7 @@ let () =
                 "752a6054b8b0ec465f4e651aa6aa2a59";
                 "061f122bc5a46c79354e2493f08f3ec9" ]);
         ] );
-      ( "campaign-digests",
+      ( "campaign-md5",
         Harness.Figure.
           [
             campaign_case figf ~csv:"8717d656fb6ca2f37e0e1e72d6f65f42"
