@@ -1188,7 +1188,7 @@ let delta_bench () =
     Array.fold_left (fun acc c -> acc +. marginal cost c) 0. candidates
   in
   if Int64.bits_of_float (checksum direct) <> Int64.bits_of_float (checksum table)
-  then failwith "delta bench: cost backends disagree";
+  then failwith "delta bench: table and direct costs disagree";
   let ops_direct = throughput (marginal direct) in
   let ops_table = throughput (marginal table) in
   Format.printf
@@ -1242,13 +1242,16 @@ let sim_bench () =
         ignore (Sim.Network.run net ~cycles))
       solutions
   in
-  let optimized () =
-    let arena = Sim.Network.Arena.create () in
-    ignore (Sim.Batch.run ~arena ~tolerance ~cycles model solutions)
+  let batch arena =
+    List.map
+      (fun s ->
+        Sim.Network.run ~tolerance (Sim.Network.create ~arena model s) ~cycles)
+      solutions
   in
+  let optimized () = ignore (batch (Sim.Network.Arena.create ())) in
   (* Sanity: arena reuse + early exit stay deterministic across runs. *)
-  let reports = Sim.Batch.run ~tolerance ~cycles model solutions in
-  let reports2 = Sim.Batch.run ~tolerance ~cycles model solutions in
+  let reports = batch (Sim.Network.Arena.domain ()) in
+  let reports2 = batch (Sim.Network.Arena.domain ()) in
   List.iter2
     (fun (a : Sim.Network.report) (b : Sim.Network.report) ->
       if Int64.bits_of_float a.latency_p95 <> Int64.bits_of_float b.latency_p95

@@ -14,9 +14,10 @@ let mesh_arg =
     match String.split_on_char 'x' (String.lowercase_ascii s) with
     | [ r; c ] -> (
         match (int_of_string_opt r, int_of_string_opt c) with
-        | Some rows, Some cols when rows >= 1 && cols >= 1 ->
+        | Some rows, Some cols
+          when rows >= 1 && cols >= 1 && (rows > 1 || cols > 1) ->
             Ok (Noc.Mesh.create ~rows ~cols)
-        | _ -> Error (`Msg "expected ROWSxCOLS"))
+        | _ -> Error (`Msg "expected ROWSxCOLS with at least two cores"))
     | _ -> Error (`Msg "expected ROWSxCOLS")
   in
   let print ppf m =
@@ -71,15 +72,42 @@ let nonneg_int_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Strictly positive finite floats ("--rate 0" and "--rate nan" must
+   die with a one-line error). *)
+let pos_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0. && Float.is_finite f -> Ok f
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a positive number" s))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A finite weight band 0 < LO <= HI, checked by [Workload.weight]. *)
+let weight_conv =
+  let pair = Arg.conv_parser Arg.(pair ~sep:',' float float) in
+  let parse s =
+    Result.bind (pair s) (fun (lo, hi) ->
+        try Ok (Traffic.Workload.weight ~lo ~hi)
+        with Invalid_argument _ ->
+          Error
+            (`Msg (Printf.sprintf "%s is not a finite band 0 < LO <= HI" s)))
+  in
+  let print ppf (w : Traffic.Workload.weight) =
+    Format.fprintf ppf "%g,%g" w.w_lo w.w_hi
+  in
+  Arg.conv (parse, print)
+
 let n_t =
   Arg.(
-    value & opt int 20
+    value
+    & opt nonneg_int_conv 20
     & info [ "n"; "count" ] ~doc:"Number of random communications.")
 
 let weight_t =
   Arg.(
     value
-    & opt (pair ~sep:',' float float) (100., 2500.)
+    & opt weight_conv Traffic.Workload.mixed
     & info [ "weights" ] ~docv:"LO,HI"
         ~doc:"Uniform weight band in Mb/s (default 100,2500).")
 
@@ -90,61 +118,112 @@ let file_t =
     & info [ "file" ] ~docv:"PATH"
         ~doc:"Read the instance from a problem file instead of drawing it.")
 
-let load_instance mesh seed n (lo, hi) file =
+(* The instance a command routes: read from [--file], or the workload
+   drawn from the seed's stream after skipping [skip] earlier draws. A
+   bad file prints one error line and exits 1. *)
+let load_instance ?(skip = 0) mesh seed n weight file =
   match file with
   | Some path -> (
       match Harness.Problem.parse_file path with
-      | Ok p -> Ok (p.Harness.Problem.mesh, p.comms)
-      | Error m -> Error m)
+      | Ok p -> (p.Harness.Problem.mesh, p.comms)
+      | Error m ->
+          Printf.eprintf "error: %s\n" m;
+          exit 1)
   | None ->
       let rng = Traffic.Rng.create seed in
-      let weight = Traffic.Workload.weight ~lo ~hi in
-      Ok (mesh, Traffic.Workload.uniform rng mesh ~n ~weight)
+      let draw () = Traffic.Workload.uniform rng mesh ~n ~weight in
+      for _ = 1 to skip do
+        ignore (draw ())
+      done;
+      (mesh, draw ())
 
-(* ---------------- route ---------------- *)
+let kill_t =
+  Arg.(
+    value
+    & opt nonneg_int_conv 0
+    & info [ "kill" ] ~docv:"N"
+        ~doc:
+          "Kill N random links (connectivity-preserving, seeded from \
+           $(b,--seed)) before routing; heuristics detour around the \
+           damage.")
 
-(* Every engine family living above the core registry, reachable by name
-   through {!Routing.Heuristic.find_extended}: the natively fault-aware
-   Optim engines (s-MP and PathFinder) and the fault-oblivious reference
-   extensions ([of_plain] bolts the degradation-aware repair pass onto
-   those so --kill works there too). *)
-let () =
-  Routing.Heuristic.register Optim.Smp.find;
-  Routing.Heuristic.register Optim.Pathfinder.find;
-  Routing.Heuristic.register Optim.Recover.find;
-  Routing.Heuristic.register Optim.Online.find;
-  Routing.Heuristic.register (fun name ->
+(* The [--kill] damage, keyed off the seed and printed; [None] for 0. *)
+let kill_fault seed kill mesh =
+  if kill = 0 then None
+  else begin
+    let rng = Traffic.Rng.of_key "cli-kill" [ Int64.of_int seed ] in
+    let f =
+      Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:kill mesh
+    in
+    Format.printf "%a@." Noc.Fault.pp f;
+    Some f
+  end
+
+(* Every policy the CLI can name, resolved by the first finder that
+   knows the spelling: the paper's six, the natively fault-aware Optim
+   engines, then the fault-oblivious reference extensions ([of_plain]
+   bolts the degradation-aware repair pass onto those so --kill works
+   there too). *)
+let finders =
+  [
+    Routing.Heuristic.find;
+    Optim.Smp.find;
+    Optim.Pathfinder.find;
+    Optim.Recover.find;
+    Optim.Online.find;
+    (fun name ->
       match String.uppercase_ascii name with
       | "SA" ->
           Some
             (Routing.Heuristic.of_plain ~name:"SA"
                ~description:"simulated annealing (reference)"
                (fun model mesh comms -> Routing.Annealer.route mesh model comms))
-      | "PRMP2" | "PRMP4" ->
-          let s = if String.uppercase_ascii name = "PRMP2" then 2 else 4 in
+      | ("PRMP2" | "PRMP4") as name ->
+          let s = if name = "PRMP2" then 2 else 4 in
           Some
-            (Routing.Heuristic.of_plain
-               ~name:(String.uppercase_ascii name)
+            (Routing.Heuristic.of_plain ~name
                ~description:"multi-path path remover"
                (fun _model mesh comms ->
                  Routing.Path_remover.route_multipath ~s mesh comms))
-      | _ -> None)
+      | _ -> None);
+  ]
+
+(* [--heuristic]: [keyword] ([all] or [best]) parses to [None] and stands
+   for the paper's six; any other name must resolve through [finders]. *)
+let heuristic_t ~keyword ~doc =
+  let parse name =
+    if String.lowercase_ascii name = keyword then Ok None
+    else
+      match List.find_map (fun find -> find name) finders with
+      | Some h -> Ok (Some h)
+      | None -> Error (`Msg (Printf.sprintf "unknown heuristic %s" name))
+  in
+  let print ppf = function
+    | None -> Format.pp_print_string ppf keyword
+    | Some (h : Routing.Heuristic.t) -> Format.pp_print_string ppf h.name
+  in
+  Arg.(value & opt (conv (parse, print)) None & info [ "heuristic" ] ~doc)
+
+(* Every subcommand runs behind one error boundary: an output that cannot
+   be written or a sidecar that cannot resume ends it with one [error:]
+   line and exit 1; any other exception still reaches cmdliner. *)
+let command name ~doc term =
+  Cmd.v (Cmd.info name ~doc) Term.(const Harness.Runner.exit_on_error $ term)
+
+(* ---------------- route ---------------- *)
 
 let route_cmd =
   let heuristic_t =
-    Arg.(
-      value & opt string "all"
-      & info [ "heuristic" ]
-          ~doc:
-            "One of XY, SG, IG, TB, XYI, PR, $(b,all) (the paper's six), \
-             or the extensions SA (simulated annealing), PRMP2/PRMP4 \
-             (multi-path path remover), SMP$(i,s) — e.g. smp4 — \
-             (flow-guided s-MP: Frank-Wolfe flow rounded onto at most s \
-             paths per communication), PF$(i,n) — e.g. pf, pf16 — \
-             (negotiated-congestion PathFinder rip-up-and-reroute, at \
-             most n iterations) and REC$(i,n) — e.g. rec, rec8 — (live \
-             recovery surviving an n-event fault schedule derived from \
-             the workload).")
+    heuristic_t ~keyword:"all"
+      ~doc:
+        "One of XY, SG, IG, TB, XYI, PR, $(b,all) (the paper's six), or \
+         the extensions SA (simulated annealing), PRMP2/PRMP4 (multi-path \
+         path remover), SMP$(i,s) — e.g. smp4 — \
+         (flow-guided s-MP: Frank-Wolfe flow rounded onto at most s paths \
+         per communication), PF$(i,n) — e.g. pf, pf16 — \
+         (negotiated-congestion PathFinder rip-up-and-reroute, at most n \
+         iterations) and REC$(i,n) — e.g. rec, rec8 — (live recovery \
+         surviving an n-event fault schedule derived from the workload)."
   in
   let sim_t =
     Arg.(
@@ -161,92 +240,57 @@ let route_cmd =
       & info [ "heatmap" ]
           ~doc:"Print an ASCII link-load map of the best feasible routing.")
   in
-  let kill_t =
-    Arg.(
-      value
-      & opt nonneg_int_conv 0
-      & info [ "kill" ] ~docv:"N"
-          ~doc:
-            "Kill N random links (connectivity-preserving, seeded from \
-             $(b,--seed)) before routing; heuristics detour around the \
-             damage.")
-  in
-  let run mesh model seed n weights file heuristic sim paths heatmap kill =
-    match load_instance mesh seed n weights file with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok (mesh, comms) ->
-        Format.printf "%d communications on %a, %a@." (List.length comms)
-          Noc.Mesh.pp mesh Power.Model.pp model;
-        let fault =
-          if kill = 0 then None
-          else begin
-            let rng = Traffic.Rng.of_key "cli-kill" [ Int64.of_int seed ] in
-            let f =
-              Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:kill
-                mesh
-            in
-            Format.printf "%a@." Noc.Fault.pp f;
-            Some f
-          end
-        in
-        let heuristics =
-          if heuristic = "all" then Routing.Heuristic.all
-          else
-            match Routing.Heuristic.find_extended heuristic with
-            | Some h -> [ h ]
-            | None ->
-                Printf.eprintf "unknown heuristic %s\n" heuristic;
-                exit 1
-        in
-        let outcomes =
-          Routing.Best.run_all ~heuristics ?fault model mesh comms
-        in
-        List.iter
-          (fun (o : Routing.Best.outcome) ->
-            Format.printf "%-4s %a@." o.heuristic.name
-              Routing.Evaluate.pp_report o.report;
-            if paths then
+  let run mesh model seed n weight file heuristic sim paths heatmap kill () =
+    let mesh, comms = load_instance mesh seed n weight file in
+    Format.printf "%d communications on %a, %a@." (List.length comms)
+      Noc.Mesh.pp mesh Power.Model.pp model;
+    let fault = kill_fault seed kill mesh in
+    let heuristics =
+      match heuristic with None -> Routing.Heuristic.all | Some h -> [ h ]
+    in
+    let outcomes =
+      Routing.Best.run_all ~heuristics ?fault model mesh comms
+    in
+    List.iter
+      (fun (o : Routing.Best.outcome) ->
+        Format.printf "%-4s %a@." o.heuristic.name
+          Routing.Evaluate.pp_report o.report;
+        if paths then
+          List.iter
+            (fun (r : Routing.Solution.route) ->
               List.iter
-                (fun (r : Routing.Solution.route) ->
-                  List.iter
-                    (fun (p, share) ->
-                      Format.printf "      %g via %a@." share Noc.Path.pp p)
-                    r.paths;
-                  List.iter
-                    (fun (w, share) ->
-                      Format.printf "      %g via detour %a@." share Noc.Walk.pp
-                        w)
-                    r.detours)
-                (Routing.Solution.routes o.solution))
-          outcomes;
-        (match Routing.Best.best_of outcomes with
-        | Some best ->
-            Format.printf "BEST %s %a@." best.heuristic.name
-              Routing.Evaluate.pp_report best.report;
-            if heatmap then
-              print_string
-                (Harness.Render.heatmap
-                   ~capacity:model.Power.Model.capacity
-                   (Routing.Solution.loads best.solution));
-            if sim then begin
-              let v = Sim.Validate.run model best.solution in
-              Format.printf "%a@." Sim.Network.pp_report v.Sim.Validate.report;
-              Format.printf "sim verdict: %s@."
-                (if v.all_delivered then "all rates delivered"
-                 else "under-delivery detected")
-            end
-        | None -> Format.printf "BEST: no feasible routing found@.")
+                (fun (p, share) ->
+                  Format.printf "      %g via %a@." share Noc.Path.pp p)
+                r.paths;
+              List.iter
+                (fun (w, share) ->
+                  Format.printf "      %g via detour %a@." share Noc.Walk.pp
+                    w)
+                r.detours)
+            (Routing.Solution.routes o.solution))
+      outcomes;
+    (match Routing.Best.best_of outcomes with
+    | Some best ->
+        Format.printf "BEST %s %a@." best.heuristic.name
+          Routing.Evaluate.pp_report best.report;
+        if heatmap then
+          print_string
+            (Harness.Render.heatmap
+               ~capacity:model.Power.Model.capacity
+               (Routing.Solution.loads best.solution));
+        if sim then begin
+          let v = Sim.Validate.run model best.solution in
+          Format.printf "%a@." Sim.Network.pp_report v.Sim.Validate.report;
+          Format.printf "sim verdict: %s@."
+            (if v.all_delivered then "all rates delivered"
+             else "under-delivery detected")
+        end
+    | None -> Format.printf "BEST: no feasible routing found@.")
   in
-  let term =
+  command "route" ~doc:"Route an instance with the paper's heuristics"
     Term.(
       const run $ mesh_t $ model_t $ seed_t $ n_t $ weight_t $ file_t
       $ heuristic_t $ sim_t $ verbose_t $ heatmap_t $ kill_t)
-  in
-  Cmd.v
-    (Cmd.info "route" ~doc:"Route an instance with the paper's heuristics")
-    term
 
 (* ---------------- generate ---------------- *)
 
@@ -257,17 +301,13 @@ let generate_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"PATH" ~doc:"Output problem file.")
   in
-  let run mesh seed n weights out =
-    match load_instance mesh seed n weights None with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok (mesh, comms) ->
-        Harness.Problem.save out { Harness.Problem.mesh; comms };
-        Printf.printf "wrote %s (%d communications)\n" out (List.length comms)
+  let run mesh seed n weight out () =
+    let mesh, comms = load_instance mesh seed n weight None in
+    Harness.Problem.save out { Harness.Problem.mesh; comms };
+    Printf.printf "wrote %s (%d communications)\n" out (List.length comms)
   in
-  let term = Term.(const run $ mesh_t $ seed_t $ n_t $ weight_t $ out_t) in
-  Cmd.v (Cmd.info "generate" ~doc:"Write a random problem file") term
+  command "generate" ~doc:"Write a random problem file"
+    Term.(const run $ mesh_t $ seed_t $ n_t $ weight_t $ out_t)
 
 (* ---------------- figure ---------------- *)
 
@@ -351,7 +391,7 @@ let figure_cmd =
              decomposition of the best solution. Byte-identical for every \
              $(b,--jobs) value. Default: MANROUTE_AUDIT when set.")
   in
-  let run id trials csv seed jobs checkpoint trace progress audit =
+  let run id trials csv seed jobs checkpoint trace progress audit () =
     let figures =
       if String.lowercase_ascii id = "all" then Harness.Figure.all
       else
@@ -368,7 +408,6 @@ let figure_cmd =
         exit 1
     | _ -> ());
     let acc = Harness.Summary.create () in
-    Harness.Runner.exit_on_error @@ fun () ->
     Harness.Telemetry.tracing (Harness.Telemetry.trace_file ?cli:trace ())
     @@ fun () ->
     List.iter
@@ -404,14 +443,10 @@ let figure_cmd =
       figures;
     Format.printf "%a@." Harness.Summary.pp (Harness.Summary.finalize acc)
   in
-  let term =
+  command "figure" ~doc:"Reproduce a simulation figure of the paper"
     Term.(
       const run $ id_t $ trials_t $ csv_t $ seed_t $ jobs_t $ checkpoint_t
       $ trace_t $ progress_t $ audit_t)
-  in
-  Cmd.v
-    (Cmd.info "figure" ~doc:"Reproduce a simulation figure of the paper")
-    term
 
 (* ---------------- pareto ---------------- *)
 
@@ -499,13 +534,13 @@ let pareto_cmd =
         Optim.Recover.heuristic ~events:4 ();
       ]
   in
-  let run mesh model seed n weights trials jobs cycles tolerance kills csv =
+  let run mesh model seed n weight trials jobs cycles tolerance kills csv () =
     if not (Float.is_finite tolerance) || tolerance < 0. then begin
       Printf.eprintf "error: --sim-tolerance must be a non-negative float\n";
       exit 1
     end;
-    let lo, hi = weights in
-    let weight = Traffic.Workload.weight ~lo ~hi in
+    (* Opened first, so an unwritable path fails before the exploration. *)
+    let csv_out = Option.map (fun path -> (path, open_out path)) csv in
     let points = design_points model in
     let budget =
       {
@@ -586,40 +621,33 @@ let pareto_cmd =
     List.iter
       (fun p -> Format.printf "  %a@." Optim.Pareto.pp_point p)
       merged;
-    match csv with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
+    Option.iter
+      (fun (path, oc) ->
         output_string oc (Buffer.contents csv_buf);
         close_out oc;
-        Format.printf "csv: %s@." path
+        Format.printf "csv: %s@." path)
+      csv_out
   in
-  let term =
+  command "pareto"
+    ~doc:
+      "Explore the power x latency x resilience design space: every design \
+       point scored on model power, simulated p50/p95 latency and the \
+       fault-degradation slope, with per-trial and merged non-dominated \
+       fronts"
     Term.(
       const run $ mesh_t $ model_t $ seed_t $ n_t $ weight_t $ trials_t
       $ jobs_t $ cycles_t $ tolerance_t $ kills_t $ csv_t)
-  in
-  Cmd.v
-    (Cmd.info "pareto"
-       ~doc:
-         "Explore the power x latency x resilience design space: every \
-          registered heuristic point scored on model power, simulated \
-          p50/p95 latency and the fault-degradation slope, with per-trial \
-          and merged non-dominated fronts")
-    term
 
 (* ---------------- inspect ---------------- *)
 
 let inspect_cmd =
   let heuristic_t =
-    Arg.(
-      value & opt string "best"
-      & info [ "heuristic" ]
-          ~doc:
-            "Routing policy to probe: $(b,best) (cheapest feasible of the \
-             paper's six; falls back to the least-overloaded attempt when \
-             none is feasible) or any name the $(b,route) command accepts \
-             (XY, SG, ..., smp4, pf, rec8, ...).")
+    heuristic_t ~keyword:"best"
+      ~doc:
+        "Routing policy to probe: $(b,best) (cheapest feasible of the \
+         paper's six; falls back to the least-overloaded attempt when none \
+         is feasible) or any name the $(b,route) command accepts (XY, SG, \
+         ..., smp4, pf, rec8, ...)."
   in
   let trial_t =
     Arg.(
@@ -631,15 +659,6 @@ let inspect_cmd =
              inspect the (N+1)-th — the same sequence a sequential \
              experiment draws from one generator, so pinned bench \
              instances (E22/E23's seed 313) can be replayed by index.")
-  in
-  let kill_t =
-    Arg.(
-      value
-      & opt nonneg_int_conv 0
-      & info [ "kill" ] ~docv:"N"
-          ~doc:
-            "Kill N random links (connectivity-preserving, seeded from \
-             $(b,--seed)) before routing, as in $(b,route).")
   in
   let json_t =
     Arg.(
@@ -657,175 +676,133 @@ let inspect_cmd =
       & info [ "top" ] ~docv:"K"
           ~doc:"Communications to list in the attribution table (default 5).")
   in
-  let run mesh model seed n weights file heuristic trial kill json top =
-    let instance =
-      match file with
-      | Some path -> (
-          match Harness.Problem.parse_file path with
-          | Ok p -> Ok (p.Harness.Problem.mesh, p.comms)
-          | Error m -> Error m)
-      | None ->
-          let lo, hi = weights in
-          let rng = Traffic.Rng.create seed in
-          let weight = Traffic.Workload.weight ~lo ~hi in
-          let draw () = Traffic.Workload.uniform rng mesh ~n ~weight in
-          for _ = 1 to trial do
-            ignore (draw ())
-          done;
-          Ok (mesh, draw ())
+  let run mesh model seed n weight file heuristic trial kill json top () =
+    let mesh, comms = load_instance ~skip:trial mesh seed n weight file in
+    Format.printf "%d communications on %a, %a (seed %d, trial %d)@."
+      (List.length comms) Noc.Mesh.pp mesh Power.Model.pp model seed trial;
+    let fault = kill_fault seed kill mesh in
+    let heuristics =
+      match heuristic with None -> Routing.Heuristic.all | Some h -> [ h ]
     in
-    match instance with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok (mesh, comms) ->
-        Format.printf "%d communications on %a, %a (seed %d, trial %d)@."
-          (List.length comms) Noc.Mesh.pp mesh Power.Model.pp model seed trial;
-        let fault =
-          if kill = 0 then None
-          else begin
-            let rng = Traffic.Rng.of_key "cli-kill" [ Int64.of_int seed ] in
-            let f =
-              Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:kill
-                mesh
-            in
-            Format.printf "%a@." Noc.Fault.pp f;
-            Some f
-          end
-        in
-        let heuristics =
-          if String.lowercase_ascii heuristic = "best" then
-            Routing.Heuristic.all
-          else
-            match Routing.Heuristic.find_extended heuristic with
-            | Some h -> [ h ]
-            | None ->
-                Printf.eprintf "unknown heuristic %s\n" heuristic;
-                exit 1
-        in
-        (* The campaign's attempt step, heuristic by heuristic, so the
-           engines' notes (negotiation, recovery timeline) print next to
-           the cell that produced them. *)
-        let attempts =
-          List.map (Harness.Runner.attempt ?fault model mesh comms) heuristics
-        in
-        List.iter
-          (fun (a : Harness.Runner.attempt) ->
-            let name = a.heuristic.Routing.Heuristic.name in
-            (match a.outcome with
-            | Ok o ->
-                Format.printf "%-5s %a@." name Routing.Evaluate.pp_report
-                  o.report
-            | Error m -> Format.printf "%-5s error: %s@." name m);
-            match a.note with
-            | Some (Optim.Pathfinder.Negotiation n) ->
-                Format.printf
-                  "      negotiation: %d iterations, %d rips, %s@."
-                  n.a_iterations n.a_rips
-                  (if n.a_kept then "result kept" else "fell back to base")
-            | Some (Optim.Recover.Reports reports) ->
-                List.iteri
-                  (fun i (r : Optim.Recover.report) ->
-                    Format.printf
-                      "      event %2d: %-28s rung %d | live %d | shed %d@."
-                      (i + 1)
-                      (Format.asprintf "%a" Noc.Fault.Schedule.pp_event
-                         r.Optim.Recover.event)
-                      r.rung r.live
-                      (List.length r.shed_now))
-                  reports
-            | _ -> ())
-          attempts;
-        let outcomes =
-          List.filter_map
-            (fun (a : Harness.Runner.attempt) -> Result.to_option a.outcome)
-            attempts
-        in
-        let chosen =
-          match Routing.Best.best_of outcomes with
-          | Some o -> Some (o, "best feasible")
-          | None ->
-              (* Probing an infeasible attempt is the point when nothing is
-                 feasible: the blame sets say which links to negotiate
-                 away. Pick the attempt closest to feasibility. *)
-              List.fold_left
-                (fun acc (o : Routing.Best.outcome) ->
-                  match acc with
-                  | Some ((b : Routing.Best.outcome), _)
-                    when List.length b.report.Routing.Evaluate.overloaded
-                         <= List.length o.report.Routing.Evaluate.overloaded
-                    -> acc
-                  | _ -> Some (o, "least overloaded; no feasible routing"))
-                None outcomes
-        in
-        (match chosen with
-        | None ->
-            Printf.eprintf "every heuristic errored\n";
-            exit 1
-        | Some (o, label) ->
-            let probe = Routing.Probe.solution ?fault model o.solution in
-            Format.printf "@.probe of %s (%s)@.%a@."
-              o.heuristic.Routing.Heuristic.name label Routing.Probe.pp probe;
-            Format.printf "@.link loads:@.%s"
-              (Harness.Render.heatmap ~capacity:model.Power.Model.capacity
-                 (Routing.Solution.loads ?fault o.solution));
-            Format.printf "@.link power:@.%s"
-              (Harness.Render.power_heatmap probe);
-            let rows =
-              List.sort
-                (fun (a : Routing.Probe.comm_row) (b : Routing.Probe.comm_row) ->
-                  compare b.attributed a.attributed)
-                probe.Routing.Probe.comms
-            in
-            Format.printf "@.top communications by attributed power:@.";
+    (* The campaign's attempt step, heuristic by heuristic, so the
+       engines' notes (negotiation, recovery timeline) print next to
+       the cell that produced them. *)
+    let attempts =
+      List.map (Harness.Runner.attempt ?fault model mesh comms) heuristics
+    in
+    List.iter
+      (fun (a : Harness.Runner.attempt) ->
+        let name = a.heuristic.Routing.Heuristic.name in
+        (match a.outcome with
+        | Ok o ->
+            Format.printf "%-5s %a@." name Routing.Evaluate.pp_report
+              o.report
+        | Error m -> Format.printf "%-5s error: %s@." name m);
+        match a.note with
+        | Some (Optim.Pathfinder.Negotiation n) ->
+            Format.printf
+              "      negotiation: %d iterations, %d rips, %s@."
+              n.a_iterations n.a_rips
+              (if n.a_kept then "result kept" else "fell back to base")
+        | Some (Optim.Recover.Reports reports) ->
             List.iteri
-              (fun i (c : Routing.Probe.comm_row) ->
-                if i < top then
-                  Format.printf
-                    "  #%-3d %s->%s %7.1f Mb/s | %9.2f mW over %d links%s@."
-                    c.comm.Traffic.Communication.id
-                    (Noc.Coord.to_string c.comm.Traffic.Communication.src)
-                    (Noc.Coord.to_string c.comm.Traffic.Communication.snk)
-                    c.comm.Traffic.Communication.rate c.attributed
-                    (List.length c.links)
-                    (if c.convicted = [] then ""
-                     else
-                       Printf.sprintf " | convicted on %s"
-                         (String.concat ","
-                            (List.map
-                               (fun id -> "#" ^ string_of_int id)
-                               c.convicted))))
-              rows;
-            match json with
-            | None -> ()
-            | Some path ->
-                let open Harness.Audit.Json in
-                Harness.Audit.write_inspect_file ~path
-                  ~meta:
-                    [
-                      ("mesh", Str (Format.asprintf "%a" Noc.Mesh.pp mesh));
-                      ("model", Str (Format.asprintf "%a" Power.Model.pp model));
-                      ("seed", Int seed);
-                      ("trial", Int trial);
-                      ("n", Int (List.length comms));
-                      ("kill", Int kill);
-                      ( "heuristic",
-                        Str o.heuristic.Routing.Heuristic.name );
-                    ]
-                  probe;
-                Format.printf "@.json: %s@." path)
+              (fun i (r : Optim.Recover.report) ->
+                Format.printf
+                  "      event %2d: %-28s rung %d | live %d | shed %d@."
+                  (i + 1)
+                  (Format.asprintf "%a" Noc.Fault.Schedule.pp_event
+                     r.Optim.Recover.event)
+                  r.rung r.live
+                  (List.length r.shed_now))
+              reports
+        | _ -> ())
+      attempts;
+    let outcomes =
+      List.filter_map
+        (fun (a : Harness.Runner.attempt) -> Result.to_option a.outcome)
+        attempts
+    in
+    let chosen =
+      match Routing.Best.best_of outcomes with
+      | Some o -> Some (o, "best feasible")
+      | None ->
+          (* Probing an infeasible attempt is the point when nothing is
+             feasible: the blame sets say which links to negotiate
+             away. Pick the attempt closest to feasibility. *)
+          List.fold_left
+            (fun acc (o : Routing.Best.outcome) ->
+              match acc with
+              | Some ((b : Routing.Best.outcome), _)
+                when List.length b.report.Routing.Evaluate.overloaded
+                     <= List.length o.report.Routing.Evaluate.overloaded
+                -> acc
+              | _ -> Some (o, "least overloaded; no feasible routing"))
+            None outcomes
+    in
+    (match chosen with
+    | None ->
+        Printf.eprintf "every heuristic errored\n";
+        exit 1
+    | Some (o, label) ->
+        let probe = Routing.Probe.solution ?fault model o.solution in
+        Format.printf "@.probe of %s (%s)@.%a@."
+          o.heuristic.Routing.Heuristic.name label Routing.Probe.pp probe;
+        Format.printf "@.link loads:@.%s"
+          (Harness.Render.heatmap ~capacity:model.Power.Model.capacity
+             (Routing.Solution.loads ?fault o.solution));
+        Format.printf "@.link power:@.%s"
+          (Harness.Render.power_heatmap probe);
+        let rows =
+          List.sort
+            (fun (a : Routing.Probe.comm_row) (b : Routing.Probe.comm_row) ->
+              compare b.attributed a.attributed)
+            probe.Routing.Probe.comms
+        in
+        Format.printf "@.top communications by attributed power:@.";
+        List.iteri
+          (fun i (c : Routing.Probe.comm_row) ->
+            if i < top then
+              Format.printf
+                "  #%-3d %s->%s %7.1f Mb/s | %9.2f mW over %d links%s@."
+                c.comm.Traffic.Communication.id
+                (Noc.Coord.to_string c.comm.Traffic.Communication.src)
+                (Noc.Coord.to_string c.comm.Traffic.Communication.snk)
+                c.comm.Traffic.Communication.rate c.attributed
+                (List.length c.links)
+                (if c.convicted = [] then ""
+                 else
+                   Printf.sprintf " | convicted on %s"
+                     (String.concat ","
+                        (List.map
+                           (fun id -> "#" ^ string_of_int id)
+                           c.convicted))))
+          rows;
+        match json with
+        | None -> ()
+        | Some path ->
+            let open Harness.Audit.Json in
+            Harness.Audit.write_inspect_file ~path
+              ~meta:
+                [
+                  ("mesh", Str (Format.asprintf "%a" Noc.Mesh.pp mesh));
+                  ("model", Str (Format.asprintf "%a" Power.Model.pp model));
+                  ("seed", Int seed);
+                  ("trial", Int trial);
+                  ("n", Int (List.length comms));
+                  ("kill", Int kill);
+                  ( "heuristic",
+                    Str o.heuristic.Routing.Heuristic.name );
+                ]
+              probe;
+            Format.printf "@.json: %s@." path)
   in
-  let term =
+  command "inspect"
+    ~doc:
+      "Decompose a routing: per-link power grid, per-communication \
+       attribution, overload blame"
     Term.(
       const run $ mesh_t $ model_t $ seed_t $ n_t $ weight_t $ file_t
       $ heuristic_t $ trial_t $ kill_t $ json_t $ top_t)
-  in
-  Cmd.v
-    (Cmd.info "inspect"
-       ~doc:
-         "Decompose a routing: per-link power grid, per-communication \
-          attribution, overload blame")
-    term
 
 (* ---------------- recover ---------------- *)
 
@@ -861,116 +838,93 @@ let recover_cmd =
              shedding.")
   in
   let heuristic_t =
-    Arg.(
-      value & opt string "best"
-      & info [ "heuristic" ]
-          ~doc:
-            "Initial routing policy: $(b,best) (cheapest feasible of the \
-             paper's six) or any name the $(b,route) command accepts.")
+    heuristic_t ~keyword:"best"
+      ~doc:
+        "Initial routing policy: $(b,best) (cheapest feasible of the \
+         paper's six) or any name the $(b,route) command accepts."
   in
-  let run mesh model seed n weights file events kill budget heuristic =
-    match load_instance mesh seed n weights file with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok (mesh, comms) ->
-        let rng = Traffic.Rng.of_key "cli-recover" [ Int64.of_int seed ] in
-        let fault =
-          if kill = 0 then None
-          else begin
-            let f =
-              Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:kill
-                mesh
-            in
-            Format.printf "initial damage: %a@." Noc.Fault.pp f;
-            Some f
-          end
+  let run mesh model seed n weight file events kill budget heuristic () =
+    let mesh, comms = load_instance mesh seed n weight file in
+    let rng = Traffic.Rng.of_key "cli-recover" [ Int64.of_int seed ] in
+    let fault =
+      if kill = 0 then None
+      else begin
+        let f =
+          Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:kill
+            mesh
         in
-        let solution =
-          if String.lowercase_ascii heuristic = "best" then
-            match Routing.Best.route ?fault model mesh comms with
-            | Some o -> o.Routing.Best.solution
-            | None ->
-                Printf.eprintf
-                  "no heuristic routes the instance feasibly; pick one with \
-                   --heuristic to start from its best effort\n";
-                exit 1
-          else
-            match Routing.Heuristic.find_extended heuristic with
-            | Some h -> h.Routing.Heuristic.run ?fault model mesh comms
-            | None ->
-                Printf.eprintf "unknown heuristic %s\n" heuristic;
-                exit 1
-        in
-        let schedule =
-          Noc.Fault.Schedule.random ?init:fault
-            ~choose:(Traffic.Rng.int rng) ~events mesh
-        in
+        Format.printf "initial damage: %a@." Noc.Fault.pp f;
+        Some f
+      end
+    in
+    let solution =
+      match heuristic with
+      | Some h -> h.Routing.Heuristic.run ?fault model mesh comms
+      | None -> (
+          match Routing.Best.route ?fault model mesh comms with
+          | Some o -> o.Routing.Best.solution
+          | None ->
+              Printf.eprintf
+                "no heuristic routes the instance feasibly; pick one with \
+                 --heuristic to start from its best effort\n";
+              exit 1)
+    in
+    let schedule =
+      Noc.Fault.Schedule.random ?init:fault
+        ~choose:(Traffic.Rng.int rng) ~events mesh
+    in
+    Format.printf
+      "%d communications on %a, %a; surviving %d events@."
+      (List.length comms) Noc.Mesh.pp mesh Power.Model.pp model events;
+    let t, reports = Optim.Recover.run ?fault ?budget model solution schedule in
+    let total = List.length comms in
+    List.iteri
+      (fun i (r : Optim.Recover.report) ->
         Format.printf
-          "%d communications on %a, %a; surviving %d events@."
-          (List.length comms) Noc.Mesh.pp mesh Power.Model.pp model events;
-        let t, reports = Optim.Recover.run ?fault ?budget model solution schedule in
-        let total = List.length comms in
-        List.iteri
-          (fun i (r : Optim.Recover.report) ->
-            Format.printf
-              "event %2d: %-28s rung %d | live %d/%d | power %8.1f mW \
-               (%+.1f)@."
-              (i + 1)
-              (Format.asprintf "%a" Noc.Fault.Schedule.pp_event
-                 r.Optim.Recover.event)
-              r.rung r.live total r.power_after
-              (r.power_after -. r.power_before);
-            List.iter
-              (fun (s : Optim.Recover.shed) ->
-                Format.printf "          shed %a (%a)@."
-                  Traffic.Communication.pp s.Optim.Recover.comm
-                  Optim.Recover.pp_reason s.Optim.Recover.reason)
-              r.shed_now;
-            List.iter
-              (fun c ->
-                Format.printf "          readmitted %a@."
-                  Traffic.Communication.pp c)
-              r.readmitted)
-          reports;
-        let final = Optim.Recover.solution t in
-        let report =
-          Routing.Evaluate.solution ~fault:(Optim.Recover.fault t) model final
-        in
-        let live = List.length (Routing.Solution.routes final) in
-        Format.printf "final: %d/%d live (%.1f%% survival), %a@." live total
-          (if total = 0 then 100.
-           else 100. *. float_of_int live /. float_of_int total)
-          Routing.Evaluate.pp_report report;
+          "event %2d: %-28s rung %d | live %d/%d | power %8.1f mW \
+           (%+.1f)@."
+          (i + 1)
+          (Format.asprintf "%a" Noc.Fault.Schedule.pp_event
+             r.Optim.Recover.event)
+          r.rung r.live total r.power_after
+          (r.power_after -. r.power_before);
         List.iter
           (fun (s : Optim.Recover.shed) ->
-            Format.printf "  still shed: %a (%a)@." Traffic.Communication.pp
-              s.Optim.Recover.comm Optim.Recover.pp_reason
-              s.Optim.Recover.reason)
-          (Optim.Recover.shed t)
+            Format.printf "          shed %a (%a)@."
+              Traffic.Communication.pp s.Optim.Recover.comm
+              Optim.Recover.pp_reason s.Optim.Recover.reason)
+          r.shed_now;
+        List.iter
+          (fun c ->
+            Format.printf "          readmitted %a@."
+              Traffic.Communication.pp c)
+          r.readmitted)
+      reports;
+    let final = Optim.Recover.solution t in
+    let report =
+      Routing.Evaluate.solution ~fault:(Optim.Recover.fault t) model final
+    in
+    let live = List.length (Routing.Solution.routes final) in
+    Format.printf "final: %d/%d live (%.1f%% survival), %a@." live total
+      (if total = 0 then 100.
+       else 100. *. float_of_int live /. float_of_int total)
+      Routing.Evaluate.pp_report report;
+    List.iter
+      (fun (s : Optim.Recover.shed) ->
+        Format.printf "  still shed: %a (%a)@." Traffic.Communication.pp
+          s.Optim.Recover.comm Optim.Recover.pp_reason
+          s.Optim.Recover.reason)
+      (Optim.Recover.shed t)
   in
-  let term =
+  command "recover"
+    ~doc:"Survive a live fault-event schedule with incremental repair"
     Term.(
       const run $ mesh_t $ model_t $ seed_t $ n_t $ weight_t $ file_t
       $ events_t $ kill_t $ budget_t $ heuristic_t)
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:"Survive a live fault-event schedule with incremental repair")
-    term
 
 (* ---------------- serve ---------------- *)
 
 let serve_cmd =
-  let pos_float_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f > 0. && Float.is_finite f -> Ok f
-      | Some _ -> Error (`Msg (Printf.sprintf "%s is not a positive number" s))
-      | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   let nonneg_float_conv =
     let parse s =
       match float_of_string_opt s with
@@ -1036,111 +990,105 @@ let serve_cmd =
              (the always-awake baseline the saved column is measured \
              against).")
   in
-  let run mesh model seed n weights file rate events idle_epochs wake_penalty
-      profile no_sleep =
-    match load_instance mesh seed n weights file with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok (mesh, comms) ->
-        let rng = Traffic.Rng.of_key "cli-serve" [ Int64.of_int seed ] in
-        let resident = Traffic.Trace.persistent rng ~rate comms in
-        let id_base =
-          1
-          + List.fold_left
-              (fun m (c : Traffic.Communication.t) -> max m c.id)
-              (-1) comms
-        in
-        let lo, hi = weights in
-        let churn =
-          Traffic.Trace.generate ~id_base rng mesh ~profile ~arrivals:events
-            ~rate ~weight:(Traffic.Workload.weight ~lo ~hi)
-        in
-        let trace = Traffic.Trace.merge resident churn in
-        let t =
-          Optim.Online.create ?wake_penalty ~idle_epochs ~sleep:(not no_sleep)
-            model mesh
-        in
+  let run mesh model seed n weight file rate events idle_epochs wake_penalty
+      profile no_sleep () =
+    let mesh, comms = load_instance mesh seed n weight file in
+    (* A problem file may hold a one-core mesh, which has no churn pairs. *)
+    if events > 0 && Noc.Mesh.num_cores mesh < 2 then begin
+      prerr_endline "error: churn --events needs a mesh of two or more cores";
+      exit 1
+    end;
+    let rng = Traffic.Rng.of_key "cli-serve" [ Int64.of_int seed ] in
+    let resident = Traffic.Trace.persistent rng ~rate comms in
+    let id_base =
+      1
+      + List.fold_left
+          (fun m (c : Traffic.Communication.t) -> max m c.id)
+          (-1) comms
+    in
+    let churn =
+      Traffic.Trace.generate ~id_base rng mesh ~profile ~arrivals:events
+        ~rate ~weight
+    in
+    let trace = Traffic.Trace.merge resident churn in
+    let t =
+      Optim.Online.create ?wake_penalty ~idle_epochs ~sleep:(not no_sleep)
+        model mesh
+    in
+    Format.printf
+      "serving %d resident + %d churn communications on %a, %a (%a \
+       arrivals at rate %g, switch-off %s)@."
+      (List.length comms) events Noc.Mesh.pp mesh Power.Model.pp model
+      Traffic.Trace.pp_profile profile rate
+      (if no_sleep then "off" else "on");
+    let latencies = ref [] in
+    let ops =
+      List.map
+        (fun ev ->
+          let t0 = Harness.Runner.now_s () in
+          let op = Optim.Online.step t ev in
+          latencies :=
+            ((Harness.Runner.now_s () -. t0) *. 1e3) :: !latencies;
+          op)
+        trace
+    in
+    List.iter
+      (fun (op : Optim.Online.op) ->
         Format.printf
-          "serving %d resident + %d churn communications on %a, %a (%a \
-           arrivals at rate %g, switch-off %s)@."
-          (List.length comms) events Noc.Mesh.pp mesh Power.Model.pp model
-          Traffic.Trace.pp_profile profile rate
-          (if no_sleep then "off" else "on");
-        let latencies = ref [] in
-        let ops =
-          List.map
-            (fun ev ->
-              let t0 = Harness.Runner.now_s () in
-              let op = Optim.Online.step t ev in
-              latencies :=
-                ((Harness.Runner.now_s () -. t0) *. 1e3) :: !latencies;
-              op)
-            trace
-        in
+          "event %3d at %6.2f: %-12s rung %d | live %2d | power %8.1f mW \
+           (dyn %.1f, leak %.1f, idle %.1f, saved %.1f)%s@."
+          op.seq op.time
+          (match op.kind with
+          | Traffic.Trace.Arrive c ->
+              Printf.sprintf "arrive %d%s" c.Traffic.Communication.id
+                (if op.admitted then "" else " SHED")
+          | Traffic.Trace.Depart id -> Printf.sprintf "depart %d" id)
+          op.rung op.live
+          (Optim.Online.split_total op.power)
+          op.power.dynamic op.power.active_leak op.power.idle_leak
+          op.power.saved_leak
+          (match (op.wakes, op.sleeps) with
+          | 0, 0 -> ""
+          | w, s -> Printf.sprintf " | wakes %d sleeps %d" w s);
         List.iter
-          (fun (op : Optim.Online.op) ->
-            Format.printf
-              "event %3d at %6.2f: %-12s rung %d | live %2d | power %8.1f mW \
-               (dyn %.1f, leak %.1f, idle %.1f, saved %.1f)%s@."
-              op.seq op.time
-              (match op.kind with
-              | Traffic.Trace.Arrive c ->
-                  Printf.sprintf "arrive %d%s" c.Traffic.Communication.id
-                    (if op.admitted then "" else " SHED")
-              | Traffic.Trace.Depart id -> Printf.sprintf "depart %d" id)
-              op.rung op.live
-              (Optim.Online.split_total op.power)
-              op.power.dynamic op.power.active_leak op.power.idle_leak
-              op.power.saved_leak
-              (match (op.wakes, op.sleeps) with
-              | 0, 0 -> ""
-              | w, s -> Printf.sprintf " | wakes %d sleeps %d" w s);
-            List.iter
-              (fun (sh : Optim.Online.shed) ->
-                Format.printf "          shed %a (%a)@."
-                  Traffic.Communication.pp sh.Optim.Online.comm
-                  Optim.Recover.pp_reason sh.Optim.Online.reason)
-              op.shed_now;
-            List.iter
-              (fun c ->
-                Format.printf "          readmitted %a@."
-                  Traffic.Communication.pp c)
-              op.readmitted)
-          ops;
-        let s = Optim.Online.session t in
-        let p50, p95 =
-          Harness.Summary.quantiles (Array.of_list (List.rev !latencies))
-        in
-        Format.printf
-          "served %d events (%d arrivals, %d departures): %d admitted, %d \
-           shed, %d readmitted | peak live %d, final live %d, rung max %d@."
-          s.ops s.s_arrivals s.s_departures s.s_admitted s.s_shed
-          s.s_readmitted s.peak_live s.final_live s.rung_max;
-        Format.printf
-          "power over time: %.1f mW mean (always-awake %.1f mW, saved \
-           %.1f%%) | %d wakes, %d sleeps@."
-          s.mean_power s.mean_power_nosleep
-          (100. *. s.saved_ratio)
-          s.s_wakes s.s_sleeps;
-        Format.printf
-          "latency: p50 %.3f ms, p95 %.3f ms per event (work proxy p50 \
-           %.0f, p95 %.0f delta evals)@."
-          p50 p95 s.p50_work s.p95_work;
-        Format.printf "final: %a@." Routing.Evaluate.pp_report s.final
+          (fun (sh : Optim.Online.shed) ->
+            Format.printf "          shed %a (%a)@."
+              Traffic.Communication.pp sh.Optim.Online.comm
+              Optim.Recover.pp_reason sh.Optim.Online.reason)
+          op.shed_now;
+        List.iter
+          (fun c ->
+            Format.printf "          readmitted %a@."
+              Traffic.Communication.pp c)
+          op.readmitted)
+      ops;
+    let s = Optim.Online.session t in
+    let p50, p95 =
+      Harness.Summary.quantiles (Array.of_list (List.rev !latencies))
+    in
+    Format.printf
+      "served %d events (%d arrivals, %d departures): %d admitted, %d \
+       shed, %d readmitted | peak live %d, final live %d, rung max %d@."
+      s.ops s.s_arrivals s.s_departures s.s_admitted s.s_shed
+      s.s_readmitted s.peak_live s.final_live s.rung_max;
+    Format.printf
+      "power over time: %.1f mW mean (always-awake %.1f mW, saved \
+       %.1f%%) | %d wakes, %d sleeps@."
+      s.mean_power s.mean_power_nosleep
+      (100. *. s.saved_ratio)
+      s.s_wakes s.s_sleeps;
+    Format.printf
+      "latency: p50 %.3f ms, p95 %.3f ms per event (work proxy p50 \
+       %.0f, p95 %.0f delta evals)@."
+      p50 p95 s.p50_work s.p95_work;
+    Format.printf "final: %a@." Routing.Evaluate.pp_report s.final
   in
-  let term =
+  command "serve"
+    ~doc:"Serve a streaming arrival/departure trace with idle-link switch-off"
     Term.(
       const run $ mesh_t $ model_t $ seed_t $ n_t $ weight_t $ file_t
       $ rate_t $ events_t $ idle_epochs_t $ wake_penalty_t $ profile_t
       $ no_sleep_t)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve a streaming arrival/departure trace with idle-link \
-          switch-off")
-    term
 
 (* ---------------- pattern ---------------- *)
 
@@ -1156,13 +1104,14 @@ let pattern_cmd =
   in
   let rate_t =
     Arg.(
-      value & opt float 450.
-      & info [ "rate" ] ~doc:"Per-flow bandwidth in Mb/s.")
+      value
+      & opt pos_float_conv 450.
+      & info [ "rate" ] ~doc:"Per-flow bandwidth in Mb/s (must be positive).")
   in
   let heatmap_t =
     Arg.(value & flag & info [ "heatmap" ] ~doc:"Print load heatmaps.")
   in
-  let run mesh model name rate heatmap =
+  let run mesh model name rate heatmap () =
     match Traffic.Patterns.find name with
     | None ->
         Printf.eprintf "unknown pattern %s\n" name;
@@ -1188,10 +1137,8 @@ let pattern_cmd =
                    (Routing.Solution.loads o.solution)))
           (Routing.Best.run_all model mesh comms)
   in
-  let term = Term.(const run $ mesh_t $ model_t $ name_t $ rate_t $ heatmap_t) in
-  Cmd.v
-    (Cmd.info "pattern" ~doc:"Route a classical NoC traffic pattern")
-    term
+  command "pattern" ~doc:"Route a classical NoC traffic pattern"
+    Term.(const run $ mesh_t $ model_t $ name_t $ rate_t $ heatmap_t)
 
 (* ---------------- theory ---------------- *)
 
@@ -1236,9 +1183,7 @@ let theory_cmd =
           g.Theory.Np_gadget.bandwidth r.Routing.Evaluate.feasible
     | None -> Format.printf "  no partition@.")
   in
-  Cmd.v
-    (Cmd.info "theory" ~doc:"Print the Section 4 theory artifacts")
-    Term.(const run $ const ())
+  command "theory" ~doc:"Print the Section 4 theory artifacts" (Term.const run)
 
 (* ---------------- optimal ---------------- *)
 
@@ -1252,53 +1197,44 @@ let optimal_cmd =
             "Node budget for the branch-and-bound (default 5000000); a \
              typed timeout is reported instead of an unbounded search.")
   in
-  let run mesh model seed n weights file max_nodes =
-    match load_instance mesh seed n weights file with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok (mesh, comms) ->
-        Format.printf "exact 1-MP search on %a, %d communications@."
-          Noc.Mesh.pp mesh (List.length comms);
-        (match Optim.Exact.route ?max_nodes model mesh comms with
-        | Optim.Exact.Optimal (_, p) ->
-            Format.printf "optimal 1-MP power: %.3f mW@." p;
-            List.iter
-              (fun (o : Routing.Best.outcome) ->
-                match o.report.Routing.Evaluate.feasible with
-                | true ->
-                    Format.printf "  %-4s %.3f mW (gap %+.1f%%)@."
-                      o.heuristic.name o.report.total_power
-                      (100. *. (o.report.total_power -. p) /. p)
-                | false -> Format.printf "  %-4s failed@." o.heuristic.name)
-              (Routing.Best.run_all model mesh comms)
-        | Optim.Exact.Infeasible ->
-            Format.printf "instance proved infeasible for 1-MP@."
-        | Optim.Exact.Timeout { nodes; incumbent } ->
-            (match incumbent with
-            | Some (_, p) ->
-                Format.printf
-                  "node budget exhausted after %d nodes; best incumbent \
-                   %.3f mW (not proved optimal)@."
-                  nodes p
-            | None ->
-                Format.printf
-                  "node budget exhausted after %d nodes with no feasible \
-                   incumbent; raise --max-nodes or shrink the instance@."
-                  nodes));
-        let cont = Power.Model.kim_horowitz_continuous in
-        Format.printf "max-MP dynamic lower bound (Frank-Wolfe): %.3f mW@."
-          (Optim.Frank_wolfe.lower_bound cont mesh comms)
+  let run mesh model seed n weight file max_nodes () =
+    let mesh, comms = load_instance mesh seed n weight file in
+    Format.printf "exact 1-MP search on %a, %d communications@."
+      Noc.Mesh.pp mesh (List.length comms);
+    (match Optim.Exact.route ?max_nodes model mesh comms with
+    | Optim.Exact.Optimal (_, p) ->
+        Format.printf "optimal 1-MP power: %.3f mW@." p;
+        List.iter
+          (fun (o : Routing.Best.outcome) ->
+            match o.report.Routing.Evaluate.feasible with
+            | true ->
+                Format.printf "  %-4s %.3f mW (gap %+.1f%%)@."
+                  o.heuristic.name o.report.total_power
+                  (100. *. (o.report.total_power -. p) /. p)
+            | false -> Format.printf "  %-4s failed@." o.heuristic.name)
+          (Routing.Best.run_all model mesh comms)
+    | Optim.Exact.Infeasible ->
+        Format.printf "instance proved infeasible for 1-MP@."
+    | Optim.Exact.Timeout { nodes; incumbent } ->
+        (match incumbent with
+        | Some (_, p) ->
+            Format.printf
+              "node budget exhausted after %d nodes; best incumbent \
+               %.3f mW (not proved optimal)@."
+              nodes p
+        | None ->
+            Format.printf
+              "node budget exhausted after %d nodes with no feasible \
+               incumbent; raise --max-nodes or shrink the instance@."
+              nodes));
+    let cont = Power.Model.kim_horowitz_continuous in
+    Format.printf "max-MP dynamic lower bound (Frank-Wolfe): %.3f mW@."
+      (Optim.Frank_wolfe.lower_bound cont mesh comms)
   in
-  let term =
+  command "optimal" ~doc:"Exact 1-MP optimum vs heuristics on a small instance"
     Term.(
       const run $ mesh_t $ model_t $ seed_t $ n_t $ weight_t $ file_t
       $ max_nodes_t)
-  in
-  Cmd.v
-    (Cmd.info "optimal"
-       ~doc:"Exact 1-MP optimum vs heuristics on a small instance")
-    term
 
 let () =
   let info =

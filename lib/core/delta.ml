@@ -14,26 +14,6 @@ let idle = Power.Model.idle_class
 let over = Power.Model.overloaded_class
 
 (* ------------------------------------------------------------------ *)
-(* Backend toggle.
-
-   The memoized table is bit-identical to the direct computation by
-   construction, so this switch exists for exactly one reason: proving
-   it. The end-to-end determinism test runs a campaign under both
-   settings and compares rows byte for byte. Read once per scorer /
-   engine creation, so a heuristic invocation never straddles a flip. *)
-
-let env_default =
-  match Sys.getenv_opt "MANROUTE_DELTA" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
-let backend_override : bool option Atomic.t = Atomic.make None
-let set_table_backend b = Atomic.set backend_override b
-
-let table_backend () =
-  match Atomic.get backend_override with Some b -> b | None -> env_default
-
-(* ------------------------------------------------------------------ *)
 (* Counters *)
 
 let bump () =
@@ -43,25 +23,19 @@ let bump () =
 (* ------------------------------------------------------------------ *)
 (* Scorer: memoized cost lookups for the heuristic hot paths *)
 
-type scorer = {
-  s_model : Power.Model.t;
-  s_table : Power.Model.table;
-  s_loads : Noc.Load.t;
-  s_use_table : bool;
-}
+type scorer = { s_table : Power.Model.table; s_loads : Noc.Load.t }
 
 let scorer model loads =
   let s_table =
     Metrics.with_span "delta-table" (fun () -> Power.Model.table model)
   in
-  { s_model = model; s_table; s_loads = loads; s_use_table = table_backend () }
+  { s_table; s_loads = loads }
 
 let scorer_loads sc = sc.s_loads
 
 let cost_at sc ~factor load =
   bump ();
-  if sc.s_use_table then Power.Model.table_cost sc.s_table ~factor load
-  else Power.Model.penalized_cost_capped sc.s_model ~factor load
+  Power.Model.table_cost sc.s_table ~factor load
 
 let cost sc id load = cost_at sc ~factor:(Noc.Load.factor sc.s_loads id) load
 
@@ -115,13 +89,7 @@ type t = {
 let loads t = t.loads
 let model t = t.model
 
-let scorer_of t =
-  {
-    s_model = t.model;
-    s_table = t.table;
-    s_loads = t.loads;
-    s_use_table = table_backend ();
-  }
+let scorer_of t = { s_table = t.table; s_loads = t.loads }
 
 let of_loads model ls =
   let table =
@@ -233,6 +201,14 @@ let add_path t path rate = Noc.Path.iter_links path (fun l -> add_link t l rate)
 let remove_path t path rate = add_path t path (-.rate)
 let add_walk t walk rate = Noc.Walk.iter_links walk (fun l -> add_link t l rate)
 let remove_walk t walk rate = add_walk t walk (-.rate)
+
+let add_route t (r : Solution.route) =
+  List.iter (fun (p, x) -> add_path t p x) r.paths;
+  List.iter (fun (w, x) -> add_walk t w x) r.detours
+
+let remove_route t (r : Solution.route) =
+  List.iter (fun (p, x) -> remove_path t p x) r.paths;
+  List.iter (fun (w, x) -> remove_walk t w x) r.detours
 
 type mark = int
 

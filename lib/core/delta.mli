@@ -24,33 +24,13 @@
     state — see {!Evaluate.report_of_tally}), and a table-backed cost
     lookup returns the very float the direct
     {!Power.Model.penalized_cost_capped} call would. The differential
-    oracle in [test_delta.ml] enforces both, and a campaign produces
-    bit-identical rows whichever backend is selected. *)
-
-(** {1 Backend toggle}
-
-    [MANROUTE_DELTA=0] (or [false]/[off]/[no]) makes scorers fall back to
-    the direct, non-memoized cost computation — the legacy evaluation
-    path. Only scoring arithmetic is affected (and provably not the
-    results); work counters are bumped identically under both backends,
-    so campaign rows match byte for byte. The setting is read once per
-    scorer/engine creation. *)
-
-val table_backend : unit -> bool
-(** Whether new scorers use the memoized table ([true] unless overridden
-    or disabled via [MANROUTE_DELTA]). *)
-
-val set_table_backend : bool option -> unit
-(** Programmatic override for tests: [Some false] forces the legacy
-    direct path, [Some true] the table, [None] restores the environment
-    default. *)
+    oracle in [test_delta.ml] enforces both. *)
 
 (** {1 Scorer} *)
 
 type scorer
-(** Immutable scoring context over a load vector: the memoized cost
-    table plus the backend choice, snapshotted at creation. Builds are
-    wrapped in a ["delta-table"] {!Metrics.with_span}. *)
+(** Immutable scoring context: a model's memoized cost table over a load
+    vector. Builds are wrapped in a ["delta-table"] {!Metrics.with_span}. *)
 
 val scorer : Power.Model.t -> Noc.Load.t -> scorer
 
@@ -58,8 +38,8 @@ val scorer_loads : scorer -> Noc.Load.t
 
 val cost_at : scorer -> factor:float -> float -> float
 (** [cost_at sc ~factor load] ≡ [Power.Model.penalized_cost_capped model
-    ~factor load], bit-identical, through the memoized table (unless the
-    legacy backend is forced). Bumps [delta_evals]. *)
+    ~factor load], bit-identical, through the memoized table. Bumps
+    [delta_evals]. *)
 
 val cost : scorer -> int -> float -> float
 (** {!cost_at} with the factor of the given link id, read from the fault
@@ -105,6 +85,12 @@ val add_path : t -> Noc.Path.t -> float -> unit
 val remove_path : t -> Noc.Path.t -> float -> unit
 val add_walk : t -> Noc.Walk.t -> float -> unit
 val remove_walk : t -> Noc.Walk.t -> float -> unit
+
+val add_route : t -> Solution.route -> unit
+(** Route every path and detour walk of the route at its share. *)
+
+val remove_route : t -> Solution.route -> unit
+(** Inverse of {!add_route}. *)
 
 val report : t -> Evaluate.report
 (** The report a from-scratch [Evaluate.of_loads (model t) (loads t)]

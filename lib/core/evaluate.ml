@@ -151,6 +151,13 @@ let power_per_rate ?fault model s =
     in
     if demand <= 0. then None else Some (r.total_power /. demand)
 
+let overload_mask mesh r =
+  let mask = Array.make (Noc.Mesh.num_links mesh) false in
+  List.iter
+    (fun (l, _) -> mask.(Noc.Mesh.link_id mesh l) <- true)
+    r.overloaded;
+  mask
+
 let penalized model loads =
   let table = Power.Model.table model in
   Noc.Load.fold

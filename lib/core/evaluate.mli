@@ -88,6 +88,10 @@ val power_per_rate :
     energy-per-bit figure of merit; [None] on infeasible or empty
     solutions. *)
 
+val overload_mask : Noc.Mesh.t -> report -> bool array
+(** Per {!Noc.Mesh.link_id}, whether the report convicts the link (lists
+    it in [overloaded]). *)
+
 val penalized : Power.Model.t -> Noc.Load.t -> float
 (** Total {!Power.Model.penalized_cost_capped} over all links (factors from
     the fault carried by the loads) — the surrogate objective used by repair

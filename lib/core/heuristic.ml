@@ -98,14 +98,6 @@ let find name =
   let name = String.uppercase_ascii name in
   List.find_opt (fun h -> h.name = name) all
 
-(* Dynamic resolvers for policy *families* living above this library
-   (Optim's s-MP and PathFinder engines, the CLI's SA/PRMP extensions):
-   a resolver parses a spelling like "smp4" or "pf(16)" into a fresh
-   heuristic. Consulted in registration order after the builtins, so a
-   name always resolves the same way however many resolvers are in. *)
-let resolvers : (string -> t option) list ref = ref []
-let register resolve = resolvers := !resolvers @ [ resolve ]
-
 let parse_family ~prefix ~default ~min name =
   let name = String.lowercase_ascii (String.trim name) in
   if not (String.starts_with ~prefix name) then None
@@ -125,11 +117,3 @@ let parse_family ~prefix ~default ~min name =
         match int_of_string_opt rest with
         | Some k when k >= min -> Some k
         | _ -> None)
-
-let find_extended name =
-  match find name with
-  | Some h -> Some h
-  | None ->
-      List.fold_left
-        (fun acc resolve -> match acc with Some _ -> acc | None -> resolve name)
-        None !resolvers

@@ -94,21 +94,9 @@ val manhattan : t list
 val find : string -> t option
 (** Case-insensitive lookup by {!field-name}. *)
 
-val register : (string -> t option) -> unit
-(** Register a dynamic resolver for a policy {e family} (e.g. the
-    engines of [Optim], whose spellings like ["smp4"] or ["pf(16)"]
-    carry a parameter and cannot be enumerated here). Resolvers are
-    consulted by {!find_extended} in registration order, after the
-    builtins; registering the same family twice is harmless (the first
-    wins). *)
-
 val parse_family :
   prefix:string -> default:int -> min:int -> string -> int option
 (** The parameter of a family spelling, case-insensitive and trimmed: the
     bare [prefix] gives [default], [prefixN] and [prefix(N)] give [N]
     when [N >= min]; [None] for anything else. Shared by the engines'
-    resolvers (["pf8"], ["REC(12)"], ...). *)
-
-val find_extended : string -> t option
-(** {!find}, falling back to the registered resolvers — the lookup the
-    CLIs use so every engine is reachable by name. *)
+    [find] functions (["pf8"], ["REC(12)"], ...). *)

@@ -26,10 +26,7 @@
       deciding feasibility and power).
     - [delta_evals]: incremental candidate-scoring evaluations made
       through {!Delta} — per-link memoized cost lookups and planned
-      occupancy reads in the heuristic hot paths. Counted identically
-      whether the memoized table or the legacy direct computation backs
-      the lookup, so campaign rows match across [MANROUTE_DELTA]
-      settings.
+      occupancy reads in the heuristic hot paths.
     - [pf_iterations]: outer negotiation passes of the PathFinder-style
       rip-up-and-reroute engine ({!Optim.Pathfinder}) — one per sweep
       over all communications.

@@ -11,9 +11,7 @@
     - {b Grid exactness.} {!report} is assembled from the grid alone (the
       grid is folded back into an {!Evaluate.tally} and totalled by
       {!Evaluate.report_of_tally}), so it is bit-identical, field by
-      field, to a from-scratch [Evaluate.of_loads] of the same loads —
-      on either [MANROUTE_DELTA] backend, which share that canonical
-      summation.
+      field, to a from-scratch [Evaluate.of_loads] of the same loads.
     - {b Attribution exactness.} Within a link, a communication's slice
       is its occupancy fraction times the link power; the trailing
       occupants (in route order) absorb a few-ulp correction — the last

@@ -19,7 +19,8 @@ let route_usable fault (r : Solution.route) =
    Marginal link costs go through the delta engine's memoized table; the
    loads carry the fault, so the scorer's capacity factors are exactly
    [Noc.Fault.factor fault id]. *)
-let manhattan_usable_sc fault sc loads (comm : Traffic.Communication.t) =
+let manhattan_usable_sc fault sc (comm : Traffic.Communication.t) =
+  let loads = Delta.scorer_loads sc in
   let mesh = Noc.Load.mesh loads in
   let rate = comm.rate in
   let rect = Noc.Rect.make ~src:comm.src ~snk:comm.snk in
@@ -112,27 +113,27 @@ let detour fault mesh ~src ~snk =
     Some (Noc.Walk.of_cores (Array.of_list !rev))
   end
 
-let reroute fault sc loads (comm : Traffic.Communication.t) =
+let local_route fault sc (comm : Traffic.Communication.t) =
   let m = Metrics.current () in
   m.Metrics.detour_searches <- m.Metrics.detour_searches + 1;
-  match manhattan_usable_sc fault sc loads comm with
-  | Some p ->
-      Noc.Load.add_path loads p comm.rate;
-      Solution.route_single comm p
-  | None -> (
-      let mesh = Noc.Load.mesh loads in
-      match detour fault mesh ~src:comm.src ~snk:comm.snk with
-      | Some w ->
-          Noc.Load.add_walk loads w comm.rate;
-          Solution.route_detour comm w
-      | None -> raise (No_route comm))
-
-let manhattan_usable fault model loads comm =
-  manhattan_usable_sc fault (Delta.scorer model loads) loads comm
+  match manhattan_usable_sc fault sc comm with
+  | Some p -> Some (Solution.route_single comm p)
+  | None ->
+      let mesh = Noc.Load.mesh (Delta.scorer_loads sc) in
+      Option.map
+        (Solution.route_detour comm)
+        (detour fault mesh ~src:comm.src ~snk:comm.snk)
 
 let add_route loads (r : Solution.route) =
   List.iter (fun (p, share) -> Noc.Load.add_path loads p share) r.paths;
   List.iter (fun (w, share) -> Noc.Load.add_walk loads w share) r.detours
+
+let reroute fault sc (comm : Traffic.Communication.t) =
+  match local_route fault sc comm with
+  | Some r ->
+      add_route (Delta.scorer_loads sc) r;
+      r
+  | None -> raise (No_route comm)
 
 let solution fault model s =
   if Noc.Fault.is_trivial fault then s
@@ -147,7 +148,7 @@ let solution fault model s =
             add_route loads r;
             r
           end
-          else reroute fault sc loads r.comm)
+          else reroute fault sc r.comm)
         (Solution.routes s)
     in
     Solution.make mesh routes

@@ -24,26 +24,6 @@ val route_usable : Noc.Fault.t -> Solution.route -> bool
     links. What {!solution} uses to decide which routes to keep — exposed
     so an incremental engine ([Optim.Recover]) can make the same call. *)
 
-val manhattan_usable :
-  Noc.Fault.t ->
-  Power.Model.t ->
-  Noc.Load.t ->
-  Traffic.Communication.t ->
-  Noc.Path.t option
-(** Cheapest Manhattan path of the communication's rectangle that avoids
-    every dead link, costed by marginal capped penalized power against the
-    given loads; [None] when the fault cuts all of them. *)
-
-val manhattan_usable_sc :
-  Noc.Fault.t ->
-  Delta.scorer ->
-  Noc.Load.t ->
-  Traffic.Communication.t ->
-  Noc.Path.t option
-(** {!manhattan_usable} against an existing scorer, so a caller holding a
-    {!Delta} journal reuses its memoized cost tables instead of building
-    fresh ones per call. *)
-
 val detour :
   Noc.Fault.t ->
   Noc.Mesh.t ->
@@ -52,3 +32,17 @@ val detour :
   Noc.Walk.t option
 (** Shortest walk over the surviving links (BFS), Manhattan or not; [None]
     when the endpoints are disconnected. *)
+
+val local_route :
+  Noc.Fault.t ->
+  Delta.scorer ->
+  Traffic.Communication.t ->
+  Solution.route option
+(** Local repair of one communication against the scorer's loads, which
+    must carry the fault: the cheapest surviving Manhattan path of its
+    bounding rectangle (marginal capped penalized power through the
+    scorer's memoized table), else the shortest {!detour} walk, else
+    [None] when the endpoints are disconnected. Counts one
+    [detour_searches]; the loads are left untouched. What {!solution}
+    applies to each cut route, shared with the incremental engines
+    ([Optim.Recover], [Optim.Online]). *)

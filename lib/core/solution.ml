@@ -120,6 +120,12 @@ let iter_route_links r f =
     (fun (w, _) -> Array.iter f (Noc.Walk.links w))
     r.detours
 
+let route_crosses mesh mask r =
+  let hit = ref false in
+  iter_route_links r (fun l ->
+      if mask.(Noc.Mesh.link_id mesh l) then hit := true);
+  !hit
+
 let path_of t comm =
   List.find_map
     (fun r ->

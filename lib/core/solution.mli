@@ -68,6 +68,10 @@ val iter_route_links : route -> (Noc.Mesh.link -> unit) -> unit
     (paths first, then detour walks; a link used by several parts is
     visited once per part). *)
 
+val route_crosses : Noc.Mesh.t -> bool array -> route -> bool
+(** [route_crosses mesh mask r]: some link of the route has its
+    {!Noc.Mesh.link_id} set in [mask]. *)
+
 val path_of : t -> Traffic.Communication.t -> Noc.Path.t option
 (** The unique path of a communication in a single-path solution; [None] if
     the communication is absent, split, or detoured. *)

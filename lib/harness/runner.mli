@@ -200,8 +200,8 @@ val run :
     recorded as a span. Neither affects the statistics. *)
 
 val exit_on_error : (unit -> 'a) -> 'a
-(** [exit_on_error f] is [f ()] for a campaign front end, except that an
-    output that cannot be written ([Sys_error]: trace, audit, checkpoint,
-    CSV) or a sidecar that cannot resume ({!Checkpoint.Corrupt},
-    {!Checkpoint.Mismatch}) ends the process with a one-line [error:]
-    message on stderr and exit code 1. *)
+(** [exit_on_error f] is [f ()] for a command-line front end, except that
+    an output that cannot be written ([Sys_error]: trace, audit,
+    checkpoint, CSV, JSON, problem file) or a sidecar that cannot resume
+    ({!Checkpoint.Corrupt}, {!Checkpoint.Mismatch}) ends the process with
+    a one-line [error:] message on stderr and exit code 1. *)

@@ -59,7 +59,6 @@ let add_link t l delta = add t (Mesh.link_id t.mesh l) delta
 let add_path t path rate = Path.iter_links path (fun l -> add_link t l rate)
 let remove_path t path rate = add_path t path (-.rate)
 let add_walk t walk rate = Walk.iter_links walk (fun l -> add_link t l rate)
-let remove_walk t walk rate = add_walk t walk (-.rate)
 let max_load t = Array.fold_left max 0. t.loads
 let total t = Array.fold_left ( +. ) 0. t.loads
 
@@ -81,12 +80,7 @@ let overload t ~capacity id =
   let eff = get_effective t id in
   if eff <= capacity +. epsilon then 0. else (eff -. capacity) /. capacity
 
-let overload_link t ~capacity l = overload t ~capacity (Mesh.link_id t.mesh l)
-
 let effective_capacity t ~capacity id = factor t id *. capacity
-
-let effective_capacity_link t ~capacity l =
-  effective_capacity t ~capacity (Mesh.link_id t.mesh l)
 
 let overloaded_effective t ~capacity =
   let over = ref [] in

@@ -68,8 +68,6 @@ val add_walk : t -> Walk.t -> float -> unit
 (** Routes [rate] units along every link of a (possibly non-Manhattan)
     walk. *)
 
-val remove_walk : t -> Walk.t -> float -> unit
-
 val max_load : t -> float
 
 val total : t -> float
@@ -89,15 +87,11 @@ val overload : t -> capacity:float -> int -> float
     {!overloaded}), [infinity] on a dead link carrying traffic. The
     present-congestion term of negotiated-congestion routing. *)
 
-val overload_link : t -> capacity:float -> Mesh.link -> float
-
 val effective_capacity : t -> capacity:float -> int -> float
 (** Bandwidth the link can actually carry under the carried fault:
     [factor *. capacity]. [capacity] itself on a healthy link, [0.] on a
     dead one — the per-link ceiling that {!get_effective} is measured
     against (after rescaling to the healthy scale). *)
-
-val effective_capacity_link : t -> capacity:float -> Mesh.link -> float
 
 val overloaded_effective : t -> capacity:float -> (int * float) list
 (** Links whose {e effective} load ({!get_effective}) strictly exceeds

@@ -83,8 +83,6 @@ let move t (c : Coord.t) step =
 let neighbors t c =
   List.filter_map (move t c) [ East; West; South; North ]
 
-let all_links t = Array.init (num_links t) (link_of_id t)
-
 let iter_links t f =
   for id = 0 to num_links t - 1 do
     f id (link_of_id t id)

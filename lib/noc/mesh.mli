@@ -55,9 +55,6 @@ val neighbors : t -> Coord.t -> Coord.t list
 (** Destination cores of the outgoing links ([succ] in the paper), in
     [East; West; South; North] order, restricted to the mesh. *)
 
-val all_links : t -> link array
-(** Every directed link, ordered by {!link_id}. *)
-
 val iter_links : t -> (int -> link -> unit) -> unit
 
 val all_cores : t -> Coord.t array

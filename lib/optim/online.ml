@@ -6,10 +6,6 @@ let default_global_iterations = 16
 let default_rate = 8.
 let default_churn = 40
 
-let bump_reroute () =
-  let m = Routing.Metrics.current () in
-  m.Routing.Metrics.detour_searches <- m.Routing.Metrics.detour_searches + 1
-
 type shed = { comm : Traffic.Communication.t; reason : Recover.shed_reason }
 
 type power_split = {
@@ -21,9 +17,6 @@ type power_split = {
 }
 
 let split_total s = s.dynamic +. s.active_leak +. s.idle_leak +. s.wake_cost
-
-let split_nosleep s =
-  s.dynamic +. s.active_leak +. s.idle_leak +. s.saved_leak
 
 type op = {
   seq : int;
@@ -131,44 +124,14 @@ let live t = List.length t.live_routes
 let solution t =
   Routing.Solution.make t.mesh (List.map snd t.live_routes)
 
-let pending t = t.pending_shed
-
-let add_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.add_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.add_walk eng w x) r.detours
-
-let remove_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.remove_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.remove_walk eng w x) r.detours
-
 (* Canonical rebuild: fold the live routes in admission order over a
    fresh engine, so {!Routing.Delta.report} is the very report a
    from-scratch [Evaluate.of_loads] computes — negotiation and removal
    arithmetic never leaks into the served state. *)
 let rebuild t =
   let eng = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  List.iter (fun (_, r) -> add_route eng r) t.live_routes;
+  List.iter (fun (_, r) -> Routing.Delta.add_route eng r) t.live_routes;
   t.eng <- eng
-
-let route_crosses mesh over (r : Routing.Solution.route) =
-  let hit = ref false in
-  Routing.Solution.iter_route_links r (fun l ->
-      if over.(Noc.Mesh.link_id mesh l) then hit := true);
-  !hit
-
-(* Cheapest surviving Manhattan path, else shortest detour walk. *)
-let local_route t (comm : Traffic.Communication.t) =
-  bump_reroute ();
-  let loads = Routing.Delta.loads t.eng in
-  let sc = Routing.Delta.scorer_of t.eng in
-  match Routing.Repair.manhattan_usable_sc t.fault sc loads comm with
-  | Some p -> Some (Routing.Solution.route_single comm p)
-  | None ->
-      Option.map
-        (Routing.Solution.route_detour comm)
-        (Routing.Repair.detour t.fault t.mesh
-           ~src:comm.Traffic.Communication.src
-           ~snk:comm.Traffic.Communication.snk)
 
 (* Negotiate the live routes selected by [pred] on the current engine;
    updates the route list in place (admission order preserved). *)
@@ -190,13 +153,6 @@ let negotiate t ~iterations pred =
     (r.Pathfinder.passes, r.Pathfinder.rips)
   end
 
-let overload_mask t rep =
-  let over = Array.make (Noc.Mesh.num_links t.mesh) false in
-  List.iter
-    (fun ((l : Noc.Mesh.link), _) -> over.(Noc.Mesh.link_id t.mesh l) <- true)
-    rep.Routing.Evaluate.overloaded;
-  over
-
 exception No_offender
 
 (* Shed the lightest live route crossing a convicted link until the
@@ -205,11 +161,11 @@ let shed_until_feasible t ~reason shed_now =
   let rep = ref (Routing.Delta.report t.eng) in
   (try
      while not !rep.Routing.Evaluate.feasible do
-       let over = overload_mask t !rep in
+       let over = Routing.Evaluate.overload_mask t.mesh !rep in
        let pick = ref None in
        List.iter
          (fun (id, (r : Routing.Solution.route)) ->
-           if route_crosses t.mesh over r then
+           if Routing.Solution.route_crosses t.mesh over r then
              match !pick with
              | Some (_, (p : Routing.Solution.route))
                when p.comm.Traffic.Communication.rate
@@ -223,7 +179,7 @@ let shed_until_feasible t ~reason shed_now =
               rate. Guarded anyway — shedding must never spin. *)
            raise No_offender
        | Some (id, r) ->
-           remove_route t.eng r;
+           Routing.Delta.remove_route t.eng r;
            t.live_routes <- List.filter (fun (i, _) -> i <> id) t.live_routes;
            let s = { comm = r.comm; reason } in
            t.pending_shed <- t.pending_shed @ [ s ];
@@ -242,11 +198,15 @@ let readmit t reroutes readmitted =
     (fun s ->
       incr reroutes;
       let kept = ref false in
-      (match local_route t s.comm with
+      (match
+         Routing.Repair.local_route t.fault
+           (Routing.Delta.scorer_of t.eng)
+           s.comm
+       with
       | None -> ()
       | Some r ->
           let m = Routing.Delta.mark t.eng in
-          add_route t.eng r;
+          Routing.Delta.add_route t.eng r;
           let rep = Routing.Delta.report t.eng in
           if rep.Routing.Evaluate.feasible then begin
             Routing.Delta.commit t.eng m;
@@ -309,7 +269,9 @@ let step t (event : Traffic.Trace.event) =
   | Traffic.Trace.Arrive comm -> (
       t.s_arrivals <- t.s_arrivals + 1;
       incr reroutes;
-      match local_route t comm with
+      match
+        Routing.Repair.local_route t.fault (Routing.Delta.scorer_of t.eng) comm
+      with
       | None ->
           (* The fault disconnects the endpoints: park the request for
              readmission once capacity returns. *)
@@ -320,7 +282,7 @@ let step t (event : Traffic.Trace.event) =
           shed_now := [ s ]
       | Some r ->
           let m = Routing.Delta.mark t.eng in
-          add_route t.eng r;
+          Routing.Delta.add_route t.eng r;
           let rep = Routing.Delta.report t.eng in
           Routing.Delta.commit t.eng m;
           t.live_routes <-
@@ -333,10 +295,10 @@ let step t (event : Traffic.Trace.event) =
             (* Escalate per the Recover ladder: neighborhood
                negotiation, then global, then typed shedding. *)
             rung := 3;
-            let over = overload_mask t rep in
+            let over = Routing.Evaluate.overload_mask t.mesh rep in
             let p3, r3 =
               negotiate t ~iterations:t.refine_iterations
-                (route_crosses t.mesh over)
+                (Routing.Solution.route_crosses t.mesh over)
             in
             passes := !passes + p3;
             rips := !rips + r3;
@@ -383,7 +345,7 @@ let step t (event : Traffic.Trace.event) =
           let touched = Array.make (Noc.Mesh.num_links t.mesh) false in
           Routing.Solution.iter_route_links r (fun l ->
               touched.(Noc.Mesh.link_id t.mesh l) <- true);
-          remove_route t.eng r;
+          Routing.Delta.remove_route t.eng r;
           t.live_routes <-
             List.filter (fun (i, _) -> i <> id) t.live_routes;
           (* Local re-optimization of the freed neighborhood: every
@@ -392,18 +354,23 @@ let step t (event : Traffic.Trace.event) =
           t.live_routes <-
             List.map
               (fun (i, (r0 : Routing.Solution.route)) ->
-                if not (route_crosses t.mesh touched r0) then (i, r0)
+                if not (Routing.Solution.route_crosses t.mesh touched r0) then
+                  (i, r0)
                 else begin
                   incr reroutes;
                   let rep0 = Routing.Delta.report t.eng in
                   let m = Routing.Delta.mark t.eng in
-                  remove_route t.eng r0;
-                  match local_route t r0.comm with
+                  Routing.Delta.remove_route t.eng r0;
+                  match
+                    Routing.Repair.local_route t.fault
+                      (Routing.Delta.scorer_of t.eng)
+                      r0.comm
+                  with
                   | None ->
                       Routing.Delta.rollback t.eng m;
                       (i, r0)
                   | Some r1 ->
-                      add_route t.eng r1;
+                      Routing.Delta.add_route t.eng r1;
                       let rep1 = Routing.Delta.report t.eng in
                       if
                         rep1.Routing.Evaluate.feasible
@@ -539,24 +506,6 @@ let session t =
     final = Routing.Delta.report t.eng;
   }
 
-(* Key the per-instance trace off the workload itself, like
-   {!Recover.schedule_rng}: [Heuristic.run] hands an engine no rng, but
-   hashing the communications gives every trial a stream that is a pure
-   function of its workload — reproducible and jobs-invariant. *)
-let trace_rng comms =
-  Traffic.Rng.of_key "serve-trace"
-    (List.concat_map
-       (fun (c : Traffic.Communication.t) ->
-         [
-           Int64.of_int c.id;
-           Int64.of_int c.src.Noc.Coord.row;
-           Int64.of_int c.src.Noc.Coord.col;
-           Int64.of_int c.snk.Noc.Coord.row;
-           Int64.of_int c.snk.Noc.Coord.col;
-           Int64.bits_of_float c.rate;
-         ])
-       comms)
-
 (* Churn weights spanning the workload's own rate band, so the passing
    traffic stresses the same capacity regime. *)
 let band comms =
@@ -576,7 +525,7 @@ let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
   if churn < 0 then invalid_arg "Online.engine: churn < 0";
   if comms = [] then (Routing.Solution.make mesh [], None)
   else begin
-    let rng = trace_rng comms in
+    let rng = Traffic.Workload.keyed_rng "serve-trace" comms in
     let max_id =
       List.fold_left
         (fun m (c : Traffic.Communication.t) -> max m c.id)

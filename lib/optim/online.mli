@@ -33,7 +33,7 @@
     canonical — identical to folding the live routes in admission order
     over a fresh engine — so each {!op}'s [eval] bit-matches a
     from-scratch {!Routing.Evaluate.of_loads} rescore on {!solution},
-    on both [MANROUTE_DELTA] backends and at any worker-domain count.
+    at any worker-domain count.
     Arrivals admitted on the first try keep the invariant incrementally
     (an append {e is} canonical, O(path length)); negotiation, shedding
     and departures rebuild. *)
@@ -54,14 +54,6 @@ type power_split = {
 
 val split_total : power_split -> float
 (** Power actually drawn this epoch. *)
-
-val split_nosleep : power_split -> float
-(** What the same epoch would draw with switch-off disabled — the sum
-    of the four always-paid terms. Display-grade: a disabled run
-    computes the combined idle leakage in one multiply, so its total
-    can differ from this sum in the last bits; the session's
-    {!session.mean_power_nosleep} accumulates the disabled-run
-    expression exactly and is the bit-comparable column. *)
 
 (** Outcome of serving one event. *)
 type op = {
@@ -121,9 +113,6 @@ val solution : t -> Routing.Solution.t
 (** The live routes, in admission order. *)
 
 val live : t -> int
-
-val pending : t -> shed list
-(** Shed communications awaiting readmission, oldest first. *)
 
 (** Whole-session accounting, for the CLI printout, the campaign
     columns and the E27 bench. *)
@@ -192,8 +181,8 @@ val heuristic :
 
 val find : string -> Routing.Heuristic.t option
 (** Parse a CLI spelling: ["srv"] (default rate), ["srv8"] / ["SRV(8)"]
-    (explicit integer arrival rate, >= 1). [None] for anything else —
-    suitable for {!Routing.Heuristic.register}. *)
+    (explicit integer arrival rate, >= 1). [None] for anything else, so
+    the CLI can try the next engine's [find]. *)
 
 val default_rate : float
 val default_churn : int

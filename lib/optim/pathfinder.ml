@@ -43,9 +43,9 @@ let link_fits model loads ~rate id =
     (Noc.Load.get loads id +. rate)
 
 (* Cheapest surviving Manhattan path of the bounding rectangle under the
-   negotiated cost — {!Routing.Repair.manhattan_usable_sc} with the
-   congestion-shaped objective. [None] when a fault cut every rectangle
-   path. *)
+   negotiated cost — the rectangle search of {!Routing.Repair.local_route}
+   with the congestion-shaped objective. [None] when a fault cut every
+   rectangle path. *)
 let manhattan_search sc loads history ~capacity (comm : Traffic.Communication.t)
     =
   let mesh = Noc.Load.mesh loads in
@@ -205,19 +205,20 @@ let search model sc loads history ~capacity (comm : Traffic.Communication.t) =
       | Some (walk, _) -> Routing.Solution.route_detour comm walk
       | None -> raise (Routing.Repair.No_route comm))
 
-let add_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.add_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.add_walk eng w x) r.detours
-
-let remove_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.remove_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.remove_walk eng w x) r.detours
-
-let route_crosses mesh over (r : Routing.Solution.route) =
-  let hit = ref false in
-  Routing.Solution.iter_route_links r (fun l ->
-      if over.(Noc.Mesh.link_id mesh l) then hit := true);
-  !hit
+(* History grows on every link the report convicts, by one plus its
+   effective overload factor — links that stay congested get ever more
+   repulsive, the PathFinder negotiation. Returns the convicted-link
+   mask. *)
+let convict loads history ~capacity (rep : Routing.Evaluate.report) =
+  let mesh = Noc.Load.mesh loads in
+  List.iter
+    (fun ((l : Noc.Mesh.link), _) ->
+      let id = Noc.Mesh.link_id mesh l in
+      let o = Noc.Load.overload loads ~capacity id in
+      let o = if Float.is_finite o then o else 1. in
+      history.(id) <- history.(id) +. 1. +. o)
+    rep.overloaded;
+  Routing.Evaluate.overload_mask mesh rep
 
 type refinement = {
   routes : Routing.Solution.route array;
@@ -256,29 +257,21 @@ let refine ?(iterations = default_iterations) ~history eng routes =
   while (not !rep.Routing.Evaluate.feasible) && !passes < iterations do
     incr passes;
     bump_iterations ();
-    let over = Array.make (Noc.Mesh.num_links mesh) false in
-    List.iter
-      (fun ((l : Noc.Mesh.link), _) ->
-        let id = Noc.Mesh.link_id mesh l in
-        over.(id) <- true;
-        let o = Noc.Load.overload loads ~capacity id in
-        let o = if Float.is_finite o then o else 1. in
-        history.(id) <- history.(id) +. 1. +. o)
-      !rep.Routing.Evaluate.overloaded;
+    let over = convict loads history ~capacity !rep in
     Array.iter
       (fun i ->
         let r = routes.(i) in
-        if route_crosses mesh over r then begin
+        if Routing.Solution.route_crosses mesh over r then begin
           incr rips;
           bump_rips ()
         end;
         let m = Routing.Delta.mark eng in
         match
-          remove_route eng r;
+          Routing.Delta.remove_route eng r;
           let r' =
             search model sc loads history ~capacity r.Routing.Solution.comm
           in
-          add_route eng r';
+          Routing.Delta.add_route eng r';
           r'
         with
         | r' ->
@@ -321,7 +314,7 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
   let search_apply i =
     let comm = comms_arr.(i) in
     let r = search model sc loads history ~capacity comm in
-    add_route eng r;
+    Routing.Delta.add_route eng r;
     routes.(i) <- Some r
   in
   (* Initial pass: route everything once. *)
@@ -336,18 +329,7 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
     else begin
       incr passes;
       bump_iterations ();
-      (* History grows on every link the report convicts, by one plus
-         its effective overload factor — links that stay congested get
-         ever more repulsive, the PathFinder negotiation. *)
-      let over = Array.make (Noc.Mesh.num_links mesh) false in
-      List.iter
-        (fun (l, _) ->
-          let id = Noc.Mesh.link_id mesh l in
-          over.(id) <- true;
-          let o = Noc.Load.overload loads ~capacity id in
-          let o = if Float.is_finite o then o else 1. in
-          history.(id) <- history.(id) +. 1. +. o)
-        rep.Routing.Evaluate.overloaded;
+      let over = convict loads history ~capacity rep in
       (* Classic PathFinder discipline: rip up and reroute {e every}
          communication against the evolving loads, heaviest first —
          nets not crossing any convicted link also move, clearing the
@@ -359,13 +341,13 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
         (fun i ->
           match routes.(i) with
           | Some r ->
-              if route_crosses mesh over r then begin
+              if Routing.Solution.route_crosses mesh over r then begin
                 incr rips;
                 bump_rips ()
               end;
               let m = Routing.Delta.mark eng in
               (try
-                 remove_route eng r;
+                 Routing.Delta.remove_route eng r;
                  search_apply i;
                  Routing.Delta.commit eng m
                with e ->
@@ -388,7 +370,7 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
   in
   let solution = Routing.Solution.make mesh final in
   let canonical = Routing.Delta.create ?fault model mesh in
-  List.iter (add_route canonical) final;
+  List.iter (Routing.Delta.add_route canonical) final;
   let report = Routing.Delta.report canonical in
   { solution; report; iterations = !passes; rips = !rips }
 

@@ -113,5 +113,5 @@ val heuristic :
 
 val find : string -> Routing.Heuristic.t option
 (** Parse a CLI spelling: ["pf"] (default cap), ["pf8"] / ["PF(8)"]
-    (explicit cap, >= 1). [None] for anything else — suitable for
-    {!Routing.Heuristic.register}. *)
+    (explicit cap, >= 1). [None] for anything else, so the CLI can try
+    the next engine's [find]. *)

@@ -16,10 +16,6 @@ let bump_rung r =
   let m = Routing.Metrics.current () in
   m.Routing.Metrics.recover_rung_max <- m.Routing.Metrics.recover_rung_max + r
 
-let bump_reroute () =
-  let m = Routing.Metrics.current () in
-  m.Routing.Metrics.detour_searches <- m.Routing.Metrics.detour_searches + 1
-
 type shed_reason = Disconnected | Budget_exhausted | Infeasible_overload
 
 let reason_to_string = function
@@ -111,31 +107,6 @@ let create ?fault ?(rung3_iterations = default_rung3_iterations)
     power;
   }
 
-let add_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.add_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.add_walk eng w x) r.detours
-
-let remove_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.remove_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.remove_walk eng w x) r.detours
-
-let route_crosses mesh over (r : Routing.Solution.route) =
-  let hit = ref false in
-  Routing.Solution.iter_route_links r (fun l ->
-      if over.(Noc.Mesh.link_id mesh l) then hit := true);
-  !hit
-
-(* Rung-2-style local repair: the cheapest surviving Manhattan path of
-   the rectangle, else the shortest surviving detour walk, else None. *)
-let local_route t sc loads (comm : Traffic.Communication.t) =
-  bump_reroute ();
-  match Routing.Repair.manhattan_usable_sc t.fault sc loads comm with
-  | Some p -> Some (Routing.Solution.route_single comm p)
-  | None ->
-      Option.map
-        (Routing.Solution.route_detour comm)
-        (Routing.Repair.detour t.fault t.mesh ~src:comm.src ~snk:comm.snk)
-
 exception No_offender
 
 let step t event =
@@ -144,7 +115,6 @@ let step t event =
   let before = Routing.Metrics.snapshot () in
   t.fault <- Noc.Fault.Schedule.apply t.fault event;
   let eng = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  let loads = Routing.Delta.loads eng in
   let sc = Routing.Delta.scorer_of eng in
   let n = Array.length t.comms in
   let rung = ref 1 in
@@ -164,7 +134,8 @@ let step t event =
   for i = 0 to n - 1 do
     match t.routes.(i) with
     | Some r ->
-        if Routing.Repair.route_usable t.fault r then add_route eng r
+        if Routing.Repair.route_usable t.fault r then
+          Routing.Delta.add_route eng r
         else begin
           t.routes.(i) <- None;
           severed := i :: !severed
@@ -180,9 +151,9 @@ let step t event =
   List.iter
     (fun i ->
       incr reroutes;
-      match local_route t sc loads t.comms.(i) with
+      match Routing.Repair.local_route t.fault sc t.comms.(i) with
       | Some r ->
-          add_route eng r;
+          Routing.Delta.add_route eng r;
           t.routes.(i) <- Some r
       | None ->
           rung := 5;
@@ -209,17 +180,15 @@ let step t event =
   if not !rep.Routing.Evaluate.feasible then begin
     (* Rung 3: neighborhood negotiation — only the live routes crossing
        the links this event touched or the report convicts. *)
-    let over = Array.make (Noc.Mesh.num_links t.mesh) false in
+    let over = Routing.Evaluate.overload_mask t.mesh !rep in
     List.iter
       (fun l -> over.(Noc.Mesh.link_id t.mesh l) <- true)
       (Noc.Fault.Schedule.touched t.mesh event);
-    List.iter
-      (fun ((l : Noc.Mesh.link), _) -> over.(Noc.Mesh.link_id t.mesh l) <- true)
-      !rep.Routing.Evaluate.overloaded;
     let neighborhood = ref [] in
     for i = n - 1 downto 0 do
       match t.routes.(i) with
-      | Some r when route_crosses t.mesh over r -> neighborhood := i :: !neighborhood
+      | Some r when Routing.Solution.route_crosses t.mesh over r ->
+          neighborhood := i :: !neighborhood
       | _ -> ()
     done;
     refine_rung 3 ~configured:t.rung3_iterations !neighborhood;
@@ -244,15 +213,11 @@ let step t event =
       in
       try
         while not !rep.Routing.Evaluate.feasible do
-          let over = Array.make (Noc.Mesh.num_links t.mesh) false in
-          List.iter
-            (fun ((l : Noc.Mesh.link), _) ->
-              over.(Noc.Mesh.link_id t.mesh l) <- true)
-            !rep.Routing.Evaluate.overloaded;
+          let over = Routing.Evaluate.overload_mask t.mesh !rep in
           let pick = ref (-1) in
           for i = 0 to n - 1 do
             match t.routes.(i) with
-            | Some r when route_crosses t.mesh over r ->
+            | Some r when Routing.Solution.route_crosses t.mesh over r ->
                 if
                   !pick < 0
                   || t.comms.(i).Traffic.Communication.rate
@@ -263,7 +228,7 @@ let step t event =
           (* Unreachable: every overloaded link carries some live
              route's rate. Guarded anyway — shedding must never spin. *)
           if !pick < 0 then raise No_offender;
-          remove_route eng (Option.get t.routes.(!pick));
+          Routing.Delta.remove_route eng (Option.get t.routes.(!pick));
           shed !pick reason;
           rep := Routing.Delta.report eng
         done
@@ -279,11 +244,11 @@ let step t event =
     match (t.routes.(i), t.reasons.(i)) with
     | None, Some _ when not shed_this_event.(i) -> (
         incr reroutes;
-        match local_route t sc loads t.comms.(i) with
+        match Routing.Repair.local_route t.fault sc t.comms.(i) with
         | None -> ()
         | Some r ->
             let m = Routing.Delta.mark eng in
-            add_route eng r;
+            Routing.Delta.add_route eng r;
             let rep' = Routing.Delta.report eng in
             if rep'.Routing.Evaluate.feasible then begin
               Routing.Delta.commit eng m;
@@ -301,7 +266,7 @@ let step t event =
      event's rip-up arithmetic never leaks into the result. *)
   let final = live_routes t in
   let canonical = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  List.iter (add_route canonical) final;
+  List.iter (Routing.Delta.add_route canonical) final;
   let eval = Routing.Delta.report canonical in
   let power_before = t.power in
   t.power <- eval.Routing.Evaluate.total_power;
@@ -335,25 +300,6 @@ let run ?fault ?rung3_iterations ?rung4_iterations ?budget model solution
   let reports = List.map (step t) (Noc.Fault.Schedule.events schedule) in
   (t, reports)
 
-(* Key the per-instance schedule off the workload itself: [Heuristic.run]
-   hands an engine no rng, but hashing the communications through
-   {!Traffic.Rng.of_key} gives every trial a schedule that is a pure
-   function of its workload — reproducible, jobs-invariant, and nested
-   across paired sweeps exactly like the workload is. *)
-let schedule_rng comms =
-  Traffic.Rng.of_key "recover-schedule"
-    (List.concat_map
-       (fun (c : Traffic.Communication.t) ->
-         [
-           Int64.of_int c.id;
-           Int64.of_int c.src.Noc.Coord.row;
-           Int64.of_int c.src.Noc.Coord.col;
-           Int64.of_int c.snk.Noc.Coord.row;
-           Int64.of_int c.snk.Noc.Coord.col;
-           Int64.bits_of_float c.rate;
-         ])
-       comms)
-
 type Routing.Heuristic.note += Reports of report list
 
 let engine ?(events = default_events) ?fault model mesh comms =
@@ -361,7 +307,7 @@ let engine ?(events = default_events) ?fault model mesh comms =
   if comms = [] then (Routing.Solution.make mesh [], None)
   else begin
     let base = Routing.Best.baseline ?fault model mesh comms in
-    let rng = schedule_rng comms in
+    let rng = Traffic.Workload.keyed_rng "recover-schedule" comms in
     let schedule =
       Noc.Fault.Schedule.random ?init:fault
         ~choose:(fun b -> Traffic.Rng.int rng b)

@@ -12,7 +12,7 @@
     + {b keep} — routes whose links all survive stay untouched;
     + {b local repair} — severed routes take the cheapest surviving
       Manhattan path, or a shortest detour walk
-      ({!Routing.Repair.manhattan_usable_sc} / {!Routing.Repair.detour});
+      ({!Routing.Repair.local_route});
     + {b neighborhood negotiation} — PathFinder rip-up-and-reroute
       ({!Pathfinder.refine}) restricted to the routes crossing the
       faulted or overloaded links, under a small iteration budget;
@@ -134,8 +134,8 @@ val heuristic : ?name:string -> ?events:int -> unit -> Routing.Heuristic.t
 
 val find : string -> Routing.Heuristic.t option
 (** Parse a CLI spelling: ["rec"] (default events), ["rec12"] /
-    ["REC(12)"] (explicit count, >= 0). [None] for anything else —
-    suitable for {!Routing.Heuristic.register}. *)
+    ["REC(12)"] (explicit count, >= 0). [None] for anything else, so the
+    CLI can try the next engine's [find]. *)
 
 val pp_reason : Format.formatter -> shed_reason -> unit
 

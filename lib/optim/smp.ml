@@ -150,8 +150,7 @@ let level_room model mesh loads path =
 (* Speculatively shift [delta] of the communication's rate from pool path
    [a] to pool path [b] and keep the move iff it lowers the total capped
    penalized power. Scored link by link through the journal: O(path
-   length) {!Routing.Delta.cost} lookups, counted in [delta_evals]
-   identically under both backends. *)
+   length) {!Routing.Delta.cost} lookups, counted in [delta_evals]. *)
 let attempt eng sc mesh s slot a b delta =
   let loads = Routing.Delta.loads eng in
   let sa = slot.shares.(a) in

@@ -17,8 +17,7 @@
       that lowers the capped penalized power — candidates are scored
       speculatively through the {!Routing.Delta} journal (mark / rollback),
       so a re-split costs O(path length) and bumps
-      [Metrics.counters.delta_evals] identically under either
-      [MANROUTE_DELTA] backend;
+      [Metrics.counters.delta_evals];
     + never do worse than the best single-path heuristic: the final
       solution is compared against the best (feasible-first, then power)
       single-path outcome and the winner is returned.

@@ -5,6 +5,8 @@ let make ~id ~src ~snk ~rate =
     invalid_arg
       (Format.asprintf "Communication.make: src = snk = %a" Noc.Coord.pp src);
   if rate <= 0. then invalid_arg "Communication.make: rate <= 0";
+  if not (Float.is_finite rate) then
+    invalid_arg "Communication.make: rate not finite";
   { id; src; snk; rate }
 
 let length t = Noc.Coord.manhattan t.src t.snk

@@ -12,7 +12,8 @@ type t = private {
 }
 
 val make : id:int -> src:Noc.Coord.t -> snk:Noc.Coord.t -> rate:float -> t
-(** @raise Invalid_argument if [src = snk] or [rate <= 0]. *)
+(** @raise Invalid_argument if [src = snk], [rate <= 0] or [rate] is not
+    finite. *)
 
 val length : t -> int
 (** Manhattan distance between the endpoints, i.e. the length [l_i] of every

@@ -88,6 +88,8 @@ let hotspot rng mesh ~n ~hotspot ~bias ~weight =
   if bias < 0. || bias > 1. then invalid_arg "Patterns.hotspot: bias";
   if not (Noc.Mesh.in_mesh mesh hotspot) then
     invalid_arg "Patterns.hotspot: hotspot outside mesh";
+  if n > 0 && Noc.Mesh.num_cores mesh < 2 then
+    invalid_arg "Patterns.hotspot: fewer than two cores";
   List.init n (fun id ->
       let rate =
         if weight.Workload.w_lo = weight.Workload.w_hi then weight.Workload.w_lo

@@ -41,5 +41,5 @@ val hotspot :
   Communication.t list
 (** [n] random communications of which a [bias] fraction (in [\[0,1\]])
     sink at the hotspot core; the rest are uniform.
-    @raise Invalid_argument on a bias outside [\[0,1\]] or a hotspot
-    outside the mesh. *)
+    @raise Invalid_argument on a bias outside [\[0,1\]], a hotspot
+    outside the mesh, or [n > 0] on a mesh with fewer than two cores. *)

@@ -5,9 +5,8 @@
     admits requests as they come and releases their links when they
     leave. Every generator here is a pure function of its {!Rng.t}
     stream: equal seeds yield byte-identical traces (see {!to_string}),
-    independent of worker-domain count or delta backend, which is what
-    lets campaign rows built on served traces stay bit-identical at any
-    [--jobs].
+    independent of worker-domain count, which is what lets campaign rows
+    built on served traces stay bit-identical at any [--jobs].
 
     Lifetimes are bounded (uniform in [0.5×, 1.5×] the unit mean
     holding time), so a generated churn stream fully drains: every
@@ -55,7 +54,8 @@ val generate :
     profile's process at mean [rate] per unit time, and a bounded
     lifetime each — [2×arrivals] events in total, every arrival
     eventually departing.
-    @raise Invalid_argument if [arrivals < 0] or [rate <= 0.]. *)
+    @raise Invalid_argument if [arrivals < 0] or [rate <= 0.], or if
+    [arrivals > 0] on a mesh with fewer than two cores. *)
 
 val persistent : Rng.t -> rate:float -> Communication.t list -> event list
 (** Poisson arrivals (no departures) of the given communications, in

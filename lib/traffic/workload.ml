@@ -1,8 +1,8 @@
 type weight = { w_lo : float; w_hi : float }
 
 let weight ~lo ~hi =
-  if lo <= 0. || hi < lo then
-    invalid_arg (Printf.sprintf "Workload.weight: [%g, %g]" lo hi);
+  if lo <= 0. || hi < lo || not (Float.is_finite lo && Float.is_finite hi)
+  then invalid_arg (Printf.sprintf "Workload.weight: [%g, %g]" lo hi);
   { w_lo = lo; w_hi = hi }
 
 let small = weight ~lo:100. ~hi:1500.
@@ -22,7 +22,10 @@ let random_pair rng mesh =
   let src = random_core rng mesh in
   let rec draw () =
     let snk = random_core rng mesh in
-    if Noc.Coord.equal src snk then draw () else snk
+    if not (Noc.Coord.equal src snk) then snk
+    else if Noc.Mesh.num_cores mesh < 2 then
+      invalid_arg "Workload.random_pair: fewer than two cores"
+    else draw ()
   in
   (src, draw ())
 
@@ -88,3 +91,17 @@ let with_length rng mesh ~n ~weight ~target =
 let single_pair rng ~src ~snk ~n ~weight =
   List.init n (fun id ->
       Communication.make ~id ~src ~snk ~rate:(draw_weight rng weight))
+
+let keyed_rng key comms =
+  Rng.of_key key
+    (List.concat_map
+       (fun (c : Communication.t) ->
+         [
+           Int64.of_int c.id;
+           Int64.of_int c.src.Noc.Coord.row;
+           Int64.of_int c.src.Noc.Coord.col;
+           Int64.of_int c.snk.Noc.Coord.row;
+           Int64.of_int c.snk.Noc.Coord.col;
+           Int64.bits_of_float c.rate;
+         ])
+       comms)

@@ -11,7 +11,7 @@ type weight = {
 }
 
 val weight : lo:float -> hi:float -> weight
-(** @raise Invalid_argument unless [0 < lo <= hi]. *)
+(** @raise Invalid_argument unless [0 < lo <= hi] and both are finite. *)
 
 val small : weight
 (** U\[100, 1500\] Mb/s — Figure 7(a). *)
@@ -27,7 +27,8 @@ val around : float -> weight
     Figure 8 sweep (see DESIGN.md, under-specified detail #1). *)
 
 val random_pair : Rng.t -> Noc.Mesh.t -> Noc.Coord.t * Noc.Coord.t
-(** A uniformly random ordered pair of {e distinct} cores. *)
+(** A uniformly random ordered pair of {e distinct} cores.
+    @raise Invalid_argument on a mesh with fewer than two cores. *)
 
 val pair_at_distance :
   Rng.t -> Noc.Mesh.t -> int -> (Noc.Coord.t * Noc.Coord.t) option
@@ -39,7 +40,9 @@ val pair_at_distance :
 val uniform :
   Rng.t -> Noc.Mesh.t -> n:int -> weight:weight -> Communication.t list
 (** [n] communications with uniformly random distinct endpoints and weights
-    uniform in the band. Ids are [0 .. n-1]. *)
+    uniform in the band. Ids are [0 .. n-1].
+    @raise Invalid_argument if [n > 0] on a mesh with fewer than two
+    cores. *)
 
 val with_length :
   Rng.t ->
@@ -61,3 +64,11 @@ val single_pair :
   Communication.t list
 (** [n] communications sharing the same endpoints (the single-source /
     single-destination scenario of Theorem 1). *)
+
+val keyed_rng : string -> Communication.t list -> Rng.t
+(** [keyed_rng key comms] is {!Rng.of_key} over [key] and every
+    communication's id, endpoints and rate bits: a stream that is a pure
+    function of the workload. An engine run as a routing heuristic is
+    handed no generator and draws from this one, so each trial's draws
+    are reproducible, jobs-invariant and nested across paired sweeps
+    exactly like the workload is. *)

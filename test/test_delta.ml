@@ -8,8 +8,7 @@
    the speculation journal (rollback restores loads and classification
    state verbatim), to the memoized-table scorer against the direct cost
    computation, and end-to-end: a small campaign must render byte-equal
-   CSV rows and checkpoint files whichever backend [MANROUTE_DELTA]
-   selects, at one worker domain or two. *)
+   CSV rows and checkpoint files at one worker domain or two. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -142,98 +141,88 @@ let prop_delta_matches_from_scratch =
       done;
       !ok)
 
-(* Pulled above the oracle properties that need it: switch the memoized
-   scorer backend for the duration of [f], restoring the env default. *)
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
-
 (* Departure-heavy sequences: a long-lived engine spends most of its
    life removing — the memoized level/overload tallies must stay
    bit-identical to a from-scratch rescore through interleaved
-   add/remove/mark/rollback on BOTH backends, and a full drain must
-   land on exactly the fresh empty engine's report. *)
+   add/remove/mark/rollback, and a full drain must land on exactly the
+   fresh empty engine's report. *)
 let prop_departure_heavy_tallies_bit_identical =
   QCheck.Test.make
-    ~name:"departure-heavy interleavings keep tallies bit-identical (both backends)"
+    ~name:"departure-heavy interleavings keep tallies bit-identical"
     ~count:20
     (QCheck.make instance_gen)
     (fun (seed, p, model_idx, fault_kind) ->
-      List.for_all
-        (fun backend ->
-          with_backend (Some backend) @@ fun () ->
-          let mesh = Noc.Mesh.square p in
-          let model = models.(model_idx) in
-          let rng = Traffic.Rng.create seed in
-          let fault = make_fault rng fault_kind mesh in
-          let comms =
-            Array.of_list
-              (Traffic.Workload.uniform rng mesh ~n:8
-                 ~weight:(Traffic.Workload.weight ~lo:100. ~hi:3500.))
-          in
-          let d = Routing.Delta.create ?fault model mesh in
-          let routed = ref [] in
-          let random_path (c : Traffic.Communication.t) =
-            Noc.Path.random ~choose:(Traffic.Rng.int rng) ~src:c.src
-              ~snk:c.snk
-          in
-          let add () =
-            let c = comms.(Traffic.Rng.int rng (Array.length comms)) in
-            let path = random_path c in
-            Routing.Delta.add_path d path c.rate;
-            routed := (c, path) :: !routed
-          in
-          let remove () =
-            let i = Traffic.Rng.int rng (List.length !routed) in
-            let (c : Traffic.Communication.t), path = List.nth !routed i in
-            routed := List.filteri (fun j _ -> j <> i) !routed;
-            Routing.Delta.remove_path d path c.rate
-          in
-          let spec_remove () =
-            (* A speculated departure: mark, remove, check, roll back —
-               the removal path must keep tallies canonical even when it
-               is later undone. *)
-            match !routed with
-            | [] -> true
-            | ((c : Traffic.Communication.t), path) :: _ ->
-                let m = Routing.Delta.mark d in
-                Routing.Delta.remove_path d path c.rate;
-                let ok =
-                  report_eq (Routing.Delta.report d)
-                    (Routing.Evaluate.of_loads model (Routing.Delta.loads d))
-                in
-                Routing.Delta.rollback d m;
-                ok
-          in
-          let ok = ref true in
-          for _ = 1 to 6 do
-            add ()
-          done;
-          for _ = 1 to 40 do
-            (match Traffic.Rng.int rng 6 with
-            | 0 -> add ()
-            | 4 -> if not (spec_remove ()) then ok := false
-            | _ -> if !routed = [] then add () else remove ());
-            if
-              not
-                (report_eq (Routing.Delta.report d)
-                   (Routing.Evaluate.of_loads model (Routing.Delta.loads d)))
-            then ok := false
-          done;
-          (* Full drain: every load snaps to exactly 0 and the memoized
-             tallies equal a fresh empty engine's. *)
-          List.iter
-            (fun ((c : Traffic.Communication.t), path) ->
-              Routing.Delta.remove_path d path c.rate)
-            !routed;
-          if
-            not
-              (report_eq (Routing.Delta.report d)
-                 (Routing.Evaluate.of_loads model
-                    (Noc.Load.create ?fault mesh)))
-          then ok := false;
-          !ok)
-        [ true; false ])
+      let mesh = Noc.Mesh.square p in
+      let model = models.(model_idx) in
+      let rng = Traffic.Rng.create seed in
+      let fault = make_fault rng fault_kind mesh in
+      let comms =
+        Array.of_list
+          (Traffic.Workload.uniform rng mesh ~n:8
+             ~weight:(Traffic.Workload.weight ~lo:100. ~hi:3500.))
+      in
+      let d = Routing.Delta.create ?fault model mesh in
+      let routed = ref [] in
+      let random_path (c : Traffic.Communication.t) =
+        Noc.Path.random ~choose:(Traffic.Rng.int rng) ~src:c.src
+          ~snk:c.snk
+      in
+      let add () =
+        let c = comms.(Traffic.Rng.int rng (Array.length comms)) in
+        let path = random_path c in
+        Routing.Delta.add_path d path c.rate;
+        routed := (c, path) :: !routed
+      in
+      let remove () =
+        let i = Traffic.Rng.int rng (List.length !routed) in
+        let (c : Traffic.Communication.t), path = List.nth !routed i in
+        routed := List.filteri (fun j _ -> j <> i) !routed;
+        Routing.Delta.remove_path d path c.rate
+      in
+      let spec_remove () =
+        (* A speculated departure: mark, remove, check, roll back —
+           the removal path must keep tallies canonical even when it
+           is later undone. *)
+        match !routed with
+        | [] -> true
+        | ((c : Traffic.Communication.t), path) :: _ ->
+            let m = Routing.Delta.mark d in
+            Routing.Delta.remove_path d path c.rate;
+            let ok =
+              report_eq (Routing.Delta.report d)
+                (Routing.Evaluate.of_loads model (Routing.Delta.loads d))
+            in
+            Routing.Delta.rollback d m;
+            ok
+      in
+      let ok = ref true in
+      for _ = 1 to 6 do
+        add ()
+      done;
+      for _ = 1 to 40 do
+        (match Traffic.Rng.int rng 6 with
+        | 0 -> add ()
+        | 4 -> if not (spec_remove ()) then ok := false
+        | _ -> if !routed = [] then add () else remove ());
+        if
+          not
+            (report_eq (Routing.Delta.report d)
+               (Routing.Evaluate.of_loads model (Routing.Delta.loads d)))
+        then ok := false
+      done;
+      (* Full drain: every load snaps to exactly 0 and the memoized
+         tallies equal a fresh empty engine's. *)
+      List.iter
+        (fun ((c : Traffic.Communication.t), path) ->
+          Routing.Delta.remove_path d path c.rate)
+        !routed;
+      if
+        not
+          (report_eq (Routing.Delta.report d)
+             (Routing.Evaluate.of_loads model
+                (Noc.Load.create ?fault mesh)))
+      then ok := false;
+      !ok)
 
 (* The removal-numerics fix in [Noc.Load.add]: removing the very paths
    that were added — in any order — must land every link on bitwise
@@ -241,53 +230,49 @@ let prop_departure_heavy_tallies_bit_identical =
    tallies see a truly empty chip. *)
 let prop_add_remove_roundtrip_restores_zero =
   QCheck.Test.make
-    ~name:"add/remove round-trip restores every load to bitwise 0. (both backends)"
+    ~name:"add/remove round-trip restores every load to bitwise 0."
     ~count:50
     (QCheck.make QCheck.Gen.(pair (int_range 0 1_000_000) (int_range 3 6)))
     (fun (seed, p) ->
-      List.for_all
-        (fun backend ->
-          with_backend (Some backend) @@ fun () ->
-          let mesh = Noc.Mesh.square p in
-          let rng = Traffic.Rng.create seed in
-          let comms =
-            Traffic.Workload.uniform rng mesh ~n:12
-              ~weight:(Traffic.Workload.weight ~lo:100. ~hi:3500.)
-          in
-          let d = Routing.Delta.create km mesh in
-          let routed =
-            List.map
-              (fun (c : Traffic.Communication.t) ->
-                let path =
-                  Noc.Path.random ~choose:(Traffic.Rng.int rng) ~src:c.src
-                    ~snk:c.snk
-                in
-                Routing.Delta.add_path d path c.rate;
-                (c, path))
-              comms
-          in
-          (* Remove in a shuffled order: interleaved histories are where
-             float cancellation leaves residues. *)
-          let arr = Array.of_list routed in
-          for i = Array.length arr - 1 downto 1 do
-            let j = Traffic.Rng.int rng (i + 1) in
-            let t = arr.(i) in
-            arr.(i) <- arr.(j);
-            arr.(j) <- t
-          done;
-          Array.iter
-            (fun ((c : Traffic.Communication.t), path) ->
-              Routing.Delta.remove_path d path c.rate)
-            arr;
-          let loads = Routing.Delta.loads d in
-          let all_zero = ref true in
-          for id = 0 to Noc.Mesh.num_links mesh - 1 do
-            if bits (Noc.Load.get loads id) <> bits 0. then all_zero := false
-          done;
-          !all_zero
-          && report_eq (Routing.Delta.report d)
-               (Routing.Evaluate.of_loads km (Noc.Load.create mesh)))
-        [ true; false ])
+      let mesh = Noc.Mesh.square p in
+      let rng = Traffic.Rng.create seed in
+      let comms =
+        Traffic.Workload.uniform rng mesh ~n:12
+          ~weight:(Traffic.Workload.weight ~lo:100. ~hi:3500.)
+      in
+      let d = Routing.Delta.create km mesh in
+      let routed =
+        List.map
+          (fun (c : Traffic.Communication.t) ->
+            let path =
+              Noc.Path.random ~choose:(Traffic.Rng.int rng) ~src:c.src
+                ~snk:c.snk
+            in
+            Routing.Delta.add_path d path c.rate;
+            (c, path))
+          comms
+      in
+      (* Remove in a shuffled order: interleaved histories are where
+         float cancellation leaves residues. *)
+      let arr = Array.of_list routed in
+      for i = Array.length arr - 1 downto 1 do
+        let j = Traffic.Rng.int rng (i + 1) in
+        let t = arr.(i) in
+        arr.(i) <- arr.(j);
+        arr.(j) <- t
+      done;
+      Array.iter
+        (fun ((c : Traffic.Communication.t), path) ->
+          Routing.Delta.remove_path d path c.rate)
+        arr;
+      let loads = Routing.Delta.loads d in
+      let all_zero = ref true in
+      for id = 0 to Noc.Mesh.num_links mesh - 1 do
+        if bits (Noc.Load.get loads id) <> bits 0. then all_zero := false
+      done;
+      !all_zero
+      && report_eq (Routing.Delta.report d)
+           (Routing.Evaluate.of_loads km (Noc.Load.create mesh)))
 
 (* ------------------------------------------------------------------ *)
 (* Journal semantics *)
@@ -371,40 +356,53 @@ let test_rollback_without_mark_raises () =
       Routing.Delta.rollback d m)
 
 (* ------------------------------------------------------------------ *)
-(* Scorer: table backend vs legacy direct computation *)
+(* Scorer: memoized table vs direct computation *)
 
-let test_scorer_backends_agree () =
-  let mesh = Noc.Mesh.square 3 in
-  let grid =
-    [ -1.; 0.; 1e-9; 500.; 1000.; 1000.5; 1800.; 2500.; 3500.; 3600.; 1e5 ]
+(* The scorer against its reference: every lookup must return the very
+   float [Power.Model.penalized_cost_capped] computes and count exactly
+   one [delta_evals]. The loads probe every branch of the table: below
+   and at zero, subnormal, one ulp either side of each frequency level
+   (of the capacity in continuous mode), between levels, past capacity
+   and far past it, plus one random load; the factors are healthy,
+   fixed and random degradations, and dead. *)
+let prop_scorer_matches_reference =
+  let probe_loads (model : Power.Model.t) =
+    let levels =
+      match model.mode with
+      | Power.Model.Discrete levels -> Array.to_list levels
+      | Power.Model.Continuous -> [ model.capacity ]
+    in
+    [ -1.; -0.; 0.; 4.9e-324; 0x1p-1030; 1e-9; 500.; 1000.5; 1800.; 3600. ]
+    @ List.concat_map (fun l -> [ Float.pred l; l; Float.succ l ]) levels
+    @ [ 1.5 *. model.capacity; 1e5 ]
   in
-  let factors = [ 1.; 0.75; 0.5; 0. ] in
-  List.iter
-    (fun model ->
-      let loads = Noc.Load.create mesh in
-      let direct = Power.Model.penalized_cost_capped model in
-      let costs backend =
-        with_backend (Some backend) @@ fun () ->
-        let sc = Routing.Delta.scorer model loads in
-        List.concat_map
-          (fun factor ->
-            List.map (fun l -> Routing.Delta.cost_at sc ~factor l) grid)
-          factors
+  QCheck.Test.make
+    ~name:"cost_at bit-equals penalized_cost_capped, one delta_eval each"
+    ~count:300
+    QCheck.(
+      quad (int_bound 2) (int_bound 4) (float_bound_exclusive 1.)
+        (float_bound_exclusive 4500.))
+    (fun (model_idx, factor_kind, r, random_load) ->
+      let model = models.(model_idx) in
+      let factor =
+        match factor_kind with
+        | 0 -> 1.
+        | 1 -> 0.75
+        | 2 -> 0.5
+        | 3 -> if r > 0. then r else 0.5
+        | _ -> 0.
       in
-      let via_table = costs true and via_direct = costs false in
-      let expected =
-        List.concat_map
-          (fun factor -> List.map (fun l -> direct ~factor l) grid)
-          factors
-      in
-      List.iteri
-        (fun i e ->
-          check_bits (Printf.sprintf "table cell %d" i) e
-            (List.nth via_table i);
-          check_bits (Printf.sprintf "direct cell %d" i) e
-            (List.nth via_direct i))
-        expected)
-    [ km; Power.Model.kim_horowitz_continuous ]
+      let loads = Noc.Load.create (Noc.Mesh.square 2) in
+      let sc = Routing.Delta.scorer model loads in
+      let m = Routing.Metrics.current () in
+      List.for_all
+        (fun load ->
+          let before = m.Routing.Metrics.delta_evals in
+          let got = Routing.Delta.cost_at sc ~factor load in
+          m.Routing.Metrics.delta_evals = before + 1
+          && bits got
+             = bits (Power.Model.penalized_cost_capped model ~factor load))
+        (random_load :: probe_loads model))
 
 let test_occupancy_matches_formula () =
   let mesh = Noc.Mesh.square 3 in
@@ -426,23 +424,19 @@ let test_occupancy_matches_formula () =
   check_bits "dead: sentinel" infinity (occ ~dead:infinity l_dead);
   check_bits "dead: PR sentinel" 1e15 (occ ~dead:1e15 l_dead)
 
-let test_delta_evals_counted_on_both_backends () =
+let test_delta_evals_counted () =
   let mesh = Noc.Mesh.square 3 in
   let loads = Noc.Load.create mesh in
-  let count backend =
-    with_backend (Some backend) @@ fun () ->
-    let sc = Routing.Delta.scorer km loads in
-    let m = Routing.Metrics.current () in
-    let before = m.Routing.Metrics.delta_evals in
-    ignore (Routing.Delta.cost_at sc ~factor:1. 500.);
-    ignore (Routing.Delta.occupancy loads ~dead:infinity ~rate:1. 0);
-    m.Routing.Metrics.delta_evals - before
-  in
-  check_int "table backend counts 2" 2 (count true);
-  check_int "legacy backend counts 2" 2 (count false)
+  let sc = Routing.Delta.scorer km loads in
+  let m = Routing.Metrics.current () in
+  let before = m.Routing.Metrics.delta_evals in
+  ignore (Routing.Delta.cost_at sc ~factor:1. 500.);
+  ignore (Routing.Delta.occupancy loads ~dead:infinity ~rate:1. 0);
+  check_int "one cost read and one occupancy read count 2" 2
+    (m.Routing.Metrics.delta_evals - before)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: campaign rows are backend- and jobs-invariant *)
+(* End-to-end: campaign rows are jobs-invariant *)
 
 let small_figf = { Harness.Figure.figf with xs = [ 0.; 2.; 5. ] }
 
@@ -452,8 +446,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let campaign backend jobs =
-  with_backend (Some backend) @@ fun () ->
+let campaign jobs =
   let ckpt = Filename.temp_file "manroute-delta" ".ckpt" in
   let result =
     Harness.Runner.run ~trials:3 ~seed:5 ~jobs ~checkpoint:ckpt small_figf
@@ -463,23 +456,17 @@ let campaign backend jobs =
   Sys.remove ckpt;
   (csv, ckpt_bytes)
 
-let test_campaign_backend_invariant () =
-  let csv_t1, ck_t1 = campaign true 1 in
-  let csv_l1, ck_l1 = campaign false 1 in
-  let csv_t2, ck_t2 = campaign true 2 in
-  let csv_l2, ck_l2 = campaign false 2 in
-  check_string "csv: table vs legacy, jobs=1" csv_t1 csv_l1;
-  check_string "csv: table vs legacy, jobs=2" csv_t2 csv_l2;
-  check_string "csv: jobs=1 vs jobs=2" csv_t1 csv_t2;
-  check_string "checkpoint: table vs legacy, jobs=1" ck_t1 ck_l1;
-  check_string "checkpoint: table vs legacy, jobs=2" ck_t2 ck_l2;
-  check_string "checkpoint: jobs=1 vs jobs=2" ck_t1 ck_t2;
+let test_campaign_jobs_invariant () =
+  let csv_1, ck_1 = campaign 1 in
+  let csv_2, ck_2 = campaign 2 in
+  check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
+  check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
     at 0
   in
-  check_bool "csv reports delta work" true (contains csv_t1 "BEST_delta_evals")
+  check_bool "csv reports delta work" true (contains csv_1 "BEST_delta_evals")
 
 let () =
   Alcotest.run "delta"
@@ -505,16 +492,15 @@ let () =
         ] );
       ( "scorer",
         [
-          Alcotest.test_case "table and legacy backends agree with direct"
-            `Quick test_scorer_backends_agree;
+          QCheck_alcotest.to_alcotest prop_scorer_matches_reference;
           Alcotest.test_case "occupancy matches the effective formula" `Quick
             test_occupancy_matches_formula;
-          Alcotest.test_case "delta_evals counted on both backends" `Quick
-            test_delta_evals_counted_on_both_backends;
+          Alcotest.test_case "delta_evals counted per read" `Quick
+            test_delta_evals_counted;
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "campaign rows backend- and jobs-invariant"
-            `Slow test_campaign_backend_invariant;
+          Alcotest.test_case "campaign rows jobs-invariant" `Slow
+            test_campaign_jobs_invariant;
         ] );
     ]

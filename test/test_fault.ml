@@ -295,16 +295,7 @@ let solution_respects fault s =
     (Routing.Solution.routes s)
 
 (* ------------------------------------------------------------------ *)
-(* Repair as a property, on both delta backends *)
-
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
-
-let both_backends prop =
-  List.for_all
-    (fun backend -> with_backend (Some backend) prop)
-    [ true; false ]
+(* Repair as a property *)
 
 let repair_instance seed kills =
   let mesh = Noc.Mesh.square 6 in
@@ -324,7 +315,6 @@ let prop_repair_idempotent =
     ~count:30
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 6))
     (fun (seed, kills) ->
-      both_backends @@ fun () ->
       let _, fault, s = repair_instance seed kills in
       let r1 = Routing.Repair.solution fault km s in
       let r2 = Routing.Repair.solution fault km r1 in
@@ -340,7 +330,6 @@ let prop_repair_avoids_dead_links =
     QCheck.(
       triple (int_range 0 1_000_000) (int_range 0 35) (int_range 0 35))
     (fun (seed, a, b) ->
-      both_backends @@ fun () ->
       let mesh = Noc.Mesh.square 6 in
       let rng = Traffic.Rng.create seed in
       let comms =

@@ -394,6 +394,8 @@ let test_problem_errors () =
   expect_error "mesh 0 4";
   expect_error "mesh 2 2\ncomm 1 1 5 5 100";
   expect_error "mesh 2 2\ncomm 1 1 2 2 -5";
+  expect_error "mesh 2 2\ncomm 1 1 2 2 nan";
+  expect_error "mesh 2 2\ncomm 1 1 2 2 inf";
   expect_error "mesh 2 2\ncomm 1 1 1 1 100";
   expect_error "mesh 2 2\nnonsense line"
 

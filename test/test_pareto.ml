@@ -1,8 +1,8 @@
 (* Tests for the Pareto design-space layer: dominance/front semantics,
    the measured objectives against their single-objective ground truths
    (power bit-matches Evaluate, Fig. 2's latency ordering), and the
-   figpareto campaign's bit-level invariance across worker counts, delta
-   backends and checkpoint kill-and-resume. *)
+   figpareto campaign's bit-level invariance across worker counts and
+   checkpoint kill-and-resume. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -155,7 +155,7 @@ let test_fig2_latency_ordering () =
   check_int "XY and BEST are both non-dominated" 2 (List.length front)
 
 (* ------------------------------------------------------------------ *)
-(* figpareto campaign: jobs/backend invariance and kill-and-resume *)
+(* figpareto campaign: jobs invariance and kill-and-resume *)
 
 let small_figpareto = { Harness.Figure.figpareto with xs = [ 400.; 800. ] }
 
@@ -177,12 +177,8 @@ let temp_checkpoint name =
   if Sys.file_exists path then Sys.remove path;
   path
 
-let campaign ?checkpoint backend jobs =
-  Routing.Delta.set_table_backend (Some backend);
-  Fun.protect
-    ~finally:(fun () -> Routing.Delta.set_table_backend None)
-    (fun () ->
-      Harness.Runner.run ~trials:2 ~seed:9 ~jobs ?checkpoint small_figpareto)
+let campaign ?checkpoint jobs =
+  Harness.Runner.run ~trials:2 ~seed:9 ~jobs ?checkpoint small_figpareto
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -190,30 +186,26 @@ let contains hay needle =
   at 0
 
 let test_figpareto_invariance () =
-  let ck path backend jobs =
-    let r = campaign ~checkpoint:path backend jobs in
+  let ck path jobs =
+    let r = campaign ~checkpoint:path jobs in
     (Harness.Render.csv r, read_file path)
   in
   let p1 = temp_checkpoint "manroute_pareto_t1.tsv" in
   let p2 = temp_checkpoint "manroute_pareto_t2.tsv" in
-  let p3 = temp_checkpoint "manroute_pareto_l1.tsv" in
-  let csv_t1, ck_t1 = ck p1 true 1 in
-  let csv_t2, ck_t2 = ck p2 true 2 in
-  let csv_l1, ck_l1 = ck p3 false 1 in
-  check_string "csv: jobs=1 vs jobs=2" csv_t1 csv_t2;
-  check_string "csv: table vs legacy backend" csv_t1 csv_l1;
-  check_string "checkpoint: jobs=1 vs jobs=2" ck_t1 ck_t2;
-  check_string "checkpoint: table vs legacy backend" ck_t1 ck_l1;
+  let csv_1, ck_1 = ck p1 1 in
+  let csv_2, ck_2 = ck p2 2 in
+  check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
+  check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
   check_bool "csv has the Pareto columns" true
-    (contains csv_t1 "BEST_p50" && contains csv_t1 "BEST_p95"
-    && contains csv_t1 "BEST_slope" && contains csv_t1 "BEST_front"
-    && contains csv_t1 "SMP_p50");
-  List.iter Sys.remove [ p1; p2; p3 ]
+    (contains csv_1 "BEST_p50" && contains csv_1 "BEST_p95"
+    && contains csv_1 "BEST_slope" && contains csv_1 "BEST_front"
+    && contains csv_1 "SMP_p50");
+  List.iter Sys.remove [ p1; p2 ]
 
 let test_figpareto_kill_and_resume () =
   let path = temp_checkpoint "manroute_pareto_resume.tsv" in
-  let fresh = campaign true 1 in
-  ignore (campaign ~checkpoint:path true 1);
+  let fresh = campaign 1 in
+  ignore (campaign ~checkpoint:path 1);
   (* Simulate a crash after the first row: keep it, then leave a torn
      half-written line with no newline, as a dying process would. *)
   let ic = open_in path in
@@ -222,7 +214,7 @@ let test_figpareto_kill_and_resume () =
   let oc = open_out path in
   output_string oc (first_line ^ "\nrow\tv2\tfigpareto\t9\t2\t0x1p+");
   close_out oc;
-  let resumed = campaign ~checkpoint:path true 2 in
+  let resumed = campaign ~checkpoint:path 2 in
   check_bool "kill-and-resume rows bit-identical" true
     (rows_equal fresh resumed);
   let key =
@@ -262,7 +254,7 @@ let () =
         ] );
       ( "campaign",
         [
-          quick "jobs and backend invariance" test_figpareto_invariance;
+          quick "jobs invariance" test_figpareto_invariance;
           quick "kill and resume" test_figpareto_kill_and_resume;
         ] );
     ]

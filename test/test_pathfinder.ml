@@ -3,12 +3,11 @@
    Four layers of contract: a [negotiate] outcome that claims feasibility
    must show zero overloaded links under the fault-effective capacities;
    its incremental report must bit-match a from-scratch rescore of the
-   returned solution on BOTH delta backends with identical work counters
-   (the differential oracle); [engine] must never lose to the best
-   single-path heuristic and must rescue negotiation-solvable instances
-   every greedy policy fails; and the figpf campaign must stay
-   byte-identical across worker counts, delta backends, and a
-   kill-and-resume through the checkpoint sidecar. *)
+   returned solution (the differential oracle); [engine] must never lose
+   to the best single-path heuristic and must rescue negotiation-solvable
+   instances every greedy policy fails; and the figpf campaign must stay
+   byte-identical across worker counts and a kill-and-resume through the
+   checkpoint sidecar. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -173,38 +172,15 @@ let test_report_matches_full_rescore () =
         o.report)
     [ 3; 17; 313 ]
 
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
-
-let test_backends_agree_with_equal_work () =
-  (* The memoized-table and legacy delta backends must negotiate to the
-     same bits AND meter the same work: identical delta_evals is what
-     keeps campaign counter columns invariant under MANROUTE_DELTA. *)
-  let run backend =
-    with_backend (Some backend) @@ fun () ->
-    let mesh, _, comms = mixed_instance ~p:8 ~n:25 313 in
-    let before = Routing.Metrics.snapshot () in
-    let o = Optim.Pathfinder.negotiate km mesh comms in
-    let work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before in
-    (o, work)
-  in
-  let ot, wt = run true in
-  let ol, wl = run false in
-  check_reports_bit_equal "table vs legacy" ot.Optim.Pathfinder.report
-    ol.Optim.Pathfinder.report;
-  check_bool "loads bit-equal across backends" true
-    (loads_eq
-       (Routing.Solution.loads ot.solution)
-       (Routing.Solution.loads ol.solution));
-  check_int "same negotiation passes" ot.iterations ol.iterations;
-  check_int "same rips" ot.rips ol.rips;
-  check_int "same delta_evals" wt.Routing.Metrics.delta_evals
-    wl.Routing.Metrics.delta_evals;
-  check_int "same pf_iterations metered" wt.pf_iterations wl.pf_iterations;
-  check_int "same pf_rips metered" wt.pf_rips wl.pf_rips;
-  check_bool "scoring went through the journal" true (wt.delta_evals > 0);
-  check_bool "at least the initial pass metered" true (wt.pf_iterations >= 1)
+let test_negotiation_meters_its_work () =
+  let mesh, _, comms = mixed_instance ~p:8 ~n:25 313 in
+  let before = Routing.Metrics.snapshot () in
+  ignore (Optim.Pathfinder.negotiate km mesh comms);
+  let work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before in
+  check_bool "scoring went through the journal" true
+    (work.Routing.Metrics.delta_evals > 0);
+  check_bool "at least the initial pass metered" true
+    (work.pf_iterations >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Negotiation rescues what greedy cannot route *)
@@ -317,15 +293,10 @@ let test_registry_spellings () =
     (name (Optim.Pathfinder.find "pf") = Some "PF32");
   check_bool "pf0 rejected" true (Optim.Pathfinder.find "pf0" = None);
   check_bool "pfx rejected" true (Optim.Pathfinder.find "pfx" = None);
-  check_bool "unrelated names rejected" true (Optim.Pathfinder.find "smp4" = None);
-  Routing.Heuristic.register Optim.Pathfinder.find;
-  check_bool "find_extended resolves pf8" true
-    (name (Routing.Heuristic.find_extended "pf8") = Some "PF8");
-  check_bool "builtins still resolve first" true
-    (name (Routing.Heuristic.find_extended "xy") = Some "XY")
+  check_bool "unrelated names rejected" true (Optim.Pathfinder.find "smp4" = None)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: the figpf campaign is backend-, jobs- and crash-invariant *)
+(* End-to-end: the figpf campaign is jobs- and crash-invariant *)
 
 let small_figpf = { Harness.Figure.figpf with xs = [ 1.; 2. ] }
 
@@ -340,8 +311,7 @@ let contains hay needle =
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   at 0
 
-let campaign backend jobs =
-  with_backend (Some backend) @@ fun () ->
+let campaign jobs =
   let ckpt = Filename.temp_file "manroute-pf" ".ckpt" in
   let result =
     Harness.Runner.run ~trials:2 ~seed:7 ~jobs ~checkpoint:ckpt small_figpf
@@ -352,17 +322,14 @@ let campaign backend jobs =
   (csv, ckpt_bytes)
 
 let test_figpf_campaign_invariant () =
-  let csv_t1, ck_t1 = campaign true 1 in
-  let csv_l1, ck_l1 = campaign false 1 in
-  let csv_t2, ck_t2 = campaign true 2 in
-  check_string "csv: table vs legacy, jobs=1" csv_t1 csv_l1;
-  check_string "csv: jobs=1 vs jobs=2" csv_t1 csv_t2;
-  check_string "checkpoint: table vs legacy, jobs=1" ck_t1 ck_l1;
-  check_string "checkpoint: jobs=1 vs jobs=2" ck_t1 ck_t2;
-  check_bool "csv has the PF power column" true (contains csv_t1 "PF_power");
+  let csv_1, ck_1 = campaign 1 in
+  let csv_2, ck_2 = campaign 2 in
+  check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
+  check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
+  check_bool "csv has the PF power column" true (contains csv_1 "PF_power");
   check_bool "csv has the PF iteration column" true
-    (contains csv_t1 "PF_pf_iters");
-  check_bool "csv has the PF rip column" true (contains csv_t1 "PF_pf_rips")
+    (contains csv_1 "PF_pf_iters");
+  check_bool "csv has the PF rip column" true (contains csv_1 "PF_pf_rips")
 
 let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
   List.length a.rows = List.length b.rows
@@ -372,7 +339,6 @@ let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
        a.rows b.rows
 
 let test_figpf_kill_and_resume () =
-  with_backend (Some true) @@ fun () ->
   let path = Filename.temp_file "manroute-pf-resume" ".ckpt" in
   let fresh = Harness.Runner.run ~trials:2 ~seed:7 ~jobs:1 small_figpf in
   ignore
@@ -410,8 +376,8 @@ let () =
         [
           Alcotest.test_case "report bit-matches a full rescore" `Quick
             test_report_matches_full_rescore;
-          Alcotest.test_case "delta backends agree, equal work" `Quick
-            test_backends_agree_with_equal_work;
+          Alcotest.test_case "negotiation meters its work" `Quick
+            test_negotiation_meters_its_work;
         ] );
       ( "engine",
         [
@@ -427,8 +393,8 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "figpf campaign backend- and jobs-invariant"
-            `Slow test_figpf_campaign_invariant;
+          Alcotest.test_case "figpf campaign jobs-invariant" `Slow
+            test_figpf_campaign_invariant;
           Alcotest.test_case "figpf campaign survives a kill-and-resume"
             `Slow test_figpf_kill_and_resume;
         ] );

@@ -2,11 +2,10 @@
 
    [Routing.Probe] promises exactness, not approximation: its embedded
    report must bit-match a from-scratch [Routing.Evaluate] of the same
-   solution on either [MANROUTE_DELTA] backend; within every carrying
-   link the occupant power slices must sum bitwise to the link power;
-   and the per-communication attributions must sum bitwise to the
-   report's total. The audit artifacts built on top must be byte-equal
-   whatever worker count or scorer backend produced them. Golden pins
+   solution; within every carrying link the occupant power slices must
+   sum bitwise to the link power; and the per-communication attributions
+   must sum bitwise to the report's total. The audit artifacts built on
+   top must be byte-equal whatever worker count produced them. Golden pins
    hold the ASCII heatmaps of the paper's Fig. 2 example to their exact
    rendering. *)
 
@@ -30,10 +29,6 @@ let report_eq (a : Routing.Evaluate.report) (b : Routing.Evaluate.report) =
   && List.for_all2
        (fun (la, xa) (lb, xb) -> la = lb && bits xa = bits xb)
        a.overloaded b.overloaded
-
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
 
 (* ------------------------------------------------------------------ *)
 (* Randomized differential oracle *)
@@ -138,8 +133,7 @@ let probe_invariants ~what ?fault model (sol : Routing.Solution.t) bad =
 
 let prop_probe_matches_evaluate =
   QCheck.Test.make
-    ~name:
-      "probe grid and attribution bit-match Evaluate on both backends"
+    ~name:"probe grid and attribution bit-match Evaluate"
     ~count:30
     (QCheck.make instance_gen)
     (fun (seed, p, model_idx, fault_kind) ->
@@ -156,16 +150,7 @@ let prop_probe_matches_evaluate =
         (fun (h : Routing.Heuristic.t) ->
           match h.run ?fault model mesh comms with
           | exception Routing.Repair.No_route _ -> ()
-          | sol ->
-              List.iter
-                (fun backend ->
-                  with_backend (Some backend) @@ fun () ->
-                  let what =
-                    Printf.sprintf "%s/%s" h.name
-                      (if backend then "table" else "legacy")
-                  in
-                  probe_invariants ~what ?fault model sol bad)
-                [ true; false ])
+          | sol -> probe_invariants ~what:h.name ?fault model sol bad)
         Routing.Heuristic.all;
       match !bad with
       | [] -> true
@@ -262,8 +247,7 @@ let small_figrec = { Harness.Figure.figrec with xs = [ 2. ] }
 
 (* One audited campaign; returns the artifact bytes and its validated
    record count. *)
-let audited_campaign backend jobs =
-  with_backend (Some backend) @@ fun () ->
+let audited_campaign jobs =
   let dir = Filename.temp_file "manroute-audit" "" in
   Sys.remove dir;
   let _ = Harness.Runner.run ~trials:2 ~seed:7 ~jobs ~audit:dir small_figrec in
@@ -280,15 +264,11 @@ let audited_campaign backend jobs =
   (try Sys.rmdir dir with Sys_error _ -> ());
   (bytes, count)
 
-let test_audit_artifact_backend_and_jobs_invariant () =
-  let b_t1, n_t1 = audited_campaign true 1 in
-  let b_l1, _ = audited_campaign false 1 in
-  let b_t2, _ = audited_campaign true 2 in
-  let b_l2, _ = audited_campaign false 2 in
-  check_bool "artifact has records" true (n_t1 >= 1);
-  check_string "audit: table vs legacy, jobs=1" b_t1 b_l1;
-  check_string "audit: table vs legacy, jobs=2" b_t2 b_l2;
-  check_string "audit: jobs=1 vs jobs=2" b_t1 b_t2
+let test_audit_artifact_jobs_invariant () =
+  let b_1, n_1 = audited_campaign 1 in
+  let b_2, _ = audited_campaign 2 in
+  check_bool "artifact has records" true (n_1 >= 1);
+  check_string "audit: jobs=1 vs jobs=2" b_1 b_2
 
 let test_validators_name_line_and_snippet () =
   let path = Filename.temp_file "manroute-audit-bad" ".jsonl" in
@@ -332,8 +312,8 @@ let () =
         [
           Alcotest.test_case "selection: first worst + every incident"
             `Quick test_select_picks_first_worst_and_all_incidents;
-          Alcotest.test_case "artifact backend- and jobs-invariant" `Slow
-            test_audit_artifact_backend_and_jobs_invariant;
+          Alcotest.test_case "artifact jobs-invariant" `Slow
+            test_audit_artifact_jobs_invariant;
           Alcotest.test_case "validator errors carry line and snippet"
             `Quick test_validators_name_line_and_snippet;
         ] );

@@ -4,13 +4,12 @@
    Contract layers: schedules drawn from a seeded chooser are
    reproducible and prefix-nested; every [step] report's [eval] is
    bit-identical to a from-scratch rescore of the live solution under the
-   stepped fault (the differential oracle), on BOTH delta backends with
-   identical work counters; the escalation ladder never crashes — a
-   region cut sheds with a typed [Disconnected] reason, a zero budget
-   sheds [Budget_exhausted], structural overload sheds
+   stepped fault (the differential oracle); the escalation ladder never
+   crashes — a region cut sheds with a typed [Disconnected] reason, a
+   zero budget sheds [Budget_exhausted], structural overload sheds
    [Infeasible_overload] — and restores readmit what was shed; and the
-   figrec campaign stays byte-identical across worker counts, delta
-   backends, and a kill-and-resume through the checkpoint sidecar. *)
+   figrec campaign stays byte-identical across worker counts and a
+   kill-and-resume through the checkpoint sidecar. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -43,18 +42,6 @@ let mixed_instance ?(p = 6) ?(n = 10) seed =
     Traffic.Workload.uniform rng mesh ~n ~weight:Traffic.Workload.mixed
   in
   (mesh, rng, comms)
-
-let check_reports_bit_equal tag (a : Routing.Evaluate.report)
-    (b : Routing.Evaluate.report) =
-  check_bool (tag ^ ": feasible") a.Routing.Evaluate.feasible
-    b.Routing.Evaluate.feasible;
-  check_bits (tag ^ ": total power") a.total_power b.total_power;
-  check_bits (tag ^ ": static power") a.static_power b.static_power;
-  check_bits (tag ^ ": dynamic power") a.dynamic_power b.dynamic_power;
-  check_int (tag ^ ": active links") a.active_links b.active_links;
-  check_bits (tag ^ ": max load") a.max_load b.max_load;
-  check_int (tag ^ ": detour hops") a.detour_hops b.detour_hops;
-  check_bool (tag ^ ": overloaded lists") true (a.overloaded = b.overloaded)
 
 (* ------------------------------------------------------------------ *)
 (* Schedules: deterministic, prefix-nested, always-valid targets *)
@@ -207,52 +194,21 @@ let prop_run_never_raises_and_ends_feasible =
              + List.length (Optim.Recover.shed t)
              = 8)
 
-let test_backends_agree_with_equal_work () =
-  let with_backend b f =
-    Routing.Delta.set_table_backend b;
-    Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
-  in
-  let run backend =
-    with_backend (Some backend) @@ fun () ->
-    match routed 313 with
-    | None -> Alcotest.fail "seed 313 must be Best-routable"
-    | Some (mesh, rng, solution) ->
-        let schedule =
-          Noc.Fault.Schedule.random
-            ~choose:(Traffic.Rng.int rng)
-            ~events:10 mesh
-        in
-        let before = Routing.Metrics.snapshot () in
-        let t, reports = Optim.Recover.run km solution schedule in
-        let work =
-          Routing.Metrics.diff (Routing.Metrics.snapshot ()) before
-        in
-        (t, reports, work)
-  in
-  let tt, rt, wt = run true in
-  let tl, rl, wl = run false in
-  List.iteri
-    (fun i (a : Optim.Recover.report) ->
-      let b = List.nth rl i in
-      check_reports_bit_equal
-        (Printf.sprintf "event %d table vs legacy" i)
-        a.Optim.Recover.eval b.Optim.Recover.eval;
-      check_int (Printf.sprintf "event %d rung" i) a.rung b.rung;
-      check_bool
-        (Printf.sprintf "event %d sheds" i)
-        true (a.shed_now = b.shed_now))
-    rt;
-  check_bool "same final shed set" true
-    (Optim.Recover.shed tt = Optim.Recover.shed tl);
-  check_int "same delta_evals metered" wt.Routing.Metrics.delta_evals
-    wl.Routing.Metrics.delta_evals;
-  check_int "same recover_events" wt.recover_events wl.recover_events;
-  check_int "same recover_sheds" wt.recover_sheds wl.recover_sheds;
-  check_int "same recover_rung_max" wt.recover_rung_max wl.recover_rung_max;
-  check_int "ten events metered" 10 wt.recover_events;
-  check_bool "rung sum counts every event at least once" true
-    (wt.recover_rung_max >= 10);
-  check_bool "scoring went through the journal" true (wt.delta_evals > 0)
+let test_run_meters_its_work () =
+  match routed 313 with
+  | None -> Alcotest.fail "seed 313 must be Best-routable"
+  | Some (mesh, rng, solution) ->
+      let schedule =
+        Noc.Fault.Schedule.random ~choose:(Traffic.Rng.int rng) ~events:10
+          mesh
+      in
+      let before = Routing.Metrics.snapshot () in
+      ignore (Optim.Recover.run km solution schedule);
+      let work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before in
+      check_int "ten events metered" 10 work.Routing.Metrics.recover_events;
+      check_bool "rung sum counts every event at least once" true
+        (work.recover_rung_max >= 10);
+      check_bool "scoring went through the journal" true (work.delta_evals > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The ladder's typed shedding *)
@@ -412,15 +368,10 @@ let test_registry_spellings () =
     (name (Optim.Recover.find "rec0") = Some "REC0");
   check_bool "recx rejected" true (Optim.Recover.find "recx" = None);
   check_bool "rec-1 rejected" true (Optim.Recover.find "rec-1" = None);
-  check_bool "unrelated names rejected" true (Optim.Recover.find "pf8" = None);
-  Routing.Heuristic.register Optim.Recover.find;
-  check_bool "find_extended resolves rec4" true
-    (name (Routing.Heuristic.find_extended "rec4") = Some "REC4");
-  check_bool "builtins still resolve first" true
-    (name (Routing.Heuristic.find_extended "xy") = Some "XY")
+  check_bool "unrelated names rejected" true (Optim.Recover.find "pf8" = None)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: the figrec campaign is backend-, jobs- and crash-invariant *)
+(* End-to-end: the figrec campaign is jobs- and crash-invariant *)
 
 let small_figrec = { Harness.Figure.figrec with xs = [ 0.; 3. ] }
 
@@ -435,12 +386,7 @@ let contains hay needle =
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   at 0
 
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
-
-let campaign backend jobs =
-  with_backend (Some backend) @@ fun () ->
+let campaign jobs =
   let ckpt = Filename.temp_file "manroute-rec" ".ckpt" in
   let result =
     Harness.Runner.run ~trials:2 ~seed:7 ~jobs ~checkpoint:ckpt small_figrec
@@ -451,20 +397,17 @@ let campaign backend jobs =
   (csv, ckpt_bytes)
 
 let test_figrec_campaign_invariant () =
-  let csv_t1, ck_t1 = campaign true 1 in
-  let csv_l1, ck_l1 = campaign false 1 in
-  let csv_t2, ck_t2 = campaign true 2 in
-  check_string "csv: table vs legacy, jobs=1" csv_t1 csv_l1;
-  check_string "csv: jobs=1 vs jobs=2" csv_t1 csv_t2;
-  check_string "checkpoint: table vs legacy, jobs=1" ck_t1 ck_l1;
-  check_string "checkpoint: jobs=1 vs jobs=2" ck_t1 ck_t2;
-  check_bool "csv has the REC power column" true (contains csv_t1 "REC_power");
+  let csv_1, ck_1 = campaign 1 in
+  let csv_2, ck_2 = campaign 2 in
+  check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
+  check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
+  check_bool "csv has the REC power column" true (contains csv_1 "REC_power");
   check_bool "csv has the recover_events column" true
-    (contains csv_t1 "REC_recover_events");
+    (contains csv_1 "REC_recover_events");
   check_bool "csv has the recover_sheds column" true
-    (contains csv_t1 "REC_recover_sheds");
+    (contains csv_1 "REC_recover_sheds");
   check_bool "csv has the recover_rung_max column" true
-    (contains csv_t1 "REC_recover_rung_max")
+    (contains csv_1 "REC_recover_rung_max")
 
 let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
   List.length a.rows = List.length b.rows
@@ -474,7 +417,6 @@ let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
        a.rows b.rows
 
 let test_figrec_kill_and_resume () =
-  with_backend (Some true) @@ fun () ->
   let path = Filename.temp_file "manroute-rec-resume" ".ckpt" in
   let fresh = Harness.Runner.run ~trials:2 ~seed:7 ~jobs:1 small_figrec in
   ignore
@@ -511,8 +453,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_step_eval_is_full_rescore;
           QCheck_alcotest.to_alcotest prop_run_never_raises_and_ends_feasible;
-          Alcotest.test_case "delta backends agree, equal work" `Quick
-            test_backends_agree_with_equal_work;
+          Alcotest.test_case "run meters its work" `Quick
+            test_run_meters_its_work;
         ] );
       ( "ladder",
         [
@@ -535,8 +477,8 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "figrec campaign backend- and jobs-invariant"
-            `Slow test_figrec_campaign_invariant;
+          Alcotest.test_case "figrec campaign jobs-invariant" `Slow
+            test_figrec_campaign_invariant;
           Alcotest.test_case "figrec campaign survives a kill-and-resume"
             `Slow test_figrec_kill_and_resume;
         ] );

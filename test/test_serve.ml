@@ -4,15 +4,15 @@
    Contract layers: traces drawn from a seeded rng are byte-identical
    and well-formed (every arrival departs, events totally ordered);
    after EVERY served event the engine's [eval] is bit-identical to a
-   from-scratch [Evaluate.of_loads] rescore of the live solution, on
-   BOTH delta backends (the differential oracle); idle-link switch-off
+   from-scratch [Evaluate.of_loads] rescore of the live solution (the
+   differential oracle); idle-link switch-off
    honors the hysteresis — a link sleeps only after [idle_epochs]
    zero-load events, pays the wake penalty on reuse — and a sleeping
    session's [mean_power_nosleep] bit-matches a switch-off-disabled run
    of the same trace, which it strictly undercuts; the registry engine
    is deterministic without an rng; and the figserve campaign stays
-   byte-identical across worker counts, delta backends, and a
-   kill-and-resume through the checkpoint sidecar. *)
+   byte-identical across worker counts and a kill-and-resume through the
+   checkpoint sidecar. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -48,10 +48,6 @@ let reports_equal (a : Routing.Evaluate.report) (b : Routing.Evaluate.report)
   && a.active_links = b.active_links
   && bits a.max_load = bits b.max_load
   && a.overloaded = b.overloaded
-
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
 
 let profile_of_index i =
   let open Traffic.Trace in
@@ -186,52 +182,25 @@ let prop_step_eval_is_full_rescore =
   QCheck.Test.make
     ~name:
       "after every event the engine eval bit-matches a from-scratch \
-       rescore (both backends)"
+       rescore"
     ~count:10
     QCheck.(pair (int_range 0 1_000_000) (int_range 3 5))
     (fun (seed, p) ->
+      let mesh, events = serve_instance seed p in
+      let t = Optim.Online.create km mesh in
       List.for_all
-        (fun backend ->
-          with_backend (Some backend) @@ fun () ->
-          let mesh, events = serve_instance seed p in
-          let t = Optim.Online.create km mesh in
-          List.for_all
-            (fun ev ->
-              let op = Optim.Online.step t ev in
-              let fresh =
-                Routing.Evaluate.of_loads km
-                  (Routing.Solution.loads
-                     ~fault:(Noc.Fault.healthy mesh)
-                     (Optim.Online.solution t))
-              in
-              reports_equal op.Optim.Online.eval fresh
-              && op.Optim.Online.live
-                 = List.length
-                     (Routing.Solution.routes (Optim.Online.solution t)))
-            events)
-        [ true; false ])
-
-let prop_backends_serve_bit_identically =
-  QCheck.Test.make
-    ~name:"table and legacy backends serve byte-identical sessions"
-    ~count:10
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let session backend =
-        with_backend (Some backend) @@ fun () ->
-        let mesh, events = serve_instance seed 4 in
-        let t = Optim.Online.create km mesh in
-        ignore (Optim.Online.serve t events);
-        Optim.Online.session t
-      in
-      let a = session true and b = session false in
-      bits a.Optim.Online.mean_power = bits b.Optim.Online.mean_power
-      && bits a.mean_power_nosleep = bits b.mean_power_nosleep
-      && bits a.p95_work = bits b.p95_work
-      && a.s_shed = b.s_shed
-      && a.s_sleeps = b.s_sleeps
-      && a.s_wakes = b.s_wakes
-      && reports_equal a.final b.final)
+        (fun ev ->
+          let op = Optim.Online.step t ev in
+          let fresh =
+            Routing.Evaluate.of_loads km
+              (Routing.Solution.loads
+                 ~fault:(Noc.Fault.healthy mesh)
+                 (Optim.Online.solution t))
+          in
+          reports_equal op.Optim.Online.eval fresh
+          && op.Optim.Online.live
+             = List.length (Routing.Solution.routes (Optim.Online.solution t)))
+        events)
 
 (* ------------------------------------------------------------------ *)
 (* Idle-link switch-off: hysteresis, wake charges, strict saving *)
@@ -358,12 +327,7 @@ let test_registry_spellings () =
   check_bool "srv0 rejected (rate >= 1)" true (Optim.Online.find "srv0" = None);
   check_bool "srv-1 rejected" true (Optim.Online.find "srv-1" = None);
   check_bool "srvx rejected" true (Optim.Online.find "srvx" = None);
-  check_bool "unrelated names rejected" true (Optim.Online.find "rec8" = None);
-  Routing.Heuristic.register Optim.Online.find;
-  check_bool "find_extended resolves srv4" true
-    (name (Routing.Heuristic.find_extended "srv4") = Some "SRV4");
-  check_bool "builtins still resolve first" true
-    (name (Routing.Heuristic.find_extended "xy") = Some "XY")
+  check_bool "unrelated names rejected" true (Optim.Online.find "rec8" = None)
 
 let test_engine_deterministic_and_session_stash () =
   let mesh = Noc.Mesh.square 5 in
@@ -398,7 +362,7 @@ let test_engine_deterministic_and_session_stash () =
   | _ -> Alcotest.fail "engine did not return both sessions"
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: the figserve campaign is backend-, jobs- and crash-invariant *)
+(* End-to-end: the figserve campaign is jobs- and crash-invariant *)
 
 let small_figserve = { Harness.Figure.figserve with xs = [ 2.; 8. ] }
 
@@ -413,8 +377,7 @@ let contains hay needle =
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   at 0
 
-let campaign backend jobs =
-  with_backend (Some backend) @@ fun () ->
+let campaign jobs =
   let ckpt = Filename.temp_file "manroute-serve" ".ckpt" in
   let result =
     Harness.Runner.run ~trials:2 ~seed:7 ~jobs ~checkpoint:ckpt small_figserve
@@ -425,21 +388,18 @@ let campaign backend jobs =
   (csv, ckpt_bytes)
 
 let test_figserve_campaign_invariant () =
-  let csv_t1, ck_t1 = campaign true 1 in
-  let csv_l1, ck_l1 = campaign false 1 in
-  let csv_t2, ck_t2 = campaign true 2 in
-  check_string "csv: table vs legacy, jobs=1" csv_t1 csv_l1;
-  check_string "csv: jobs=1 vs jobs=2" csv_t1 csv_t2;
-  check_string "checkpoint: table vs legacy, jobs=1" ck_t1 ck_l1;
-  check_string "checkpoint: jobs=1 vs jobs=2" ck_t1 ck_t2;
+  let csv_1, ck_1 = campaign 1 in
+  let csv_2, ck_2 = campaign 2 in
+  check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
+  check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
   check_bool "csv has the SRV serve-power column" true
-    (contains csv_t1 "SRV_srv_power");
+    (contains csv_1 "SRV_srv_power");
   check_bool "csv has the SRV saved-ratio column" true
-    (contains csv_t1 "SRV_srv_saved");
+    (contains csv_1 "SRV_srv_saved");
   check_bool "csv has the SRV tail-work column" true
-    (contains csv_t1 "SRV_srv_p95");
+    (contains csv_1 "SRV_srv_p95");
   check_bool "csv has the no-sleep baseline columns" true
-    (contains csv_t1 "SRV0_srv_power")
+    (contains csv_1 "SRV0_srv_power")
 
 let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
   List.length a.rows = List.length b.rows
@@ -449,7 +409,6 @@ let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
        a.rows b.rows
 
 let test_figserve_kill_and_resume () =
-  with_backend (Some true) @@ fun () ->
   let path = Filename.temp_file "manroute-serve-resume" ".ckpt" in
   let fresh = Harness.Runner.run ~trials:2 ~seed:7 ~jobs:1 small_figserve in
   ignore
@@ -485,7 +444,6 @@ let () =
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest prop_step_eval_is_full_rescore;
-          QCheck_alcotest.to_alcotest prop_backends_serve_bit_identically;
         ] );
       ( "switch-off",
         [
@@ -507,8 +465,8 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "figserve campaign backend- and jobs-invariant"
-            `Slow test_figserve_campaign_invariant;
+          Alcotest.test_case "figserve campaign jobs-invariant" `Slow
+            test_figserve_campaign_invariant;
           Alcotest.test_case "figserve campaign survives a kill-and-resume"
             `Slow test_figserve_kill_and_resume;
         ] );

@@ -514,25 +514,20 @@ let test_arena_reuse_bit_identical () =
     report_digest (Sim.Network.run ~tolerance:0.1 net ~cycles:3_000)
   in
   let fresh_a = fresh a and fresh_b = fresh b in
-  let arena = Sim.Network.Arena.create () in
-  let reused comms =
+  let reused arena comms =
     let net = Sim.Network.create ~arena km (Routing.Xy.route mesh comms) in
     report_digest (Sim.Network.run ~tolerance:0.1 net ~cycles:3_000)
   in
+  let arena = Sim.Network.Arena.create () in
   check_bool "first arena build matches fresh" true
-    (String.equal (reused a) fresh_a);
+    (String.equal (reused arena a) fresh_a);
   check_bool "recycled buffers match fresh" true
-    (String.equal (reused b) fresh_b);
-  match
-    Sim.Batch.run ~tolerance:0.1 ~cycles:3_000 km
-      [ Routing.Xy.route mesh a; Routing.Xy.route mesh b ]
-  with
-  | [ ra; rb ] ->
-      check_bool "batch head bit-identical" true
-        (String.equal (report_digest ra) fresh_a);
-      check_bool "batch tail bit-identical" true
-        (String.equal (report_digest rb) fresh_b)
-  | _ -> Alcotest.fail "two reports expected"
+    (String.equal (reused arena b) fresh_b);
+  let domain = Sim.Network.Arena.domain () in
+  check_bool "domain arena head bit-identical" true
+    (String.equal (reused domain a) fresh_a);
+  check_bool "domain arena tail bit-identical" true
+    (String.equal (reused domain b) fresh_b)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

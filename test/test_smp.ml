@@ -8,7 +8,7 @@
    penalized objective; and [Optim.Smp.engine] must never lose to the
    best single-path heuristic, rescue instances every 1-MP policy fails,
    respect dead links, and keep campaign rows byte-identical across
-   worker counts and delta backends. *)
+   worker counts. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -317,11 +317,7 @@ let test_smp_registry_spellings () =
   check_bool "unrelated names rejected" true (Optim.Smp.find "xy" = None)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: the figs campaign is backend- and jobs-invariant *)
-
-let with_backend b f =
-  Routing.Delta.set_table_backend b;
-  Fun.protect ~finally:(fun () -> Routing.Delta.set_table_backend None) f
+(* End-to-end: the figs campaign is jobs-invariant *)
 
 let small_figs = { Harness.Figure.figs with xs = [ 1.; 2. ] }
 
@@ -331,8 +327,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let campaign backend jobs =
-  with_backend (Some backend) @@ fun () ->
+let campaign jobs =
   let ckpt = Filename.temp_file "manroute-smp" ".ckpt" in
   let result =
     Harness.Runner.run ~trials:2 ~seed:9 ~jobs ~checkpoint:ckpt small_figs
@@ -348,16 +343,13 @@ let contains hay needle =
   at 0
 
 let test_figs_campaign_invariant () =
-  let csv_t1, ck_t1 = campaign true 1 in
-  let csv_l1, ck_l1 = campaign false 1 in
-  let csv_t2, ck_t2 = campaign true 2 in
-  check_string "csv: table vs legacy, jobs=1" csv_t1 csv_l1;
-  check_string "csv: jobs=1 vs jobs=2" csv_t1 csv_t2;
-  check_string "checkpoint: table vs legacy, jobs=1" ck_t1 ck_l1;
-  check_string "checkpoint: jobs=1 vs jobs=2" ck_t1 ck_t2;
-  check_bool "csv has the SMP power column" true (contains csv_t1 "SMP_power");
+  let csv_1, ck_1 = campaign 1 in
+  let csv_2, ck_2 = campaign 2 in
+  check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
+  check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
+  check_bool "csv has the SMP power column" true (contains csv_1 "SMP_power");
   check_bool "csv has the SMP delta-eval column" true
-    (contains csv_t1 "SMP_delta_evals")
+    (contains csv_1 "SMP_delta_evals")
 
 let () =
   Alcotest.run "smp"
@@ -401,7 +393,7 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "figs campaign backend- and jobs-invariant" `Slow
+          Alcotest.test_case "figs campaign jobs-invariant" `Slow
             test_figs_campaign_invariant;
         ] );
     ]

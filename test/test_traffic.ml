@@ -170,11 +170,21 @@ let test_communication_make () =
       ignore
         (Traffic.Communication.make ~id:0 ~src:(coord 1 1) ~snk:(coord 1 1)
            ~rate:1.));
+  let make rate =
+    ignore
+      (Traffic.Communication.make ~id:0 ~src:(coord 1 1) ~snk:(coord 1 2) ~rate)
+  in
   Alcotest.check_raises "zero rate"
+    (Invalid_argument "Communication.make: rate <= 0") (fun () -> make 0.);
+  Alcotest.check_raises "-inf rate"
     (Invalid_argument "Communication.make: rate <= 0") (fun () ->
-      ignore
-        (Traffic.Communication.make ~id:0 ~src:(coord 1 1) ~snk:(coord 1 2)
-           ~rate:0.))
+      make neg_infinity);
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "%g rate" rate)
+        (Invalid_argument "Communication.make: rate not finite") (fun () ->
+          make rate))
+    [ nan; infinity ]
 
 let test_communication_sort () =
   let mk id src snk rate = Traffic.Communication.make ~id ~src ~snk ~rate in
@@ -256,6 +266,43 @@ let test_around_weight_band () =
   let w = Traffic.Workload.around 2000. in
   check_float "lo" 1750. w.Traffic.Workload.w_lo;
   check_float "hi" 2250. w.Traffic.Workload.w_hi
+
+let test_weight_validation () =
+  let rejects lo hi =
+    match Traffic.Workload.weight ~lo ~hi with
+    | _ -> Alcotest.failf "weight [%g, %g] accepted" lo hi
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (lo, hi) -> rejects lo hi)
+    [
+      (nan, 5.); (5., nan); (100., infinity); (infinity, infinity);
+      (neg_infinity, 5.); (0., 5.); (500., 100.);
+    ];
+  check_float "point band" 7. (Traffic.Workload.weight ~lo:7. ~hi:7.).w_hi
+
+(* A one-core mesh has no pair of distinct cores: every draw of one must
+   raise instead of redrawing forever. *)
+let test_one_core_mesh () =
+  let mesh = Noc.Mesh.create ~rows:1 ~cols:1 in
+  let rng = Traffic.Rng.create 3 in
+  let weight = Traffic.Workload.small in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s drew on a one-core mesh" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "random_pair" (fun () -> Traffic.Workload.random_pair rng mesh);
+  raises "uniform ~n:1" (fun () ->
+      Traffic.Workload.uniform rng mesh ~n:1 ~weight);
+  raises "Trace.generate" (fun () ->
+      Traffic.Trace.generate rng mesh ~profile:Traffic.Trace.Poisson
+        ~arrivals:1 ~rate:1. ~weight);
+  raises "Patterns.hotspot" (fun () ->
+      Traffic.Patterns.hotspot rng mesh ~n:1 ~hotspot:(coord 1 1) ~bias:1.
+        ~weight);
+  check_int "uniform ~n:0 draws nothing" 0
+    (List.length (Traffic.Workload.uniform rng mesh ~n:0 ~weight))
 
 let test_single_pair () =
   let rng = Traffic.Rng.create 5 in
@@ -481,6 +528,8 @@ let () =
           Alcotest.test_case "with_length" `Quick test_with_length_targets;
           Alcotest.test_case "around band" `Quick test_around_weight_band;
           Alcotest.test_case "single pair" `Quick test_single_pair;
+          Alcotest.test_case "weight validation" `Quick test_weight_validation;
+          Alcotest.test_case "one-core mesh" `Quick test_one_core_mesh;
         ] );
       ( "patterns",
         [
