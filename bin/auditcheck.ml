@@ -1,35 +1,24 @@
-(* auditcheck: validate the machine-readable artifacts the harness emits —
-   audit JSONL files ([--audit DIR] / MANROUTE_AUDIT), inspect artifacts
-   (manroute inspect --json) and bench summaries (BENCH_*.json). Shape is
-   checked against the fixed schema each writer emits; no external JSON
-   tool needed. Exit 0 on success, 1 with the first problem otherwise.
+(* auditcheck: validate the audit JSONL files a campaign writes with
+   [manroute figure --audit DIR]. Each line is checked against the fixed
+   manroute-audit/1 shape the writer emits (balanced object, schema,
+   figure/x/trial/kinds/cells); no external JSON tool needed. Exit 0 on
+   success, 1 with the first problem otherwise.
 
-   usage: auditcheck (audit|bench) FILE... *)
+   usage: auditcheck audit FILE... *)
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: mode :: (_ :: _ as files)
-    when mode = "audit" || mode = "bench" ->
+  | _ :: "audit" :: (_ :: _ as files) ->
       let ok = ref true in
       List.iter
         (fun path ->
-          let result =
-            if mode = "audit" then
-              Result.map
-                (Printf.sprintf "%d records")
-                (Harness.Audit.validate_file path)
-            else
-              Result.map
-                (fun () -> "ok")
-                (Harness.Audit.validate_bench_file path)
-          in
-          match result with
-          | Ok msg -> Printf.printf "%s: %s\n" path msg
+          match Harness.Audit.validate_file path with
+          | Ok n -> Printf.printf "%s: %d records\n" path n
           | Error msg ->
-              Printf.eprintf "%s: invalid %s artifact: %s\n" path mode msg;
+              Printf.eprintf "%s: invalid audit artifact: %s\n" path msg;
               ok := false)
         files;
       exit (if !ok then 0 else 1)
   | _ ->
-      prerr_endline "usage: auditcheck (audit|bench) FILE...";
+      prerr_endline "usage: auditcheck audit FILE...";
       exit 2

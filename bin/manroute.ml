@@ -1,9 +1,9 @@
 (* manroute: command-line front end for the power-aware Manhattan routing
    library. Sub-commands: route (solve one instance), figure (reproduce a
-   paper figure), inspect (per-link power grid, per-communication
-   attribution and blame of one solution), theory (Section 4 artifacts),
-   optimal (exact solver vs heuristics), generate (write a random problem
-   file). *)
+   paper figure), experiment (print the reproduction tables), inspect
+   (per-link power grid, per-communication attribution and blame of one
+   solution), recover, serve, pareto, pattern, optimal (exact solver vs
+   heuristics), generate (write a random problem file). *)
 
 open Cmdliner
 
@@ -83,6 +83,41 @@ let pos_float_conv =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* Non-negative finite floats ([--sim-tolerance], [--wake-penalty]). *)
+let nonneg_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f >= 0. && Float.is_finite f -> Ok f
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a non-negative number" s))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A name resolved by [find]; an unknown name is a command-line error. *)
+let find_conv ~what find name_of =
+  let parse s =
+    match find s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %s" what s))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name_of v))
+
+(* [find_conv] plus a [keyword] ([all] or [best]) that parses to [None]. *)
+let keyword_conv ~keyword ~what find name_of =
+  let find s =
+    if String.lowercase_ascii s = keyword then Some None
+    else Option.map Option.some (find s)
+  in
+  find_conv ~what find (function None -> keyword | Some v -> name_of v)
+
+(* End the command with one [error:] line on stderr and exit 1. *)
+let fail fmt =
+  Format.kasprintf
+    (fun m ->
+      Printf.eprintf "error: %s\n%!" m;
+      exit 1)
+    fmt
+
 (* A finite weight band 0 < LO <= HI, checked by [Workload.weight]. *)
 let weight_conv =
   let pair = Arg.conv_parser Arg.(pair ~sep:',' float float) in
@@ -126,9 +161,7 @@ let load_instance ?(skip = 0) mesh seed n weight file =
   | Some path -> (
       match Harness.Problem.parse_file path with
       | Ok p -> (p.Harness.Problem.mesh, p.comms)
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1)
+      | Error m -> fail "%s" m)
   | None ->
       let rng = Traffic.Rng.create seed in
       let draw () = Traffic.Workload.uniform rng mesh ~n ~weight in
@@ -191,18 +224,12 @@ let finders =
 (* [--heuristic]: [keyword] ([all] or [best]) parses to [None] and stands
    for the paper's six; any other name must resolve through [finders]. *)
 let heuristic_t ~keyword ~doc =
-  let parse name =
-    if String.lowercase_ascii name = keyword then Ok None
-    else
-      match List.find_map (fun find -> find name) finders with
-      | Some h -> Ok (Some h)
-      | None -> Error (`Msg (Printf.sprintf "unknown heuristic %s" name))
+  let heuristic =
+    keyword_conv ~keyword ~what:"heuristic"
+      (fun name -> List.find_map (fun find -> find name) finders)
+      (fun (h : Routing.Heuristic.t) -> h.name)
   in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf keyword
-    | Some (h : Routing.Heuristic.t) -> Format.pp_print_string ppf h.name
-  in
-  Arg.(value & opt (conv (parse, print)) None & info [ "heuristic" ] ~doc)
+  Arg.(value & opt heuristic None & info [ "heuristic" ] ~doc)
 
 (* Every subcommand runs behind one error boundary: an output that cannot
    be written or a sidecar that cannot resume ends it with one [error:]
@@ -315,7 +342,11 @@ let figure_cmd =
   let id_t =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0
+          (some
+             (keyword_conv ~keyword:"all" ~what:"figure" Harness.Figure.find
+                (fun f -> f.Harness.Figure.id)))
+          None
       & info [] ~docv:"FIGURE"
           ~doc:
             "One of fig7a..fig7c, fig8a..fig8c, fig9a..fig9c, figf (fault \
@@ -375,8 +406,7 @@ let figure_cmd =
       & info [ "progress" ]
           ~doc:
             "Repaint a live progress line (rows, trials, errors, ETA) on \
-             stderr; resumed checkpoint rows are credited instantly. Also \
-             enabled by MANROUTE_PROGRESS=1.")
+             stderr; resumed checkpoint rows are credited instantly.")
   in
   let audit_t =
     Arg.(
@@ -389,23 +419,13 @@ let figure_cmd =
              traffic-shedding trial) to DIR/<figure>-audit.jsonl — \
              per-heuristic reports, engine annotations and the full probe \
              decomposition of the best solution. Byte-identical for every \
-             $(b,--jobs) value. Default: MANROUTE_AUDIT when set.")
+             $(b,--jobs) value.")
   in
   let run id trials csv seed jobs checkpoint trace progress audit () =
-    let figures =
-      if String.lowercase_ascii id = "all" then Harness.Figure.all
-      else
-        match Harness.Figure.find id with
-        | Some f -> [ f ]
-        | None ->
-            Printf.eprintf "unknown figure %s\n" id;
-            exit 1
-    in
+    let figures = match id with None -> Harness.Figure.all | Some f -> [ f ] in
     (match checkpoint with
     | Some path when not (Sys.file_exists (Filename.dirname path)) ->
-        Printf.eprintf "checkpoint directory %s does not exist\n"
-          (Filename.dirname path);
-        exit 1
+        fail "checkpoint directory %s does not exist" (Filename.dirname path)
     | _ -> ());
     let acc = Harness.Summary.create () in
     Harness.Telemetry.tracing (Harness.Telemetry.trace_file ?cli:trace ())
@@ -413,8 +433,7 @@ let figure_cmd =
     List.iter
       (fun figure ->
         let progress =
-          if not (Harness.Telemetry.progress_enabled ~cli:progress ()) then
-            None
+          if not progress then None
           else
             let trials =
               match trials with
@@ -429,9 +448,7 @@ let figure_cmd =
         in
         let r =
           Harness.Runner.run ?trials ?jobs ~seed ~summary:acc ?checkpoint
-            ?progress
-            ?audit:(Harness.Audit.audit_dir ?cli:audit ())
-            figure
+            ?progress ?audit figure
         in
         Option.iter Harness.Telemetry.Progress.finish progress;
         Format.printf "%a@." Harness.Render.pp_result r;
@@ -474,7 +491,8 @@ let pareto_cmd =
   in
   let tolerance_t =
     Arg.(
-      value & opt float 0.08
+      value
+      & opt nonneg_float_conv 0.08
       & info [ "sim-tolerance" ] ~docv:"T"
           ~doc:
             "Early-exit tolerance for the warmup-convergence detector \
@@ -535,10 +553,6 @@ let pareto_cmd =
       ]
   in
   let run mesh model seed n weight trials jobs cycles tolerance kills csv () =
-    if not (Float.is_finite tolerance) || tolerance < 0. then begin
-      Printf.eprintf "error: --sim-tolerance must be a non-negative float\n";
-      exit 1
-    end;
     (* Opened first, so an unwritable path fails before the exploration. *)
     let csv_out = Option.map (fun path -> (path, open_out path)) csv in
     let points = design_points model in
@@ -740,9 +754,7 @@ let inspect_cmd =
             None outcomes
     in
     (match chosen with
-    | None ->
-        Printf.eprintf "every heuristic errored\n";
-        exit 1
+    | None -> fail "every heuristic errored"
     | Some (o, label) ->
         let probe = Routing.Probe.solution ?fault model o.solution in
         Format.printf "@.probe of %s (%s)@.%a@."
@@ -864,10 +876,9 @@ let recover_cmd =
           match Routing.Best.route ?fault model mesh comms with
           | Some o -> o.Routing.Best.solution
           | None ->
-              Printf.eprintf
+              fail
                 "no heuristic routes the instance feasibly; pick one with \
-                 --heuristic to start from its best effort\n";
-              exit 1)
+                 --heuristic to start from its best effort")
     in
     let schedule =
       Noc.Fault.Schedule.random ?init:fault
@@ -925,15 +936,6 @@ let recover_cmd =
 (* ---------------- serve ---------------- *)
 
 let serve_cmd =
-  let nonneg_float_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f >= 0. && Float.is_finite f -> Ok f
-      | Some _ -> Error (`Msg (Printf.sprintf "%s is negative" s))
-      | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   let rate_t =
     Arg.(
       value
@@ -994,10 +996,8 @@ let serve_cmd =
       profile no_sleep () =
     let mesh, comms = load_instance mesh seed n weight file in
     (* A problem file may hold a one-core mesh, which has no churn pairs. *)
-    if events > 0 && Noc.Mesh.num_cores mesh < 2 then begin
-      prerr_endline "error: churn --events needs a mesh of two or more cores";
-      exit 1
-    end;
+    if events > 0 && Noc.Mesh.num_cores mesh < 2 then
+      fail "churn --events needs a mesh of two or more cores";
     let rng = Traffic.Rng.of_key "cli-serve" [ Int64.of_int seed ] in
     let resident = Traffic.Trace.persistent rng ~rate comms in
     let id_base =
@@ -1093,10 +1093,14 @@ let serve_cmd =
 (* ---------------- pattern ---------------- *)
 
 let pattern_cmd =
-  let name_t =
+  let pattern_t =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0
+          (some
+             (find_conv ~what:"pattern" Traffic.Patterns.find
+                Traffic.Patterns.name))
+          None
       & info [] ~docv:"PATTERN"
           ~doc:
             "One of transpose, bit-complement, bit-reverse, shuffle, \
@@ -1111,79 +1115,76 @@ let pattern_cmd =
   let heatmap_t =
     Arg.(value & flag & info [ "heatmap" ] ~doc:"Print load heatmaps.")
   in
-  let run mesh model name rate heatmap () =
-    match Traffic.Patterns.find name with
-    | None ->
-        Printf.eprintf "unknown pattern %s\n" name;
-        exit 1
-    | Some pattern ->
-        if not (Traffic.Patterns.is_applicable pattern mesh) then begin
-          Format.printf "%s does not apply to %a@."
-            (Traffic.Patterns.name pattern)
-            Noc.Mesh.pp mesh;
-          exit 1
-        end;
-        let comms = Traffic.Patterns.communications pattern ~rate mesh in
-        Format.printf "%s on %a: %d flows at %g Mb/s@."
-          (Traffic.Patterns.name pattern)
-          Noc.Mesh.pp mesh (List.length comms) rate;
-        List.iter
-          (fun (o : Routing.Best.outcome) ->
-            Format.printf "  %-4s %a@." o.heuristic.name
-              Routing.Evaluate.pp_report o.report;
-            if heatmap && o.report.Routing.Evaluate.feasible then
-              print_string
-                (Harness.Render.heatmap ~capacity:model.Power.Model.capacity
-                   (Routing.Solution.loads o.solution)))
-          (Routing.Best.run_all model mesh comms)
+  let run mesh model pattern rate heatmap () =
+    if not (Traffic.Patterns.is_applicable pattern mesh) then
+      fail "%s does not apply to %a" (Traffic.Patterns.name pattern)
+        Noc.Mesh.pp mesh;
+    let comms = Traffic.Patterns.communications pattern ~rate mesh in
+    Format.printf "%s on %a: %d flows at %g Mb/s@."
+      (Traffic.Patterns.name pattern)
+      Noc.Mesh.pp mesh (List.length comms) rate;
+    List.iter
+      (fun (o : Routing.Best.outcome) ->
+        Format.printf "  %-4s %a@." o.heuristic.name
+          Routing.Evaluate.pp_report o.report;
+        if heatmap && o.report.Routing.Evaluate.feasible then
+          print_string
+            (Harness.Render.heatmap ~capacity:model.Power.Model.capacity
+               (Routing.Solution.loads o.solution)))
+      (Routing.Best.run_all model mesh comms)
   in
   command "pattern" ~doc:"Route a classical NoC traffic pattern"
-    Term.(const run $ mesh_t $ model_t $ name_t $ rate_t $ heatmap_t)
+    Term.(const run $ mesh_t $ model_t $ pattern_t $ rate_t $ heatmap_t)
 
-(* ---------------- theory ---------------- *)
+(* ---------------- experiment ---------------- *)
 
-let theory_cmd =
-  let run () =
-    let pxy, p1, p2 = Theory.Example_fig2.powers () in
-    Format.printf "Figure 2 example: P_XY=%g P_1MP=%g P_2MP=%g@.@." pxy p1 p2;
-    Format.printf "Lemma 1 path counts (p x p):@.";
-    List.iter
-      (fun p ->
-        Format.printf "  %2dx%-2d %d@." p p
-          (Theory.Counting.grid_paths ~rows:p ~cols:p))
-      [ 2; 4; 8; 12 ];
-    let model = Power.Model.theory () in
-    Format.printf "@.Theorem 1 construction (single src/dst, square CMP):@.";
-    List.iter
-      (fun p' ->
-        Format.printf "  p=%-3d P_XY/P_maxMP = %.2f (ratio/p = %.3f)@." (2 * p')
-          (Theory.Construction_thm1.ratio model ~p' ~total:1.)
-          (Theory.Construction_thm1.ratio model ~p' ~total:1.
-          /. float_of_int (2 * p')))
-      [ 2; 4; 8; 16; 32 ];
-    Format.printf "@.Lemma 2 instance (1-MP worst case, alpha=3):@.";
-    List.iter
-      (fun p' ->
-        Format.printf "  p=%-3d P_XY/P_YX = %.2f (ratio/p^2 = %.3f)@." (p' + 1)
-          (Theory.Construction_lem2.ratio model ~p')
-          (Theory.Construction_lem2.ratio model ~p'
-          /. float_of_int (p' * p')))
-      [ 4; 8; 16; 32 ];
-    Format.printf "@.NP gadget (Theorem 3) on 2-partition {3,5,4,2}:@.";
-    let values = [| 3; 5; 4; 2 |] in
-    let s = Theory.Np_gadget.min_s values in
-    let g = Theory.Np_gadget.build ~s values in
-    (match Theory.Np_gadget.find_partition values with
-    | Some subset ->
-        let sol = Theory.Np_gadget.solution_of_partition g subset in
-        let r = Routing.Evaluate.solution (Theory.Np_gadget.model g) sol in
-        Format.printf
-          "  s=%d, CMP 2x%d, BW=%g: partition found, witness feasible=%b@." s
-          (Noc.Mesh.cols g.Theory.Np_gadget.mesh)
-          g.Theory.Np_gadget.bandwidth r.Routing.Evaluate.feasible
-    | None -> Format.printf "  no partition@.")
+let experiment_cmd =
+  let ids_t =
+    Arg.(
+      non_empty
+      & pos_all
+          (keyword_conv ~keyword:"all" ~what:"experiment"
+             Harness.Experiment.find (fun e -> e.Harness.Experiment.id))
+          []
+      & info [] ~docv:"ID"
+          ~doc:
+            "Experiment ids (E1 ... E27; E6-E9 is one entry), or $(b,all) \
+             (every entry, then a closing done. line). Selected entries \
+             run in catalogue order; the first failed self-check ends the \
+             run with one error line and exit 1.")
   in
-  command "theory" ~doc:"Print the Section 4 theory artifacts" (Term.const run)
+  let run ids () =
+    let everything = List.mem None ids in
+    let wanted =
+      List.filter_map (Option.map (fun (e : Harness.Experiment.t) -> e.id)) ids
+    in
+    let entries =
+      List.filter
+        (fun (e : Harness.Experiment.t) -> everything || List.mem e.id wanted)
+        Harness.Experiment.all
+    in
+    Format.printf "manroute reproduction harness (trials/point: %d, jobs: %d)@."
+      (Harness.Runner.default_trials ())
+      (Harness.Pool.default_jobs ());
+    let failed =
+      Harness.Telemetry.tracing (Harness.Telemetry.trace_file ()) @@ fun () ->
+      List.find_map
+        (fun (e : Harness.Experiment.t) ->
+          match e.run () with
+          | () -> None
+          | exception Failure m -> Some (e.id, m))
+        entries
+    in
+    Option.iter (fun (id, m) -> fail "%s: %s" id m) failed;
+    (* The whole campaign closes the way it always has. *)
+    if everything then Format.printf "@.done.@."
+  in
+  command "experiment"
+    ~doc:
+      "Print the reproduction tables of EXPERIMENTS.md. Trials per point, \
+       worker domains and tracing come from MANROUTE_TRIALS, MANROUTE_JOBS \
+       and MANROUTE_TRACE."
+    Term.(const run $ ids_t)
 
 (* ---------------- optimal ---------------- *)
 
@@ -1246,5 +1247,5 @@ let () =
        (Cmd.group info
           [
             route_cmd; generate_cmd; figure_cmd; pareto_cmd; inspect_cmd;
-            recover_cmd; serve_cmd; pattern_cmd; theory_cmd; optimal_cmd;
+            recover_cmd; serve_cmd; pattern_cmd; experiment_cmd; optimal_cmd;
           ]))

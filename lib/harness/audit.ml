@@ -55,8 +55,6 @@ open Json
 
 let audit_schema = "manroute-audit/1"
 let inspect_schema = "manroute-inspect/1"
-let bench_schema_prefix = "manroute-bench/"
-let bench_schema = bench_schema_prefix ^ "1"
 
 (* ------------------------------------------------------------------ *)
 (* JSON views of the probe / evaluation layer *)
@@ -184,12 +182,6 @@ let json_of_recover (r : Optim.Recover.report) =
                Int c.Traffic.Communication.id)
              r.readmitted) );
     ]
-
-let json_of_counters c =
-  Obj
-    (List.map
-       (fun (f : Routing.Metrics.field) -> (f.name, Int (f.get c)))
-       Routing.Metrics.fields)
 
 (* ------------------------------------------------------------------ *)
 (* Audit records *)
@@ -335,36 +327,19 @@ let write s r =
 
 let close s = close_out s.oc
 
-let write_json_file ~path json =
+let write_inspect_file ~path ~meta probe =
   mkdir_p (Filename.dirname path);
   let oc = open_out path in
-  output_string oc (Json.to_string json);
+  output_string oc
+    (Json.to_string
+       (Obj
+          ((("schema", Str inspect_schema) :: meta)
+          @ [ ("probe", json_of_probe probe) ])));
   output_char oc '\n';
   close_out oc
 
-let write_inspect_file ~path ~meta probe =
-  write_json_file ~path
-    (Obj ((("schema", Str inspect_schema) :: meta) @ [ ("probe", json_of_probe probe) ]))
-
-let audit_dir ?cli () =
-  match cli with
-  | Some _ -> cli
-  | None -> (
-      match Sys.getenv_opt "MANROUTE_AUDIT" with Some "" -> None | v -> v)
-
 (* ------------------------------------------------------------------ *)
 (* Artifact checkers (CI; no external JSON tool) *)
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
-
-let snippet line =
-  let line = String.trim line in
-  if String.length line <= 60 then line else String.sub line 0 57 ^ "..."
 
 let has_field line key = Telemetry.find_field line key <> None
 
@@ -376,18 +351,11 @@ let field_is line key value =
       String.length line - i >= String.length pat
       && String.sub line i (String.length pat) = pat
 
-let field_starts line key prefix =
-  match Telemetry.find_field line key with
-  | None -> false
-  | Some i ->
-      let pat = "\"" ^ prefix in
-      String.length line - i >= String.length pat
-      && String.sub line i (String.length pat) = pat
-
 let validate_file path =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let snippet = Telemetry.snippet in
   let lines =
-    String.split_on_char '\n' (read_file path)
+    String.split_on_char '\n' (Telemetry.read_file path)
     |> List.filter (fun l -> String.trim l <> "")
   in
   let rec go n = function
@@ -414,18 +382,3 @@ let validate_file path =
         else go (n + 1) tl
   in
   go 0 lines
-
-let validate_bench_file path =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let text = read_file path in
-  if not (Telemetry.balanced_json text) then
-    fail "%s: unbalanced JSON" path
-  else if not (field_starts text "schema" bench_schema_prefix) then
-    fail "%s: missing schema %S" path (bench_schema_prefix ^ "...")
-  else if
-    not
-      (has_field text "bench" && has_field text "config"
-      && has_field text "results"
-      && Telemetry.float_field text "wall_s" <> None)
-  then fail "%s: missing bench/config/results/wall_s" path
-  else Ok ()

@@ -14,11 +14,10 @@
     the re-capture replays the per-trial RNG on the calling domain, so
     the artifact is byte-identical whatever [MANROUTE_JOBS] was.
 
-    The same JSON writer backs [manroute inspect --json] artifacts and
-    the benchmark's [BENCH_*.json] emission; {!validate_file} and
-    {!validate_bench_file} are the CI checkers for those shapes (the
-    project carries no JSON library, so writers emit a fixed shape and
-    checkers verify exactly that shape). *)
+    The same JSON writer backs [manroute inspect --json] artifacts;
+    {!validate_file} is the CI checker for the audit shape (the project
+    carries no JSON library, so writers emit a fixed shape and checkers
+    verify exactly that shape). *)
 
 (** A minimal JSON document writer. Finite floats are printed as
     [%.17g] (deterministic, round-trips bit-exactly); non-finite floats
@@ -43,15 +42,11 @@ val audit_schema : string
 val inspect_schema : string
 (** ["manroute-inspect/1"] — the [schema] field of an inspect artifact. *)
 
-val bench_schema : string
-(** ["manroute-bench/1"] — the [schema] field of a [BENCH_*.json]. *)
-
 (** {1 JSON views} *)
 
 val json_of_report : Routing.Evaluate.report -> Json.t
 val json_of_probe : Routing.Probe.t -> Json.t
 val json_of_recover : Optim.Recover.report -> Json.t
-val json_of_counters : Routing.Metrics.counters -> Json.t
 
 (** {1 Audit records} *)
 
@@ -122,19 +117,12 @@ val path : sink -> string
 val write : sink -> record -> unit
 val close : sink -> unit
 
-val write_json_file : path:string -> Json.t -> unit
-(** Write one JSON document (plus trailing newline) to [path], creating
-    the directory if needed. Shared by the inspect artifact and the
-    benchmark's [BENCH_*.json] emission. *)
-
 val write_inspect_file :
   path:string -> meta:(string * Json.t) list -> Routing.Probe.t -> unit
-(** Write a [manroute-inspect/1] artifact: the [meta] fields (instance
-    parameters) followed by the full probe decomposition. *)
-
-val audit_dir : ?cli:string -> unit -> string option
-(** The audit destination: [cli] when given, else [MANROUTE_AUDIT] from
-    the environment when set and non-empty, else [None]. *)
+(** Write a [manroute-inspect/1] artifact (one JSON document plus a
+    trailing newline, creating the directory if needed): the [meta]
+    fields (instance parameters) followed by the full probe
+    decomposition. *)
 
 (** {1 Artifact checkers} *)
 
@@ -143,8 +131,3 @@ val validate_file : string -> (int, string) result
     balanced JSON object with [schema = "manroute-audit/1"] and the
     [figure]/[x]/[trial]/[kinds]/[cells] fields. [Ok n] is the record
     count; errors name the line and quote a snippet. *)
-
-val validate_bench_file : string -> (unit, string) result
-(** CI checker for a [BENCH_*.json]: balanced JSON carrying a
-    [manroute-bench/...] schema and [bench]/[config]/[results]/[wall_s]
-    fields. *)

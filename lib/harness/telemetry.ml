@@ -235,11 +235,15 @@ let unbalanced_detail text =
   | Some r -> r
   | None -> (List.length lines, "braces or brackets left open", "")
 
-let validate_file path =
+let read_file path =
   let ic = open_in path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
+  text
+
+let validate_file path =
+  let text = read_file path in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if not (balanced_json text) then
     let line, why, at = unbalanced_detail text in
@@ -330,14 +334,6 @@ let trace_file ?cli () =
   | Some _ -> cli
   | None -> (
       match Sys.getenv_opt "MANROUTE_TRACE" with Some "" -> None | v -> v)
-
-let progress_enabled ?cli () =
-  match cli with
-  | Some true -> true
-  | _ -> (
-      match Sys.getenv_opt "MANROUTE_PROGRESS" with
-      | Some v when v <> "0" && v <> "" -> true
-      | _ -> false)
 
 let tracing file f =
   match file with

@@ -19,9 +19,9 @@
     time) at most every 100 ms. Resumed checkpoint rows advance it
     instantly, so a killed-and-restarted campaign shows where it is.
 
-    {b Env wiring.} [MANROUTE_TRACE=FILE] and [MANROUTE_PROGRESS=1]
-    switch the two on for any of the three executables; [--trace] /
-    [--progress] override per invocation. *)
+    {b Wiring.} [--trace FILE] and [--progress] switch the two on for
+    [manroute figure]; without [--trace], [MANROUTE_TRACE=FILE] traces a
+    [figure] or [experiment] run. *)
 
 type sink
 (** A trace collector. One per traced campaign; create, {!install}, run,
@@ -88,6 +88,13 @@ val find_field : string -> string -> int option
 val float_field : string -> string -> float option
 (** The number following [find_field], when it parses. *)
 
+val read_file : string -> string
+(** The whole file, for the artifact checkers. *)
+
+val snippet : string -> string
+(** A trimmed excerpt (at most 60 bytes) of an offending line, quoted in
+    checker errors. *)
+
 (** {1 CLI / environment wiring} *)
 
 val trace_file : ?cli:string -> unit -> string option
@@ -100,10 +107,6 @@ val tracing : string option -> (unit -> 'a) -> 'a
     uninstalls, writes [file] and prints a one-line note to stderr;
     exceptions still write the partial trace. [tracing None f] is
     [f ()]. *)
-
-val progress_enabled : ?cli:bool -> unit -> bool
-(** [cli] when [true], else whether [MANROUTE_PROGRESS] is set to a value
-    other than ["0"]. *)
 
 (** {1 Live progress} *)
 

@@ -440,33 +440,15 @@ let test_delta_evals_counted () =
 
 let small_figf = { Harness.Figure.figf with xs = [ 0.; 2.; 5. ] }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let campaign jobs =
-  let ckpt = Filename.temp_file "manroute-delta" ".ckpt" in
-  let result =
-    Harness.Runner.run ~trials:3 ~seed:5 ~jobs ~checkpoint:ckpt small_figf
-  in
-  let csv = Harness.Render.csv result in
-  let ckpt_bytes = read_file ckpt in
-  Sys.remove ckpt;
-  (csv, ckpt_bytes)
+let campaign = Campaign_check.campaign ~trials:3 ~seed:5 small_figf
 
 let test_campaign_jobs_invariant () =
   let csv_1, ck_1 = campaign 1 in
   let csv_2, ck_2 = campaign 2 in
   check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
   check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "csv reports delta work" true (contains csv_1 "BEST_delta_evals")
+  check_bool "csv reports delta work" true
+    (Campaign_check.contains csv_1 "BEST_delta_evals")
 
 let () =
   Alcotest.run "delta"

@@ -241,10 +241,7 @@ let test_summary_merge_matches_sequential () =
   check_bool "mean inverse power" true
     (fs.mean_inverse_power = fm.mean_inverse_power)
 
-let contains_substring haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
+let contains_substring = Campaign_check.contains
 
 let test_csv_shape () =
   let r = Harness.Runner.run ~trials:3 tiny_figure in
@@ -466,12 +463,7 @@ let test_fault_figure_campaign () =
             row.cells)
         r.rows
 
-let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
-  List.length a.rows = List.length b.rows
-  && List.for_all2
-       (fun (ra : Harness.Runner.row) (rb : Harness.Runner.row) ->
-         ra.x = rb.x && ra.cells = rb.cells)
-       a.rows b.rows
+let rows_equal = Campaign_check.rows_equal
 
 let temp_checkpoint name =
   let path = Filename.concat (Filename.get_temp_dir_name ()) name in
@@ -741,16 +733,12 @@ let test_env_jobs_fallback () =
   check_env_int_fallback "MANROUTE_JOBS" Harness.Pool.default_jobs
     ~fallback:(Domain.recommended_domain_count ())
 
-(* An empty MANROUTE_TRACE / MANROUTE_AUDIT means "off", like an empty
-   MANROUTE_PROGRESS; an unwritable trace destination fails before the
-   traced work runs instead of after it. *)
+(* An empty MANROUTE_TRACE means "off"; an unwritable trace destination
+   fails before the traced work runs instead of after it. *)
 let test_env_destinations () =
   with_env "MANROUTE_TRACE" "" (fun () ->
       check_bool "empty MANROUTE_TRACE is unset" true
         (Harness.Telemetry.trace_file () = None));
-  with_env "MANROUTE_AUDIT" "" (fun () ->
-      check_bool "empty MANROUTE_AUDIT is unset" true
-        (Harness.Audit.audit_dir () = None));
   let ran = ref false in
   (match
      Harness.Telemetry.tracing (Some "/nonexistent/manroute/t.json") (fun () ->
@@ -1027,15 +1015,7 @@ let test_progress_line_accounting () =
   Harness.Telemetry.Progress.advance p 10;
   Harness.Telemetry.Progress.row p;
   Harness.Telemetry.Progress.finish p;
-  close_out dev_null;
-  (* Flag wiring: CLI wins, else the environment decides. *)
-  check_bool "cli flag enables" true
-    (Harness.Telemetry.progress_enabled ~cli:true ());
-  with_env "MANROUTE_PROGRESS" "1" (fun () ->
-      check_bool "env enables" true (Harness.Telemetry.progress_enabled ()));
-  with_env "MANROUTE_PROGRESS" "0" (fun () ->
-      check_bool "env zero disables" false
-        (Harness.Telemetry.progress_enabled ()))
+  close_out dev_null
 
 let test_progress_resumed_only_line () =
   (* A campaign that resumed every completed trial so far has no live
@@ -1074,6 +1054,68 @@ let test_exposed_quantiles_match_rule () =
   let z50, z95 = Harness.Summary.quantiles [||] in
   check_float "empty p50" 0. z50;
   check_float "empty p95" 0. z95
+
+(* ------------------------------------------------------------------ *)
+(* DESIGN.md: section 3 lists each lib/ directory's modules (one per
+   .mli), section 4 gives every catalogue entry's command. *)
+
+(* The lines under the "## n." heading, up to the next "## " heading. *)
+let design_section n =
+  let lines =
+    String.split_on_char '\n' (Campaign_check.read_file "../DESIGN.md")
+  in
+  let heading = Printf.sprintf "## %d." n in
+  let rec skip = function
+    | [] -> []
+    | l :: tl -> if String.starts_with ~prefix:heading l then take tl else skip tl
+  and take = function
+    | [] -> []
+    | l :: tl -> if String.starts_with ~prefix:"## " l then [] else l :: take tl
+  in
+  skip lines
+
+let test_design_matches_code () =
+  (* Section 3 rows read "lib/DIR  TAG  Mod, Mod, ..."; indented lines
+     continue the row above. *)
+  let listed = Hashtbl.create 8 and current = ref None in
+  List.iter
+    (fun line ->
+      let words =
+        String.split_on_char ' ' line
+        |> List.concat_map (String.split_on_char ',')
+        |> List.filter (( <> ) "")
+      in
+      match (words, !current) with
+      | dir :: _tag :: mods, _ when String.starts_with ~prefix:"lib/" dir ->
+          let dir = String.sub dir 4 (String.length dir - 4) in
+          current := Some dir;
+          Hashtbl.replace listed dir mods
+      | _ :: _, Some dir when line.[0] = ' ' ->
+          Hashtbl.replace listed dir (Hashtbl.find listed dir @ words)
+      | _ -> current := None)
+    (design_section 3);
+  Array.iter
+    (fun dir ->
+      let present =
+        Sys.readdir (Filename.concat "../lib" dir)
+        |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".mli")
+        |> List.map (fun f ->
+               String.capitalize_ascii (Filename.chop_suffix f ".mli"))
+      in
+      let listed = Option.value ~default:[] (Hashtbl.find_opt listed dir) in
+      Alcotest.(check (list string))
+        ("DESIGN.md section 3 lists lib/" ^ dir)
+        (List.sort compare present) (List.sort compare listed))
+    (Sys.readdir "../lib");
+  let index = String.concat "\n" (design_section 4) in
+  List.iter
+    (fun (e : Harness.Experiment.t) ->
+      check_bool
+        ("DESIGN.md section 4 runs " ^ e.id)
+        true
+        (Campaign_check.contains index ("`manroute experiment " ^ e.id ^ "`")))
+    Harness.Experiment.all
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -1143,6 +1185,7 @@ let () =
           quick "comments and blanks" test_problem_comments_and_blanks;
           quick "errors" test_problem_errors;
         ] );
+      ("docs", [ quick "design matches the code" test_design_matches_code ]);
       ( "crash safety",
         [
           quick "isolates heuristic errors" test_runner_isolates_heuristic_errors;

@@ -116,7 +116,7 @@ let test_fig2_oracle () =
 (* ------------------------------------------------------------------ *)
 (* Pinned E22 regression fixtures.
 
-   The E22 bench experiment (bench/main.ml) draws 40 instances of 25
+   The E22 experiment (manroute experiment E22) draws 40 instances of 25
    mixed communications on the paper's 8x8 CMP from master seed 313.
    Exactly 8 of them defeat every greedy single-path heuristic, and two
    of those also defeat the flow-guided s-MP splitter at s = 4. These

@@ -159,69 +159,31 @@ let test_fig2_latency_ordering () =
 
 let small_figpareto = { Harness.Figure.figpareto with xs = [ 400.; 800. ] }
 
-let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
-  List.length a.rows = List.length b.rows
-  && List.for_all2
-       (fun (ra : Harness.Runner.row) (rb : Harness.Runner.row) ->
-         ra.x = rb.x && ra.cells = rb.cells)
-       a.rows b.rows
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let temp_checkpoint name =
-  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
-  if Sys.file_exists path then Sys.remove path;
-  path
-
-let campaign ?checkpoint jobs =
-  Harness.Runner.run ~trials:2 ~seed:9 ~jobs ?checkpoint small_figpareto
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  at 0
+let contains = Campaign_check.contains
 
 let test_figpareto_invariance () =
-  let ck path jobs =
-    let r = campaign ~checkpoint:path jobs in
-    (Harness.Render.csv r, read_file path)
-  in
-  let p1 = temp_checkpoint "manroute_pareto_t1.tsv" in
-  let p2 = temp_checkpoint "manroute_pareto_t2.tsv" in
-  let csv_1, ck_1 = ck p1 1 in
-  let csv_2, ck_2 = ck p2 2 in
+  let campaign = Campaign_check.campaign ~trials:2 ~seed:9 small_figpareto in
+  let csv_1, ck_1 = campaign 1 in
+  let csv_2, ck_2 = campaign 2 in
   check_string "csv: jobs=1 vs jobs=2" csv_1 csv_2;
   check_string "checkpoint: jobs=1 vs jobs=2" ck_1 ck_2;
   check_bool "csv has the Pareto columns" true
     (contains csv_1 "BEST_p50" && contains csv_1 "BEST_p95"
     && contains csv_1 "BEST_slope" && contains csv_1 "BEST_front"
-    && contains csv_1 "SMP_p50");
-  List.iter Sys.remove [ p1; p2 ]
+    && contains csv_1 "SMP_p50")
 
 let test_figpareto_kill_and_resume () =
-  let path = temp_checkpoint "manroute_pareto_resume.tsv" in
-  let fresh = campaign 1 in
-  ignore (campaign ~checkpoint:path 1);
-  (* Simulate a crash after the first row: keep it, then leave a torn
-     half-written line with no newline, as a dying process would. *)
-  let ic = open_in path in
-  let first_line = input_line ic in
-  close_in ic;
-  let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv2\tfigpareto\t9\t2\t0x1p+");
-  close_out oc;
-  let resumed = campaign ~checkpoint:path 2 in
-  check_bool "kill-and-resume rows bit-identical" true
-    (rows_equal fresh resumed);
   let key =
     { Harness.Checkpoint.figure_id = "figpareto"; seed = 9; trials = 2 }
   in
-  check_int "sidecar healed to both rows" 2
-    (List.length (Harness.Runner.load_rows ~path key));
+  let fresh, resumed =
+    Campaign_check.kill_and_resume ~trials:2 ~seed:9 small_figpareto
+      ~inspect:(fun path ->
+        check_int "sidecar healed to both rows" 2
+          (List.length (Harness.Runner.load_rows ~path key)))
+  in
+  check_bool "kill-and-resume rows bit-identical" true
+    (Campaign_check.rows_equal fresh resumed);
   (* The resumed rows round-trip the Pareto cells through the sidecar. *)
   let names =
     List.map (fun (c : Harness.Runner.column) -> c.name) Harness.Runner.columns
@@ -233,8 +195,7 @@ let test_figpareto_kill_and_resume () =
           check_bool "front ratio present on a sim figure" true
             (List.assoc "front" (List.combine names s.engine) <> None))
         row.cells)
-    resumed.rows;
-  Sys.remove path
+    resumed.rows
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -300,26 +300,8 @@ let test_registry_spellings () =
 
 let small_figpf = { Harness.Figure.figpf with xs = [ 1.; 2. ] }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  at 0
-
-let campaign jobs =
-  let ckpt = Filename.temp_file "manroute-pf" ".ckpt" in
-  let result =
-    Harness.Runner.run ~trials:2 ~seed:7 ~jobs ~checkpoint:ckpt small_figpf
-  in
-  let csv = Harness.Render.csv result in
-  let ckpt_bytes = read_file ckpt in
-  Sys.remove ckpt;
-  (csv, ckpt_bytes)
+let campaign = Campaign_check.campaign ~trials:2 ~seed:7 small_figpf
+let contains = Campaign_check.contains
 
 let test_figpf_campaign_invariant () =
   let csv_1, ck_1 = campaign 1 in
@@ -331,34 +313,14 @@ let test_figpf_campaign_invariant () =
     (contains csv_1 "PF_pf_iters");
   check_bool "csv has the PF rip column" true (contains csv_1 "PF_pf_rips")
 
-let rows_equal (a : Harness.Runner.result) (b : Harness.Runner.result) =
-  List.length a.rows = List.length b.rows
-  && List.for_all2
-       (fun (ra : Harness.Runner.row) (rb : Harness.Runner.row) ->
-         ra.x = rb.x && ra.cells = rb.cells)
-       a.rows b.rows
-
 let test_figpf_kill_and_resume () =
-  let path = Filename.temp_file "manroute-pf-resume" ".ckpt" in
-  let fresh = Harness.Runner.run ~trials:2 ~seed:7 ~jobs:1 small_figpf in
-  ignore
-    (Harness.Runner.run ~trials:2 ~seed:7 ~jobs:1 ~checkpoint:path small_figpf);
-  (* Simulate a kill after the first row: keep it, then leave a torn
-     half-written line with no newline, as a dying process would. *)
-  let ic = open_in path in
-  let first_line = input_line ic in
-  close_in ic;
-  let oc = open_out path in
-  output_string oc (first_line ^ "\nrow\tv2\tfigpf\t7\t2\t0x1p+");
-  close_out oc;
-  let resumed =
-    Harness.Runner.run ~trials:2 ~seed:7 ~jobs:2 ~checkpoint:path small_figpf
+  let fresh, resumed =
+    Campaign_check.kill_and_resume ~trials:2 ~seed:7 small_figpf
   in
   check_bool "killed-and-resumed campaign bit-identical" true
-    (rows_equal fresh resumed);
+    (Campaign_check.rows_equal fresh resumed);
   check_string "resumed CSV byte-identical" (Harness.Render.csv fresh)
-    (Harness.Render.csv resumed);
-  Sys.remove path
+    (Harness.Render.csv resumed)
 
 let () =
   Alcotest.run "pathfinder"

@@ -237,12 +237,6 @@ let test_select_picks_first_worst_and_all_incidents () =
   check_string "all-infeasible row keeps its incidents" "0:errored"
     (String.concat " " (List.map show (Harness.Audit.select [| v None true false; v None false false |])))
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let small_figrec = { Harness.Figure.figrec with xs = [ 2. ] }
 
 (* One audited campaign; returns the artifact bytes and its validated
@@ -254,7 +248,7 @@ let audited_campaign jobs =
   let path =
     Filename.concat dir (small_figrec.Harness.Figure.id ^ "-audit.jsonl")
   in
-  let bytes = read_file path in
+  let bytes = Campaign_check.read_file path in
   let count =
     match Harness.Audit.validate_file path with
     | Ok n -> n
@@ -280,13 +274,7 @@ let test_validators_name_line_and_snippet () =
   (match Harness.Audit.validate_file path with
   | Ok _ -> Alcotest.fail "bad schema should have been rejected"
   | Error msg ->
-      let contains needle =
-        let nh = String.length msg and nn = String.length needle in
-        let rec at i =
-          i + nn <= nh && (String.sub msg i nn = needle || at (i + 1))
-        in
-        at 0
-      in
+      let contains = Campaign_check.contains msg in
       check_bool "error names the line" true (contains "line 2");
       check_bool "error quotes a snippet" true (contains "wrong/1"));
   Sys.remove path

@@ -321,26 +321,8 @@ let test_smp_registry_spellings () =
 
 let small_figs = { Harness.Figure.figs with xs = [ 1.; 2. ] }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let campaign jobs =
-  let ckpt = Filename.temp_file "manroute-smp" ".ckpt" in
-  let result =
-    Harness.Runner.run ~trials:2 ~seed:9 ~jobs ~checkpoint:ckpt small_figs
-  in
-  let csv = Harness.Render.csv result in
-  let ckpt_bytes = read_file ckpt in
-  Sys.remove ckpt;
-  (csv, ckpt_bytes)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  at 0
+let campaign = Campaign_check.campaign ~trials:2 ~seed:9 small_figs
+let contains = Campaign_check.contains
 
 let test_figs_campaign_invariant () =
   let csv_1, ck_1 = campaign 1 in
