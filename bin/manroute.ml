@@ -15,8 +15,10 @@ let mesh_arg =
     | [ r; c ] -> (
         match (int_of_string_opt r, int_of_string_opt c) with
         | Some rows, Some cols
-          when rows >= 1 && cols >= 1 && (rows > 1 || cols > 1) ->
-            Ok (Noc.Mesh.create ~rows ~cols)
+          when rows >= 1 && cols >= 1 && (rows > 1 || cols > 1) -> (
+            try Ok (Noc.Mesh.create ~rows ~cols)
+            with Invalid_argument _ ->
+              Error (`Msg (s ^ " has too many links")))
         | _ -> Error (`Msg "expected ROWSxCOLS with at least two cores"))
     | _ -> Error (`Msg "expected ROWSxCOLS")
   in

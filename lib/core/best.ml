@@ -46,3 +46,12 @@ let baseline ?fault model mesh comms =
         (List.fold_left
            (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
            (List.hd scored) (List.tl scored))
+
+let never_worse ?fault model ~base solution (report : Evaluate.report) =
+  match (report.Evaluate.feasible, base.report.Evaluate.feasible) with
+  | true, false -> true
+  | false, true -> false
+  | true, true ->
+      report.Evaluate.total_power <= base.report.Evaluate.total_power
+  | false, false ->
+      penalized ?fault model solution <= penalized ?fault model base.solution

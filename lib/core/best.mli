@@ -30,10 +30,6 @@ val route :
   outcome option
 (** [best_of (run_all ...)]. *)
 
-val penalized : ?fault:Noc.Fault.t -> Power.Model.t -> Solution.t -> float
-(** {!Evaluate.penalized} of the solution's loads: how far from feasible
-    an infeasible routing is. *)
-
 val baseline :
   ?fault:Noc.Fault.t ->
   Power.Model.t ->
@@ -41,5 +37,19 @@ val baseline :
   Traffic.Communication.t list ->
   outcome
 (** The single-path baseline the engines guard their results against:
-    the best feasible outcome of {!run_all}, or the least-{!penalized}
-    one (first on ties) when every heuristic fails. *)
+    the best feasible outcome of {!run_all}, or the one with the least
+    {!Evaluate.penalized} power (first on ties) when every heuristic
+    fails. *)
+
+val never_worse :
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  base:outcome ->
+  Solution.t ->
+  Evaluate.report ->
+  bool
+(** [never_worse ?fault model ~base solution report]: whether an engine's
+    candidate [solution], whose evaluation is [report], may replace the
+    {!baseline} [base] without doing worse. Feasible first, then total
+    power, then {!Evaluate.penalized} power when both fail; ties keep the
+    candidate. The guard the s-MP and PathFinder engines apply. *)

@@ -210,6 +210,11 @@ let remove_route t (r : Solution.route) =
   List.iter (fun (p, x) -> remove_path t p x) r.paths;
   List.iter (fun (w, x) -> remove_walk t w x) r.detours
 
+let of_routes ?fault model mesh routes =
+  let t = create ?fault model mesh in
+  List.iter (add_route t) routes;
+  t
+
 type mark = int
 
 let mark t =

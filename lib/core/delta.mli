@@ -92,6 +92,13 @@ val add_route : t -> Solution.route -> unit
 val remove_route : t -> Solution.route -> unit
 (** Inverse of {!add_route}. *)
 
+val of_routes :
+  ?fault:Noc.Fault.t -> Power.Model.t -> Noc.Mesh.t -> Solution.route list -> t
+(** The canonical rebuild: a fresh engine with the routes added in list
+    order, exactly as {!Solution.loads} accumulates them — so its
+    {!report} is the very report a from-scratch [Evaluate.of_loads]
+    computes on those routes, whatever arithmetic produced them. *)
+
 val report : t -> Evaluate.report
 (** The report a from-scratch [Evaluate.of_loads (model t) (loads t)]
     would return, bit-identical field by field — without rescanning the

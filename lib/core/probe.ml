@@ -103,8 +103,8 @@ let exact_fit ~total (parts : float array) =
     end
   end
 
-(* One classification pass, mirroring [Evaluate.tally_of_loads] per link
-   so the grid determines the report bit-for-bit. *)
+(* One classification pass, the per-link tests of
+   [Evaluate.tally_of_loads], so the grid agrees with the report. *)
 let grid_of_loads table loads =
   let model = Power.Model.table_model table in
   let nlev = Power.Model.table_nlevels table in
@@ -137,34 +137,6 @@ let grid_of_loads table loads =
         overloaded;
         occupants = [];
       })
-
-(* Fold the grid back into the canonical tally: same per-link tests, same
-   visit order (link id), same float operations as [tally_of_loads]. *)
-let tally_of_grid table grid =
-  let model = Power.Model.table_model table in
-  let nlev = Power.Model.table_nlevels table in
-  let level_count = Array.make (max 1 nlev) 0 in
-  let active = ref 0 and max_load = ref 0. in
-  let cont_dynamic = ref 0. and over = ref [] in
-  Array.iter
-    (fun l ->
-      if l.occupancy > 0. then begin
-        incr active;
-        if l.effective_load > !max_load then max_load := l.effective_load;
-        if l.overloaded then over := (l.link_id, l.effective_load) :: !over
-        else if nlev = 0 then
-          cont_dynamic :=
-            !cont_dynamic +. Power.Model.dynamic_power model l.occupancy
-        else level_count.(l.level) <- level_count.(l.level) + 1
-      end)
-    grid;
-  {
-    Evaluate.t_active = !active;
-    t_max_load = !max_load;
-    t_level_count = level_count;
-    t_cont_dynamic = !cont_dynamic;
-    t_over_rev = !over;
-  }
 
 (* Per-link occupant shares in first-touch (route) order. A communication
    whose parts reuse a link is merged into one occupant. *)
@@ -284,7 +256,9 @@ let of_loads model loads =
   let table = Power.Model.table model in
   let mesh = Noc.Load.mesh loads in
   let grid = grid_of_loads table loads in
-  let report = Evaluate.report_of_tally table mesh (tally_of_grid table grid) in
+  let report =
+    Evaluate.report_of_tally table mesh (Evaluate.tally_of_loads table loads)
+  in
   {
     model;
     mesh;
@@ -304,7 +278,8 @@ let solution ?fault model s =
   let grid = Array.mapi (fun id l -> attribute_link l shares.(id)) bare in
   let report =
     {
-      (Evaluate.report_of_tally table mesh (tally_of_grid table grid)) with
+      (Evaluate.report_of_tally table mesh
+         (Evaluate.tally_of_loads table loads)) with
       Evaluate.detour_hops = Solution.detour_hops s;
     }
   in

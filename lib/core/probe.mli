@@ -8,10 +8,10 @@
     attribution of each link's power to the communications that occupy
     it. This module computes both {e exactly}:
 
-    - {b Grid exactness.} {!report} is assembled from the grid alone (the
-      grid is folded back into an {!Evaluate.tally} and totalled by
-      {!Evaluate.report_of_tally}), so it is bit-identical, field by
-      field, to a from-scratch [Evaluate.of_loads] of the same loads.
+    - {b Grid exactness.} {!report} is {!Evaluate.report_of_tally} of
+      {!Evaluate.tally_of_loads}, bit-identical, field by field, to a
+      from-scratch [Evaluate.of_loads] of the same loads, and each grid
+      cell classifies its link with the very tests that tally applies.
     - {b Attribution exactness.} Within a link, a communication's slice
       is its occupancy fraction times the link power; the trailing
       occupants (in route order) absorb a few-ulp correction — the last

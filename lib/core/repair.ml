@@ -2,12 +2,11 @@
 
    Routes whose every link survives are kept verbatim. A route crossing a
    dead link is re-routed: first by the cheapest surviving Manhattan path of
-   its bounding rectangle (a backward DP over the rectangle's diagonal
-   steps, costed by the marginal capped penalized power against the loads
-   accumulated so far), and if the fault cut every Manhattan path, by a
-   shortest detour walk (BFS over the surviving directed links). Routes are
-   processed in solution order with running loads, so the result is
-   deterministic. *)
+   its bounding rectangle ({!Noc.Rect.cheapest}, costed by the marginal
+   capped penalized power against the loads accumulated so far), and if
+   the fault cut every Manhattan path, by a shortest detour walk (BFS over
+   the surviving directed links). Routes are processed in solution order
+   with running loads, so the result is deterministic. *)
 
 exception No_route of Traffic.Communication.t
 
@@ -21,56 +20,14 @@ let route_usable fault (r : Solution.route) =
    [Noc.Fault.factor fault id]. *)
 let manhattan_usable_sc fault sc (comm : Traffic.Communication.t) =
   let loads = Delta.scorer_loads sc in
-  let mesh = Noc.Load.mesh loads in
-  let rate = comm.rate in
-  let rect = Noc.Rect.make ~src:comm.src ~snk:comm.snk in
-  let n = Noc.Rect.length rect in
-  (* best : core -> (cost-to-sink, next core on the best path) *)
-  let best : (Noc.Coord.t, float * Noc.Coord.t option) Hashtbl.t =
-    Hashtbl.create 64
+  let marginal id =
+    let before = Noc.Load.get loads id in
+    Delta.cost sc id (before +. comm.rate) -. Delta.cost sc id before
   in
-  Hashtbl.replace best comm.snk (0., None);
-  for k = n - 1 downto 0 do
-    List.iter
-      (fun core ->
-        let pick =
-          List.fold_left
-            (fun acc (l : Noc.Mesh.link) ->
-              if not (Noc.Fault.usable fault l) then acc
-              else
-                match Hashtbl.find_opt best l.dst with
-                | None -> acc
-                | Some (tail, _) ->
-                    let id = Noc.Mesh.link_id mesh l in
-                    let before = Noc.Load.get loads id in
-                    let marginal =
-                      Delta.cost sc id (before +. rate)
-                      -. Delta.cost sc id before
-                    in
-                    let cost = tail +. marginal in
-                    (match acc with
-                    | Some (c, _) when c <= cost -> acc
-                    | _ -> Some (cost, l.dst)))
-            None
-            (Noc.Rect.out_links rect core)
-        in
-        match pick with
-        | None -> ()
-        | Some (cost, next) -> Hashtbl.replace best core (cost, Some next))
-      (Noc.Rect.cores_on_step rect k)
-  done;
-  if not (Hashtbl.mem best comm.src) then None
-  else begin
-    let cores = Array.make (n + 1) comm.src in
-    let cur = ref comm.src in
-    for i = 1 to n do
-      (match Hashtbl.find best !cur with
-      | _, Some next -> cur := next
-      | _, None -> assert false);
-      cores.(i) <- !cur
-    done;
-    Some (Noc.Path.of_cores cores)
-  end
+  Option.map fst
+    (Noc.Rect.cheapest (Noc.Load.mesh loads)
+       (Noc.Rect.make ~src:comm.src ~snk:comm.snk)
+       ~usable:(Noc.Fault.usable_id fault) ~cost:marginal)
 
 (* Shortest surviving walk by BFS over the directed links; deterministic
    given the [Mesh.neighbors] enumeration order. *)

@@ -58,7 +58,10 @@ let rec helper () =
       if j.inside = 0 then Condition.broadcast left);
   helper ()
 
-(* Spawn outside the lock, one reserved slot at a time. *)
+(* Spawn outside the lock, one reserved slot at a time. The runtime caps
+   the domains of a process, so the first failed spawn ends the loop and
+   the call runs on the helpers that exist: results are index-ordered,
+   so they do not depend on how many helped. *)
 let spawn_helpers k =
   let reserve () =
     Mutex.protect lock (fun () ->
@@ -68,12 +71,11 @@ let spawn_helpers k =
              true
            end)
   in
-  while reserve () do
-    try ignore (Domain.spawn helper : unit Domain.t)
-    with e ->
-      Mutex.protect lock (fun () -> decr spawned);
-      raise e
-  done
+  try
+    while reserve () do
+      ignore (Domain.spawn helper : unit Domain.t)
+    done
+  with Failure _ -> Mutex.protect lock (fun () -> decr spawned)
 
 let share ~helpers work =
   spawn_helpers helpers;

@@ -30,9 +30,11 @@ val default_jobs : unit -> int
 val map : ?tick:(unit -> unit) -> ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map n f] is [[| f 0; ...; f (n-1) |]], evaluated by the calling
     domain and up to [jobs - 1] helpers (default {!default_jobs}, clamped
-    to [n]). [f] must not mutate shared state; each index is evaluated
-    exactly once, on exactly one domain. With [jobs:1] (or [n <= 1]) no
-    helper is involved and the call degenerates to [Array.init].
+    to [n]; fewer once the runtime refuses to spawn another domain, with
+    the same results). [f] must not mutate shared state; each index is
+    evaluated exactly once, on exactly one domain. With [jobs:1] (or
+    [n <= 1]) no helper is involved and the call degenerates to
+    [Array.init].
 
     Calls may nest: a [map] inside [f] runs on whatever helpers are idle
     and otherwise on its caller alone — it never waits for a helper that

@@ -136,8 +136,8 @@ let capture ~model ~heuristics ~figure ~x ~seed t =
         List.filter_map (fun a -> Result.to_option a.outcome) attempts
       in
       (* Pareto scoring: every feasible attempt is simulated (one shared
-         per-domain arena recycles the buffers) and probed for its slope,
-         then the trial's non-dominated front is computed over the
+         per-domain arena holds the input-link table) and probed for its
+         slope, then the trial's non-dominated front is computed over the
          heuristic points. Deterministic — the simulator carries no RNG
          and the slope fault was drawn above — so the points are
          jobs-invariant like every other contribution. *)
@@ -653,5 +653,6 @@ let exit_on_error f =
   match f () with
   | v -> v
   | exception Sys_error msg -> fail msg
+  | exception Out_of_memory -> fail "out of memory"
   | exception ((Checkpoint.Corrupt _ | Checkpoint.Mismatch _) as e) ->
       fail (Printexc.to_string e)

@@ -202,6 +202,7 @@ val run :
 val exit_on_error : (unit -> 'a) -> 'a
 (** [exit_on_error f] is [f ()] for a command-line front end, except that
     an output that cannot be written ([Sys_error]: trace, audit,
-    checkpoint, CSV, JSON, problem file) or a sidecar that cannot resume
-    ({!Checkpoint.Corrupt}, {!Checkpoint.Mismatch}) ends the process with
-    a one-line [error:] message on stderr and exit code 1. *)
+    checkpoint, CSV, JSON, problem file), a sidecar that cannot resume
+    ({!Checkpoint.Corrupt}, {!Checkpoint.Mismatch}) or an instance too
+    large to allocate ([Out_of_memory]) ends the process with a one-line
+    [error:] message on stderr and exit code 1. *)

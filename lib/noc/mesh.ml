@@ -5,6 +5,10 @@ type step = East | West | South | North
 let create ~rows ~cols =
   if rows < 1 || cols < 1 then
     invalid_arg (Printf.sprintf "Mesh.create: %dx%d" rows cols);
+  (* Fewer than [4 * rows * cols] links, tested without overflowing. *)
+  if rows > Sys.max_array_length / 4 / cols then
+    invalid_arg
+      (Printf.sprintf "Mesh.create: %dx%d has too many links" rows cols);
   { rows; cols }
 
 let square p = create ~rows:p ~cols:p

@@ -17,7 +17,9 @@ type step = East | West | South | North
 
 val create : rows:int -> cols:int -> t
 (** [create ~rows:p ~cols:q] builds a [p x q] mesh.
-    @raise Invalid_argument if [p < 1] or [q < 1]. *)
+    @raise Invalid_argument if [p < 1] or [q < 1], or if [4pq] exceeds
+    [Sys.max_array_length], so that every link- or core-indexed array
+    fits. *)
 
 val square : int -> t
 (** [square p] is [create ~rows:p ~cols:p]. *)

@@ -39,6 +39,21 @@ val links_on_step : t -> int -> Mesh.link list
 (** All links from diagonal step [k] to step [k+1] inside the rectangle,
     for [0 <= k < length]. *)
 
+val cheapest :
+  Mesh.t ->
+  t ->
+  usable:(int -> bool) ->
+  cost:(int -> float) ->
+  (Path.t * float) option
+(** [cheapest mesh t ~usable ~cost] is the cheapest Manhattan path of the
+    rectangle under per-link-id costs, with its cost, or [None] when no
+    path of usable links joins the corners. A backward pass over the
+    diagonal steps: each core tries its {!out_links} in order and keeps
+    the first of the cheapest, so ties go to the horizontal link and equal
+    costs everywhere give {!Path.xy}. [cost] is called exactly once per
+    usable link whose head already reaches the sink. The search behind
+    fault repair, PathFinder and the Frank–Wolfe subproblem. *)
+
 val contains_link : t -> Mesh.link -> bool
 (** Whether a directed link can appear on some Manhattan path of this
     rectangle (both ends inside, oriented forward). *)

@@ -1,10 +1,3 @@
-module Coord_tbl = Hashtbl.Make (struct
-  type t = Noc.Coord.t
-
-  let equal = Noc.Coord.equal
-  let hash (c : Noc.Coord.t) = (c.row * 1021) + c.col
-end)
-
 type result = {
   loads : Noc.Load.t;
   objective : float;
@@ -16,6 +9,7 @@ type flow = {
   comm : Traffic.Communication.t;
   rect : Noc.Rect.t;
   link_ids : int array;  (** All rectangle links, fixed order. *)
+  slot : (int, int) Hashtbl.t;  (** Link id -> its index in [link_ids]. *)
   shares : float array;  (** Flow on [link_ids.(i)], in rate units. *)
 }
 
@@ -38,66 +32,43 @@ let initial_flow mesh (comm : Traffic.Communication.t) =
   let rect = Traffic.Communication.rect comm in
   let link_ids = rect_links mesh rect in
   let shares = Array.make (Array.length link_ids) 0. in
-  let pos = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.replace pos id i) link_ids;
-  let inflow = Coord_tbl.create 16 in
-  Coord_tbl.replace inflow comm.src comm.rate;
+  let slot = Hashtbl.create 16 in
+  Array.iteri (fun i id -> Hashtbl.replace slot id i) link_ids;
+  let inflow = Hashtbl.create 16 in
+  Hashtbl.replace inflow comm.src comm.rate;
   for k = 0 to Noc.Rect.length rect - 1 do
     List.iter
       (fun core ->
-        match Coord_tbl.find_opt inflow core with
+        match Hashtbl.find_opt inflow core with
         | None -> ()
         | Some f ->
             let outs = Noc.Rect.out_links rect core in
             let share = f /. float_of_int (List.length outs) in
             List.iter
               (fun (l : Noc.Mesh.link) ->
-                let i = Hashtbl.find pos (Noc.Mesh.link_id mesh l) in
+                let i = Hashtbl.find slot (Noc.Mesh.link_id mesh l) in
                 shares.(i) <- shares.(i) +. share;
-                Coord_tbl.replace inflow l.dst
+                Hashtbl.replace inflow l.dst
                   (share
-                  +. Option.value ~default:0. (Coord_tbl.find_opt inflow l.dst)))
+                  +. Option.value ~default:0. (Hashtbl.find_opt inflow l.dst)))
               outs)
       (Noc.Rect.cores_on_step rect k)
   done;
-  { comm; rect; link_ids; shares }
+  { comm; rect; link_ids; slot; shares }
 
 (* Cheapest path of the rectangle DAG under per-link weights; returns the
    indicator shares (full rate on the chosen path). *)
 let shortest_shares mesh weights fl =
-  let rect = fl.rect in
-  let n = Noc.Rect.length rect in
-  let best = Coord_tbl.create 16 in
-  Coord_tbl.replace best fl.comm.Traffic.Communication.snk (0., None);
-  for k = n - 1 downto 0 do
-    List.iter
-      (fun (l : Noc.Mesh.link) ->
-        match Coord_tbl.find_opt best l.dst with
-        | None -> ()
-        | Some (cost_dst, _) ->
-            let c = cost_dst +. weights (Noc.Mesh.link_id mesh l) in
-            let better =
-              match Coord_tbl.find_opt best l.src with
-              | None -> true
-              | Some (old, _) -> c < old
-            in
-            if better then Coord_tbl.replace best l.src (c, Some l.dst))
-      (Noc.Rect.links_on_step rect k)
-  done;
   let shares = Array.make (Array.length fl.link_ids) 0. in
-  let pos = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.replace pos id i) fl.link_ids;
-  let rec walk c =
-    match Coord_tbl.find_opt best c with
-    | Some (_, Some next) ->
-        let id = Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:c ~dst:next) in
-        shares.(Hashtbl.find pos id) <- fl.comm.Traffic.Communication.rate;
-        walk next
-    | Some (_, None) -> ()
-    | None -> assert false
-  in
-  walk fl.comm.Traffic.Communication.src;
-  shares
+  match
+    Noc.Rect.cheapest mesh fl.rect ~usable:(fun _ -> true) ~cost:weights
+  with
+  | None -> assert false (* every rectangle link is usable *)
+  | Some (path, _) ->
+      Noc.Path.iter_links path (fun l ->
+          shares.(Hashtbl.find fl.slot (Noc.Mesh.link_id mesh l)) <-
+            fl.comm.Traffic.Communication.rate);
+      shares
 
 (* Generic Frank-Wolfe over the product of per-communication path
    polytopes, for a separable convex objective given by per-link [value]

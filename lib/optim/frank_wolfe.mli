@@ -26,6 +26,7 @@ type flow = {
   comm : Traffic.Communication.t;
   rect : Noc.Rect.t;  (** The communication's bounding rectangle. *)
   link_ids : int array;  (** All rectangle links, fixed order. *)
+  slot : (int, int) Hashtbl.t;  (** Link id -> its index in [link_ids]. *)
   shares : float array;
       (** Flow on [link_ids.(i)], in rate units. Conserved: at every
           rectangle core but the endpoints, inflow equals outflow, and

@@ -1,8 +1,8 @@
 (* Long-lived incremental routing service (see online.mli). *)
 
 let default_idle_epochs = 2
-let default_refine_iterations = 4
-let default_global_iterations = 16
+let refine_iterations = 4
+let global_iterations = 16
 let default_rate = 8.
 let default_churn = 40
 
@@ -44,8 +44,6 @@ type t = {
   idle_epochs : int;
   wake_penalty : float;
   sleep : bool;
-  refine_iterations : int;
-  global_iterations : int;
   history : float array;
   mutable eng : Routing.Delta.t;
   mutable live_routes : (int * Routing.Solution.route) list;
@@ -70,16 +68,11 @@ type t = {
 }
 
 let create ?fault ?(idle_epochs = default_idle_epochs) ?wake_penalty
-    ?(sleep = true) ?(refine_iterations = default_refine_iterations)
-    ?(global_iterations = default_global_iterations) model mesh =
+    ?(sleep = true) model mesh =
   if idle_epochs < 1 then invalid_arg "Online.create: idle_epochs < 1";
   (match wake_penalty with
   | Some w when w < 0. -> invalid_arg "Online.create: wake_penalty < 0"
   | _ -> ());
-  if refine_iterations < 0 then
-    invalid_arg "Online.create: refine_iterations < 0";
-  if global_iterations < 0 then
-    invalid_arg "Online.create: global_iterations < 0";
   let fault =
     match fault with Some f -> f | None -> Noc.Fault.healthy mesh
   in
@@ -96,8 +89,6 @@ let create ?fault ?(idle_epochs = default_idle_epochs) ?wake_penalty
     idle_epochs;
     wake_penalty;
     sleep;
-    refine_iterations;
-    global_iterations;
     history = Array.make nl 0.;
     eng = Routing.Delta.create ~fault model mesh;
     live_routes = [];
@@ -124,14 +115,12 @@ let live t = List.length t.live_routes
 let solution t =
   Routing.Solution.make t.mesh (List.map snd t.live_routes)
 
-(* Canonical rebuild: fold the live routes in admission order over a
-   fresh engine, so {!Routing.Delta.report} is the very report a
-   from-scratch [Evaluate.of_loads] computes — negotiation and removal
+(* Canonical rebuild in admission order: negotiation and removal
    arithmetic never leaks into the served state. *)
 let rebuild t =
-  let eng = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  List.iter (fun (_, r) -> Routing.Delta.add_route eng r) t.live_routes;
-  t.eng <- eng
+  t.eng <-
+    Routing.Delta.of_routes ~fault:t.fault t.model t.mesh
+      (List.map snd t.live_routes)
 
 (* Negotiate the live routes selected by [pred] on the current engine;
    updates the route list in place (admission order preserved). *)
@@ -141,7 +130,7 @@ let negotiate t ~iterations pred =
   for i = Array.length lives - 1 downto 0 do
     if pred (snd lives.(i)) then idxs := i :: !idxs
   done;
-  if iterations = 0 || !idxs = [] then (0, 0)
+  if !idxs = [] then (0, 0)
   else begin
     let idxs = Array.of_list !idxs in
     let cand = Array.map (fun i -> snd lives.(i)) idxs in
@@ -156,8 +145,9 @@ let negotiate t ~iterations pred =
 exception No_offender
 
 (* Shed the lightest live route crossing a convicted link until the
-   state is feasible (the empty state is). *)
-let shed_until_feasible t ~reason shed_now =
+   state is feasible (the empty state is). Negotiation ran to its caps
+   first, so the overload itself is the reason. *)
+let shed_until_feasible t shed_now =
   let rep = ref (Routing.Delta.report t.eng) in
   (try
      while not !rep.Routing.Evaluate.feasible do
@@ -181,7 +171,7 @@ let shed_until_feasible t ~reason shed_now =
        | Some (id, r) ->
            Routing.Delta.remove_route t.eng r;
            t.live_routes <- List.filter (fun (i, _) -> i <> id) t.live_routes;
-           let s = { comm = r.comm; reason } in
+           let s = { comm = r.comm; reason = Recover.Infeasible_overload } in
            t.pending_shed <- t.pending_shed @ [ s ];
            t.s_shed <- t.s_shed + 1;
            shed_now := s :: !shed_now;
@@ -297,7 +287,7 @@ let step t (event : Traffic.Trace.event) =
             rung := 3;
             let over = Routing.Evaluate.overload_mask t.mesh rep in
             let p3, r3 =
-              negotiate t ~iterations:t.refine_iterations
+              negotiate t ~iterations:refine_iterations
                 (Routing.Solution.route_crosses t.mesh over)
             in
             passes := !passes + p3;
@@ -306,7 +296,7 @@ let step t (event : Traffic.Trace.event) =
             if not rep.Routing.Evaluate.feasible then begin
               rung := 4;
               let p4, r4 =
-                negotiate t ~iterations:t.global_iterations (fun _ -> true)
+                negotiate t ~iterations:global_iterations (fun _ -> true)
               in
               passes := !passes + p4;
               rips := !rips + r4
@@ -314,15 +304,7 @@ let step t (event : Traffic.Trace.event) =
             let rep = Routing.Delta.report t.eng in
             if not rep.Routing.Evaluate.feasible then begin
               rung := 5;
-              (* Negotiation quits only at its sweep caps, so an
-                 infeasible outcome with no caps configured means the
-                 ladder was never allowed to run. *)
-              let reason =
-                if t.refine_iterations + t.global_iterations = 0 then
-                  Recover.Budget_exhausted
-                else Recover.Infeasible_overload
-              in
-              shed_until_feasible t ~reason shed_now
+              shed_until_feasible t shed_now
             end;
             admitted :=
               List.exists
@@ -519,10 +501,8 @@ let band comms =
 
 type Routing.Heuristic.note += Session of session
 
-let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
-    ?wake_penalty ?sleep ?fault model mesh comms =
+let engine ?(rate = default_rate) ?sleep ?fault model mesh comms =
   if rate <= 0. then invalid_arg "Online.engine: rate <= 0";
-  if churn < 0 then invalid_arg "Online.engine: churn < 0";
   if comms = [] then (Routing.Solution.make mesh [], None)
   else begin
     let rng = Traffic.Workload.keyed_rng "serve-trace" comms in
@@ -533,12 +513,12 @@ let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
     in
     let churn_events =
       Traffic.Trace.generate ~id_base:(max_id + 1) rng mesh
-        ~profile:Traffic.Trace.Poisson ~arrivals:churn ~rate
+        ~profile:Traffic.Trace.Poisson ~arrivals:default_churn ~rate
         ~weight:(band comms)
     in
     let resident = Traffic.Trace.persistent rng ~rate comms in
     let events = Traffic.Trace.merge churn_events resident in
-    let t = create ?fault ?idle_epochs ?wake_penalty ?sleep model mesh in
+    let t = create ?fault ?sleep model mesh in
     ignore (serve t events);
     (solution t, Some (session t))
   end

@@ -90,17 +90,15 @@ val create :
   ?idle_epochs:int ->
   ?wake_penalty:float ->
   ?sleep:bool ->
-  ?refine_iterations:int ->
-  ?global_iterations:int ->
   Power.Model.t ->
   Noc.Mesh.t ->
   t
 (** An empty service. [idle_epochs] (default 2, >= 1) is the switch-off
     hysteresis; [wake_penalty] (default the model's per-link leakage
     [p_leak], >= 0) the one-shot wake charge; [sleep] (default [true])
-    enables switch-off; [refine_iterations] (default 4) and
-    [global_iterations] (default 16) cap the two negotiation rungs per
-    event. @raise Invalid_argument on out-of-range knobs. *)
+    enables switch-off. Each arrival runs at most 4 neighborhood and 16
+    global negotiation sweeps. @raise Invalid_argument on out-of-range
+    knobs. *)
 
 val step : t -> Traffic.Trace.event -> op
 (** Serve one event. A departure of an unknown or already-shed id is a
@@ -158,9 +156,6 @@ val session : t -> session
 
 val engine :
   ?rate:float ->
-  ?churn:int ->
-  ?idle_epochs:int ->
-  ?wake_penalty:float ->
   ?sleep:bool ->
   ?fault:Noc.Fault.t ->
   Power.Model.t ->
@@ -168,8 +163,10 @@ val engine :
   Traffic.Communication.t list ->
   Routing.Solution.t * session option
 (** The final live solution with the served session's summary ([None]
-    on an empty workload, where nothing is served).
-    @raise Invalid_argument on out-of-range knobs. *)
+    on an empty workload, where nothing is served). [rate] (default
+    {!default_rate}) paces both the workload's arrivals and the
+    {!default_churn} churn arrivals; the service runs with {!create}'s
+    defaults. @raise Invalid_argument when [rate <= 0]. *)
 
 type Routing.Heuristic.note += Session of session
 (** The {!heuristic}'s note (see {!Routing.Heuristic.run_noted}). *)

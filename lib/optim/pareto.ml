@@ -47,11 +47,11 @@ let slope ?fault ~kills model solution base =
       (degraded -. base) /. float_of_int kills
   | _ -> 0.
 
-let measure ?config ?arena ~budget ?fault ~kills model
+let measure ?arena ~budget ?fault ~kills model
     ~(report : Routing.Evaluate.report) solution =
   if not report.Routing.Evaluate.feasible then None
   else begin
-    let net = Sim.Network.create ?config ?arena model solution in
+    let net = Sim.Network.create ?arena model solution in
     let r =
       Sim.Network.run ?warmup:budget.warmup ?tolerance:budget.tolerance net
         ~cycles:budget.cycles

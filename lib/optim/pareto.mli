@@ -63,7 +63,6 @@ val slope :
     or with [kills <= 0]. *)
 
 val measure :
-  ?config:Sim.Config.t ->
   ?arena:Sim.Network.Arena.t ->
   budget:budget ->
   ?fault:Noc.Fault.t ->
@@ -76,7 +75,7 @@ val measure :
     infeasible routing has no meaningful latency), otherwise the three
     objectives — the report's [total_power] verbatim, the simulated
     pooled p50/p95 under [budget], and {!slope} under [fault]/[kills].
-    [arena] recycles simulation buffers across calls. *)
+    [arena] shares the simulator's input-link table across calls. *)
 
 val pp_objectives : Format.formatter -> objectives -> unit
 val pp_point : Format.formatter -> point -> unit

@@ -43,57 +43,15 @@ let link_fits model loads ~rate id =
     (Noc.Load.get loads id +. rate)
 
 (* Cheapest surviving Manhattan path of the bounding rectangle under the
-   negotiated cost — the rectangle search of {!Routing.Repair.local_route}
-   with the congestion-shaped objective. [None] when a fault cut every
+   negotiated cost — the search {!Routing.Repair.local_route} runs, with
+   the congestion-shaped objective. [None] when a fault cut every
    rectangle path. *)
 let manhattan_search sc loads history ~capacity (comm : Traffic.Communication.t)
     =
-  let mesh = Noc.Load.mesh loads in
-  let rate = comm.rate in
-  let rect = Noc.Rect.make ~src:comm.src ~snk:comm.snk in
-  let n = Noc.Rect.length rect in
-  let best : (Noc.Coord.t, float * Noc.Coord.t option) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Hashtbl.replace best comm.snk (0., None);
-  for k = n - 1 downto 0 do
-    List.iter
-      (fun core ->
-        let pick =
-          List.fold_left
-            (fun acc (l : Noc.Mesh.link) ->
-              if not (Noc.Load.usable_link loads l) then acc
-              else
-                match Hashtbl.find_opt best l.dst with
-                | None -> acc
-                | Some (tail, _) ->
-                    let id = Noc.Mesh.link_id mesh l in
-                    let cost =
-                      tail +. link_cost sc loads history ~capacity ~rate id
-                    in
-                    (match acc with
-                    | Some (c, _) when c <= cost -> acc
-                    | _ -> Some (cost, l.dst)))
-            None
-            (Noc.Rect.out_links rect core)
-        in
-        match pick with
-        | None -> ()
-        | Some (cost, next) -> Hashtbl.replace best core (cost, Some next))
-      (Noc.Rect.cores_on_step rect k)
-  done;
-  match Hashtbl.find_opt best comm.src with
-  | None -> None
-  | Some (cost, _) ->
-      let cores = Array.make (n + 1) comm.src in
-      let cur = ref comm.src in
-      for i = 1 to n do
-        (match Hashtbl.find best !cur with
-        | _, Some next -> cur := next
-        | _, None -> assert false);
-        cores.(i) <- !cur
-      done;
-      Some (Noc.Path.of_cores cores, cost)
+  Noc.Rect.cheapest (Noc.Load.mesh loads)
+    (Noc.Rect.make ~src:comm.src ~snk:comm.snk)
+    ~usable:(Noc.Load.usable loads)
+    ~cost:(link_cost sc loads history ~capacity ~rate:comm.rate)
 
 (* Cheapest surviving walk over the whole mesh (Dijkstra on the directed
    links, negotiated cost): the widening step when the rectangle is cut
@@ -107,13 +65,7 @@ let widened_search sc loads history ~capacity (comm : Traffic.Communication.t)
   let cols = Noc.Mesh.cols mesh in
   let idx (c : Noc.Coord.t) = ((c.row - 1) * cols) + (c.col - 1) in
   let n = Noc.Mesh.num_cores mesh in
-  let coord_of = Array.make n comm.src in
-  for row = 1 to Noc.Mesh.rows mesh do
-    for col = 1 to cols do
-      let c = Noc.Coord.make ~row ~col in
-      coord_of.(idx c) <- c
-    done
-  done;
+  let coord_of = Noc.Mesh.all_cores mesh in
   let dist = Array.make n infinity in
   let hops = Array.make n max_int in
   let parent = Array.make n (-1) in
@@ -357,11 +309,8 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
         order
     end
   done;
-  (* Canonical rebuild: re-accumulate the final routes in input order,
-     exactly as {!Routing.Solution.loads} would, so the incremental
-     report below is the very report a from-scratch
-     [Evaluate.of_loads] computes on this solution — the rip-up
-     history's float cancellations never leak into the result. *)
+  (* Canonical rebuild in input order: the rip-up history's float
+     cancellations never leak into the report. *)
   let final =
     Array.to_list
       (Array.map
@@ -369,9 +318,9 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
          routes)
   in
   let solution = Routing.Solution.make mesh final in
-  let canonical = Routing.Delta.create ?fault model mesh in
-  List.iter (Routing.Delta.add_route canonical) final;
-  let report = Routing.Delta.report canonical in
+  let report =
+    Routing.Delta.report (Routing.Delta.of_routes ?fault model mesh final)
+  in
   { solution; report; iterations = !passes; rips = !rips }
 
 type annotation = { a_iterations : int; a_rips : int; a_kept : bool }
@@ -382,22 +331,8 @@ let engine ?iterations ?fault model mesh comms =
   else begin
     let pf = negotiate ?iterations ?fault model mesh comms in
     let base = Routing.Best.baseline ?fault model mesh comms in
-    (* Never worse than the best single-path heuristic: feasible-first,
-       then total power, penalized power when both fail. *)
-    let base_report = base.Routing.Best.report in
     let keep_pf =
-      match
-        (pf.report.Routing.Evaluate.feasible,
-         base_report.Routing.Evaluate.feasible)
-      with
-      | true, false -> true
-      | false, true -> false
-      | true, true ->
-          pf.report.Routing.Evaluate.total_power
-          <= base_report.Routing.Evaluate.total_power
-      | false, false ->
-          Routing.Best.penalized ?fault model pf.solution
-          <= Routing.Best.penalized ?fault model base.Routing.Best.solution
+      Routing.Best.never_worse ?fault model ~base pf.solution pf.report
     in
     ( (if keep_pf then pf.solution else base.Routing.Best.solution),
       Some { a_iterations = pf.iterations; a_rips = pf.rips; a_kept = keep_pf }

@@ -18,10 +18,10 @@
 
     Per-communication search is a two-stage affair mirroring
     {!Routing.Repair}: the cheapest Manhattan path of the bounding
-    rectangle first (backward DP over the diagonal steps, dead links
-    excluded), widening to a full-mesh Dijkstra walk when a fault cut
-    the rectangle or when the rectangle's best path still overloads a
-    link and a strictly cheaper walk exists. Candidate scoring is
+    rectangle first ({!Noc.Rect.cheapest}, dead links excluded),
+    widening to a full-mesh Dijkstra walk when a fault cut the rectangle
+    or when the rectangle's best path still overloads a link and a
+    strictly cheaper walk exists. Candidate scoring is
     O(path length) via the delta journal; failed reroutes roll back
     through its mark/rollback, bit-exactly.
 

@@ -1,7 +1,7 @@
 (* Incremental fault-event recovery (see recover.mli). *)
 
-let default_rung3_iterations = 4
-let default_rung4_iterations = 16
+let rung3_iterations = 4
+let rung4_iterations = 16
 let default_events = 8
 
 let bump_events () =
@@ -51,8 +51,6 @@ type t = {
   routes : Routing.Solution.route option array;
   reasons : shed_reason option array;
   history : float array;
-  rung3_iterations : int;
-  rung4_iterations : int;
   budget : int;
   mutable power : float;
 }
@@ -73,12 +71,7 @@ let shed t =
     t.reasons;
   List.rev !out
 
-let create ?fault ?(rung3_iterations = default_rung3_iterations)
-    ?(rung4_iterations = default_rung4_iterations) ?budget model solution =
-  if rung3_iterations < 0 then
-    invalid_arg "Recover.create: rung3_iterations < 0";
-  if rung4_iterations < 0 then
-    invalid_arg "Recover.create: rung4_iterations < 0";
+let create ?fault ?budget model solution =
   let budget =
     match budget with
     | None -> rung3_iterations + rung4_iterations
@@ -101,8 +94,6 @@ let create ?fault ?(rung3_iterations = default_rung3_iterations)
     routes = Array.map Option.some routes;
     reasons = Array.map (fun _ -> None) routes;
     history = Array.make (Noc.Mesh.num_links mesh) 0.;
-    rung3_iterations;
-    rung4_iterations;
     budget;
     power;
   }
@@ -191,7 +182,7 @@ let step t event =
           neighborhood := i :: !neighborhood
       | _ -> ()
     done;
-    refine_rung 3 ~configured:t.rung3_iterations !neighborhood;
+    refine_rung 3 ~configured:rung3_iterations !neighborhood;
     (* Rung 4: global negotiation over every live route. *)
     if not !rep.Routing.Evaluate.feasible then begin
       let all = ref [] in
@@ -200,7 +191,7 @@ let step t event =
         | Some _ -> all := i :: !all
         | None -> ()
       done;
-      refine_rung 4 ~configured:t.rung4_iterations !all
+      refine_rung 4 ~configured:rung4_iterations !all
     end;
     (* Rung 5: graceful degradation — shed the lightest live route
        crossing a convicted link until the remainder is feasible. The
@@ -260,14 +251,13 @@ let step t event =
     | _ -> ()
   done;
   bump_rung !rung;
-  (* Canonical rebuild: accumulate the surviving routes in solution
-     order on a fresh engine, so [eval] is the very report a
-     from-scratch [Evaluate.of_loads] computes on {!solution} — the
-     event's rip-up arithmetic never leaks into the result. *)
+  (* Canonical rebuild in solution order: the event's rip-up arithmetic
+     never leaks into [eval]. *)
   let final = live_routes t in
-  let canonical = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  List.iter (Routing.Delta.add_route canonical) final;
-  let eval = Routing.Delta.report canonical in
+  let eval =
+    Routing.Delta.report
+      (Routing.Delta.of_routes ~fault:t.fault t.model t.mesh final)
+  in
   let power_before = t.power in
   t.power <- eval.Routing.Evaluate.total_power;
   {
@@ -287,16 +277,13 @@ let step t event =
     work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before;
   }
 
-let run ?fault ?rung3_iterations ?rung4_iterations ?budget model solution
-    schedule =
+let run ?fault ?budget model solution schedule =
   let mesh = Routing.Solution.mesh solution in
   let smesh = Noc.Fault.Schedule.mesh schedule in
   if Noc.Mesh.rows mesh <> Noc.Mesh.rows smesh
      || Noc.Mesh.cols mesh <> Noc.Mesh.cols smesh
   then invalid_arg "Recover.run: schedule mesh differs from solution mesh";
-  let t =
-    create ?fault ?rung3_iterations ?rung4_iterations ?budget model solution
-  in
+  let t = create ?fault ?budget model solution in
   let reports = List.map (step t) (Noc.Fault.Schedule.events schedule) in
   (t, reports)
 

@@ -71,26 +71,17 @@ type t
     routes (or shed markers), and the persistent negotiation history. *)
 
 val create :
-  ?fault:Noc.Fault.t ->
-  ?rung3_iterations:int ->
-  ?rung4_iterations:int ->
-  ?budget:int ->
-  Power.Model.t ->
-  Routing.Solution.t ->
-  t
+  ?fault:Noc.Fault.t -> ?budget:int -> Power.Model.t -> Routing.Solution.t -> t
 (** Adopt an initial solution (routed under [fault], default healthy).
-    [rung3_iterations] (default 4) and [rung4_iterations] (default 16)
-    cap the neighborhood and global negotiation sweeps per event;
-    [budget] (default their sum) caps the two together — when it
+    Each event runs at most 4 neighborhood and 16 global negotiation
+    sweeps; [budget] (default 20) caps the two together — when it
     truncates a rung, sheds are typed {!Budget_exhausted}.
-    @raise Invalid_argument on negative caps. *)
+    @raise Invalid_argument on a negative budget. *)
 
 val step : t -> Noc.Fault.Schedule.event -> report
 
 val run :
   ?fault:Noc.Fault.t ->
-  ?rung3_iterations:int ->
-  ?rung4_iterations:int ->
   ?budget:int ->
   Power.Model.t ->
   Routing.Solution.t ->

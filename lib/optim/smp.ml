@@ -12,9 +12,7 @@ let bump_paths n =
    zeroing at least one link. *)
 let decompose mesh ~max_paths (fl : Frank_wolfe.flow) =
   let residual = Array.copy fl.Frank_wolfe.shares in
-  let pos = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.replace pos id i) fl.Frank_wolfe.link_ids;
-  let idx l = Hashtbl.find pos (Noc.Mesh.link_id mesh l) in
+  let idx l = Hashtbl.find fl.Frank_wolfe.slot (Noc.Mesh.link_id mesh l) in
   let comm = fl.Frank_wolfe.comm in
   let eps = 1e-7 *. comm.Traffic.Communication.rate in
   let out = ref [] in
@@ -301,25 +299,11 @@ let engine ?(iterations = 120) ~s ?fault model mesh comms =
        done
      with Exit -> ());
     let smp = Routing.Solution.make mesh (List.map route_of_slot slots) in
-    (* Never worse than the best single path: feasible-first, then total
-       power, penalized power when both fail. *)
-    let smp_report = Routing.Evaluate.solution ?fault model smp in
-    let base_report = base.Routing.Best.report in
-    let keep_smp =
-      match
-        (smp_report.Routing.Evaluate.feasible,
-         base_report.Routing.Evaluate.feasible)
-      with
-      | true, false -> true
-      | false, true -> false
-      | true, true ->
-          smp_report.Routing.Evaluate.total_power
-          <= base_report.Routing.Evaluate.total_power
-      | false, false ->
-          Routing.Best.penalized ?fault model smp
-          <= Routing.Best.penalized ?fault model base.Routing.Best.solution
-    in
-    if keep_smp then smp else base.Routing.Best.solution
+    if
+      Routing.Best.never_worse ?fault model ~base smp
+        (Routing.Evaluate.solution ?fault model smp)
+    then smp
+    else base.Routing.Best.solution
   end
 
 let heuristic ?name ?iterations ~s () =

@@ -69,45 +69,18 @@ let path_links mesh path =
 let walk_links mesh walk =
   Array.map (Noc.Mesh.link_id mesh) (Noc.Walk.links walk)
 
-(* ---------------- reusable arenas ---------------- *)
+(* ---------------- per-domain input tables ---------------- *)
 
-(* A campaign sweeps many solutions over the same mesh; allocating the
-   per-link buffer matrices afresh for every simulation is an allocation
-   storm under the worker pool. An arena caches one set of buffers keyed
-   by (links, VCs, buffer depth) plus the mesh-derived input-link table,
-   and {!create} resets them to exactly the state a fresh allocation
-   would have — a network built in an arena is bit-identical to a
-   fresh one, it just skips the allocator. Only the most recent network
-   built in an arena is valid: building the next one recycles the
-   buffers under the previous network's feet. *)
+(* A campaign sweeps many solutions over the same mesh shape; the
+   input-link table is a pure function of that shape, so an arena keeps
+   the last one built. Per-link buffers are allocated fresh for every
+   network. *)
 module Arena = struct
-  type slab = {
-    s_nlinks : int;
-    s_vcs : int;
-    s_buffer : int;
-    s_rate : float array;
-    s_credit : float array;
-    s_queue : flit Queue.t array array;
-    s_space : int array array;
-    s_owner : int array array;
-    s_next_alloc : (int * int) option array array;
-    s_wait : int array array;
-    s_rr : int array;
-    s_link_flits : int array;
-    s_packets : (int, packet) Hashtbl.t;
-  }
+  type t = { mutable inputs : (int * int * int list array) option }
 
-  type t = {
-    mutable slab : slab option;
-    mutable inputs : (int * int * int list array) option;
-        (* (rows, cols, inputs_of): the table is a pure function of the
-           mesh shape, so the shape is the key. *)
-  }
+  let create () = { inputs = None }
 
-  let create () = { slab = None; inputs = None }
-
-  (* One arena per domain: workers of the Monte-Carlo pool each get
-     their own buffers, so arena reuse is race-free by construction. *)
+  (* One arena per domain: pool workers never share one. *)
   let key = Domain.DLS.new_key create
   let domain () = Domain.DLS.get key
 end
@@ -124,52 +97,6 @@ let link_rate config model load =
   | Some f -> f /. cap
   | None -> 1. (* overloaded link: clock it flat out and let it saturate *)
 
-(* Buffers for one network: recycled from the arena when the shape
-   matches, freshly allocated (and stashed for next time) otherwise.
-   Reset is exhaustive — every mutable cell a fresh allocation would
-   zero is rewritten — so the two paths are observationally identical. *)
-let slab_for ~arena ~nlinks ~vcs ~buffer =
-  let fresh () =
-    {
-      Arena.s_nlinks = nlinks;
-      s_vcs = vcs;
-      s_buffer = buffer;
-      s_rate = Array.make nlinks 0.;
-      s_credit = Array.make nlinks 0.;
-      s_queue = Array.init nlinks (fun _ -> Array.init vcs (fun _ -> Queue.create ()));
-      s_space = Array.make_matrix nlinks vcs buffer;
-      s_owner = Array.make_matrix nlinks vcs (-1);
-      s_next_alloc = Array.make_matrix nlinks vcs None;
-      s_wait = Array.make_matrix nlinks vcs 0;
-      s_rr = Array.make nlinks 0;
-      s_link_flits = Array.make nlinks 0;
-      s_packets = Hashtbl.create 256;
-    }
-  in
-  match arena with
-  | None -> fresh ()
-  | Some (a : Arena.t) -> (
-      match a.slab with
-      | Some s
-        when s.Arena.s_nlinks = nlinks && s.s_vcs = vcs && s.s_buffer = buffer
-        ->
-          Array.fill s.s_credit 0 nlinks 0.;
-          Array.fill s.s_rr 0 nlinks 0;
-          Array.fill s.s_link_flits 0 nlinks 0;
-          for l = 0 to nlinks - 1 do
-            Array.fill s.s_space.(l) 0 vcs buffer;
-            Array.fill s.s_owner.(l) 0 vcs (-1);
-            Array.fill s.s_next_alloc.(l) 0 vcs None;
-            Array.fill s.s_wait.(l) 0 vcs 0;
-            Array.iter Queue.clear s.s_queue.(l)
-          done;
-          Hashtbl.reset s.s_packets;
-          s
-      | _ ->
-          let s = fresh () in
-          a.slab <- Some s;
-          s)
-
 let inputs_table mesh nlinks =
   Array.init nlinks (fun l ->
       let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
@@ -185,13 +112,6 @@ let create ?(config = Config.default) ?arena model solution =
   let nlinks = Noc.Mesh.num_links mesh in
   let loads = Routing.Solution.loads solution in
   let vcs = config.Config.num_vcs in
-  let slab =
-    slab_for ~arena ~nlinks ~vcs ~buffer:config.Config.buffer_flits
-  in
-  let rate = slab.Arena.s_rate in
-  for l = 0 to nlinks - 1 do
-    rate.(l) <- link_rate config model (Noc.Load.get loads l)
-  done;
   let injectors =
     Array.of_list
       (List.map
@@ -233,8 +153,7 @@ let create ?(config = Config.default) ?arena model solution =
   let inputs_of =
     let rows = Noc.Mesh.rows mesh and cols = Noc.Mesh.cols mesh in
     match arena with
-    | Some ({ Arena.inputs = Some (r, c, table); _ } : Arena.t)
-      when r = rows && c = cols ->
+    | Some { Arena.inputs = Some (r, c, table) } when r = rows && c = cols ->
         table
     | Some a ->
         let table = inputs_table mesh nlinks in
@@ -246,18 +165,21 @@ let create ?(config = Config.default) ?arena model solution =
     config;
     mesh;
     nlinks;
-    rate;
-    credit = slab.Arena.s_credit;
-    queue = slab.Arena.s_queue;
-    space = slab.Arena.s_space;
-    owner = slab.Arena.s_owner;
-    next_alloc = slab.Arena.s_next_alloc;
-    wait = slab.Arena.s_wait;
+    rate =
+      Array.init nlinks (fun l ->
+          link_rate config model (Noc.Load.get loads l));
+    credit = Array.make nlinks 0.;
+    queue =
+      Array.init nlinks (fun _ -> Array.init vcs (fun _ -> Queue.create ()));
+    space = Array.make_matrix nlinks vcs config.Config.buffer_flits;
+    owner = Array.make_matrix nlinks vcs (-1);
+    next_alloc = Array.make_matrix nlinks vcs None;
+    wait = Array.make_matrix nlinks vcs 0;
     inputs_of;
     injectors;
     injectors_at;
-    packets = slab.Arena.s_packets;
-    rr = slab.Arena.s_rr;
+    packets = Hashtbl.create 256;
+    rr = Array.make nlinks 0;
     next_packet_id = 0;
     cycle = 0;
     flits_in_flight = 0;
@@ -267,7 +189,7 @@ let create ?(config = Config.default) ?arena model solution =
     measuring = false;
     measured_cycles = 0;
     flits_moved = 0;
-    link_flits = slab.Arena.s_link_flits;
+    link_flits = Array.make nlinks 0;
     ran = false;
     observer = None;
     kills = [];

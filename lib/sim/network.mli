@@ -18,13 +18,12 @@
 
 type t
 
-(** Reusable simulation buffers. A campaign simulates many solutions over
-    the same mesh; an arena caches the per-link buffer matrices (keyed by
-    link count, VC count and buffer depth) and the mesh-derived input-link
-    table, so {!create} skips the allocation storm. Networks built in an
-    arena are bit-identical to freshly allocated ones — reuse resets every
-    cell — but only the most recently built network is valid: the next
-    {!create} in the same arena recycles the buffers. *)
+(** A cache of the mesh-derived input-link table. A campaign simulates
+    many solutions over the same mesh; an arena keeps the table of the
+    last mesh shape it saw, so {!create} builds it once per shape. Every
+    network gets its own fresh per-link buffers, so any number of
+    networks built in one arena stay valid, each bit-identical to one
+    built without it. *)
 module Arena : sig
   type t
 
@@ -90,9 +89,8 @@ val create :
 (** Builds the network, assigns link frequencies from the solution's loads
     and installs one injector per communication. Detour walks of the
     solution are source-routed exactly like Manhattan paths. With [arena],
-    the big per-link buffers are recycled from the arena instead of
-    freshly allocated (bit-identical results; invalidates any previous
-    network built in the same arena).
+    the input-link table is taken from (or stored in) the arena; results
+    are bit-identical either way.
     @raise Invalid_argument on an inconsistent configuration. *)
 
 val set_observer : t -> (event -> unit) -> unit

@@ -4,10 +4,9 @@ type verdict = {
   all_delivered : bool;
 }
 
-let run ?config ?arena ?(cycles = 20_000) ?tolerance ?(threshold = 0.9) model
-    solution =
-  let net = Network.create ?config ?arena model solution in
-  let report = Network.run ?tolerance net ~cycles in
+let run ?config ?(cycles = 20_000) ?(threshold = 0.9) model solution =
+  let net = Network.create ?config model solution in
+  let report = Network.run net ~cycles in
   let worst_fraction =
     List.fold_left
       (fun acc (s : Network.comm_stats) ->

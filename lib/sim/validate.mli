@@ -14,13 +14,9 @@ type verdict = {
 
 val run :
   ?config:Config.t ->
-  ?arena:Network.Arena.t ->
   ?cycles:int ->
-  ?tolerance:float ->
   ?threshold:float ->
   Power.Model.t ->
   Routing.Solution.t ->
   verdict
-(** Defaults: 20_000 measured cycles, threshold 0.9. [arena] recycles
-    simulation buffers and [tolerance] enables the early-exit convergence
-    detector, both as in {!Network}. *)
+(** Defaults: 20_000 measured cycles, threshold 0.9. *)

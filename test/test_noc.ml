@@ -87,7 +87,24 @@ let test_mesh_counts () =
 
 let test_mesh_create_invalid () =
   Alcotest.check_raises "zero rows" (Invalid_argument "Mesh.create: 0x3")
-    (fun () -> ignore (Noc.Mesh.create ~rows:0 ~cols:3))
+    (fun () -> ignore (Noc.Mesh.create ~rows:0 ~cols:3));
+  (* The link count of a 4e9 x 4e9 mesh overflows an int; one that fits an
+     int but not an array is just as unusable. *)
+  List.iter
+    (fun (rows, cols) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%dx%d" rows cols)
+        (Invalid_argument
+           (Printf.sprintf "Mesh.create: %dx%d has too many links" rows cols))
+        (fun () -> ignore (Noc.Mesh.create ~rows ~cols)))
+    [
+      (4_000_000_000, 4_000_000_000);
+      (Sys.max_array_length, 1);
+      (1, Sys.max_array_length / 2);
+    ];
+  let m = Noc.Mesh.create ~rows:1 ~cols:(Sys.max_array_length / 4) in
+  check_int "largest one-row mesh" (Sys.max_array_length / 4)
+    (Noc.Mesh.num_cores m)
 
 let test_link_id_bijection () =
   List.iter
@@ -361,6 +378,56 @@ let prop_every_path_stays_in_rect =
           && Array.for_all (Noc.Rect.contains_link rect) (Noc.Path.links p))
         true ~src ~snk)
 
+(* The shared rectangle search against brute force over every Manhattan
+   path. Integer costs 0-3 keep the float sums exact and ties common;
+   about one link in six is unusable. *)
+let prop_cheapest_is_brute_force =
+  let m = Noc.Mesh.square 6 in
+  let nl = Noc.Mesh.num_links m in
+  QCheck.Test.make ~name:"rect cheapest = brute force over all paths"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (quad (int_range 1 6) (int_range 1 6) (int_range 1 6)
+              (int_range 1 6))
+           (array_size (return nl) (int_range 0 3))
+           (array_size (return nl) (int_range 0 5))))
+    (fun ((r1, c1, r2, c2), costs, cuts) ->
+      QCheck.assume (not (r1 = r2 && c1 = c2));
+      let src = coord r1 c1 and snk = coord r2 c2 in
+      let rect = Noc.Rect.make ~src ~snk in
+      let usable id = cuts.(id) > 0 and cost id = float_of_int costs.(id) in
+      let ids p = Array.map (Noc.Mesh.link_id m) (Noc.Path.links p) in
+      let path_cost p =
+        Array.fold_left (fun c id -> c +. cost id) 0. (ids p)
+      in
+      let brute =
+        Noc.Path.fold_all
+          (fun best p ->
+            if not (Array.for_all usable (ids p)) then best
+            else
+              Some
+                (Float.min (path_cost p)
+                   (Option.value best ~default:infinity)))
+          None ~src ~snk
+      in
+      let same_minimum =
+        match (Noc.Rect.cheapest m rect ~usable ~cost, brute) with
+        | None, None -> true
+        | Some (p, c), Some b ->
+            c = b && path_cost p = b && Array.for_all usable (ids p)
+        | _ -> false
+      in
+      let first_wins =
+        match
+          Noc.Rect.cheapest m rect ~usable:(fun _ -> true) ~cost:(fun _ -> 1.)
+        with
+        | Some (p, _) -> Noc.Path.equal p (Noc.Path.xy ~src ~snk)
+        | None -> false
+      in
+      same_minimum && first_wins)
+
 (* ------------------------------------------------------------------ *)
 (* Load *)
 
@@ -521,6 +588,7 @@ let () =
           Alcotest.test_case "all quadrants" `Quick test_rect_quadrants;
           Alcotest.test_case "out_links order" `Quick test_rect_out_links_order;
           QCheck_alcotest.to_alcotest prop_every_path_stays_in_rect;
+          QCheck_alcotest.to_alcotest prop_cheapest_is_brute_force;
         ] );
       ( "load",
         [

@@ -329,9 +329,6 @@ let test_create_validates () =
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Recover.create: budget < 0") (fun () ->
       ignore (Optim.Recover.create ~budget:(-1) km s));
-  Alcotest.check_raises "negative rung3 cap rejected"
-    (Invalid_argument "Recover.create: rung3_iterations < 0") (fun () ->
-      ignore (Optim.Recover.create ~rung3_iterations:(-1) km s));
   Alcotest.check_raises "mismatched schedule mesh rejected"
     (Invalid_argument "Recover.run: schedule mesh differs from solution mesh")
     (fun () ->

@@ -305,16 +305,9 @@ let test_create_and_engine_validate () =
     (raises (fun () -> Optim.Online.create ~idle_epochs:0 km mesh));
   check_bool "negative wake_penalty rejected" true
     (raises (fun () -> Optim.Online.create ~wake_penalty:(-1.) km mesh));
-  check_bool "negative refine budget rejected" true
-    (raises (fun () -> Optim.Online.create ~refine_iterations:(-1) km mesh));
-  check_bool "negative global budget rejected" true
-    (raises (fun () -> Optim.Online.create ~global_iterations:(-1) km mesh));
   check_bool "engine zero rate rejected" true
     (raises (fun () ->
          Optim.Online.engine ~rate:0. km mesh [ comm 0 1 1 2 2 100. ]));
-  check_bool "engine negative churn rejected" true
-    (raises (fun () ->
-         Optim.Online.engine ~churn:(-1) km mesh [ comm 0 1 1 2 2 100. ]));
   check_bool "empty workload serves to an empty solution" true
     (Routing.Solution.routes (fst (Optim.Online.engine km mesh [])) = [])
 

@@ -529,6 +529,29 @@ let test_arena_reuse_bit_identical () =
   check_bool "domain arena tail bit-identical" true
     (String.equal (reused domain b) fresh_b)
 
+(* Networks built in one arena do not share buffers: both stay valid. *)
+let test_arena_two_live_networks () =
+  let mesh = Noc.Mesh.square 5 in
+  let rng = Traffic.Rng.create 11 in
+  let mk () =
+    Traffic.Workload.uniform rng mesh ~n:5 ~weight:Traffic.Workload.mixed
+  in
+  let a = mk () and b = mk () in
+  let digest net =
+    report_digest (Sim.Network.run ~tolerance:0.1 net ~cycles:3_000)
+  in
+  let build ?arena comms =
+    Sim.Network.create ?arena km (Routing.Xy.route mesh comms)
+  in
+  let fresh_a = digest (build a) and fresh_b = digest (build b) in
+  let arena = Sim.Network.Arena.create () in
+  let net_a = build ~arena a in
+  let net_b = build ~arena b in
+  check_bool "first network matches fresh" true
+    (String.equal (digest net_a) fresh_a);
+  check_bool "second network matches fresh" true
+    (String.equal (digest net_b) fresh_b)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -583,6 +606,7 @@ let () =
           quick "matches full run" test_early_exit_matches_full_run;
           quick "overload runs full budget" test_overload_never_exits_early;
           quick "arena reuse bit-identical" test_arena_reuse_bit_identical;
+          quick "two live networks in one arena" test_arena_two_live_networks;
         ] );
       ( "differential oracle",
         [
