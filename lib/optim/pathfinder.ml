@@ -188,6 +188,7 @@ type refinement = {
    fault events). *)
 let refine ?(iterations = default_iterations) ~history eng routes =
   if iterations < 0 then invalid_arg "Pathfinder.refine: iterations < 0";
+  Routing.Metrics.with_span "pathfinder" @@ fun () ->
   let loads = Routing.Delta.loads eng in
   let sc = Routing.Delta.scorer_of eng in
   let model = Routing.Delta.model eng in

@@ -5,15 +5,25 @@ type event =
   | Deadlock of { cycle : int }
   | Link_killed of { cycle : int; link : Noc.Mesh.link }
 
-type flit = { pkt : int; is_head : bool; is_tail : bool; mutable stamp : int }
-
 type packet = {
   id : int;
   comm_idx : int;
-  mutable route : int array;  (* link ids, source core to sink core *)
+  mutable route : int array;
+      (* link ids, source core to sink core: the injector's array until an
+         escape replaces it, so never written in place *)
   injected_at : int;
   mutable escaped : bool;
 }
+
+type flit = {
+  pkt : packet;
+  is_head : bool;
+  is_tail : bool;
+  mutable stamp : int;
+  mutable hop : int;  (* index in [pkt.route] of the link it is buffered at *)
+}
+
+type requester = From of int * int | Inject of int
 
 type injector = {
   comm : Traffic.Communication.t;
@@ -43,10 +53,8 @@ type t = {
   owner : int array array;  (* packet id or -1 *)
   next_alloc : (int * int) option array array;  (* (out link, out vc) *)
   wait : int array array;
-  inputs_of : int list array;  (* links feeding the source router of l *)
   injectors : injector array;
-  injectors_at : (Noc.Coord.t, int list) Hashtbl.t;
-  packets : (int, packet) Hashtbl.t;
+  requesters : requester array array;  (* per output link, arbitration order *)
   rr : int array;  (* round-robin pointer per output link *)
   mutable next_packet_id : int;
   mutable cycle : int;
@@ -143,13 +151,6 @@ let create ?(config = Config.default) ?arena model solution =
            })
          (Routing.Solution.routes solution))
   in
-  let injectors_at = Hashtbl.create 16 in
-  Array.iteri
-    (fun i inj ->
-      let core = inj.comm.Traffic.Communication.src in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt injectors_at core) in
-      Hashtbl.replace injectors_at core (prev @ [ i ]))
-    injectors;
   let inputs_of =
     let rows = Noc.Mesh.rows mesh and cols = Noc.Mesh.cols mesh in
     match arena with
@@ -160,6 +161,24 @@ let create ?(config = Config.default) ?arena model solution =
         a.Arena.inputs <- Some (rows, cols, table);
         table
     | None -> inputs_table mesh nlinks
+  in
+  (* Every VC of every link into the output link's source router, then
+     the injectors at that router in index order. *)
+  let requesters =
+    Array.init nlinks (fun l ->
+        let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
+        let from =
+          List.concat_map
+            (fun l_in -> List.init vcs (fun v -> From (l_in, v)))
+            inputs_of.(l)
+        in
+        let inject =
+          List.filter
+            (fun i ->
+              Noc.Coord.equal injectors.(i).comm.Traffic.Communication.src src)
+            (List.init (Array.length injectors) Fun.id)
+        in
+        Array.of_list (from @ List.map (fun i -> Inject i) inject))
   in
   {
     config;
@@ -175,10 +194,8 @@ let create ?(config = Config.default) ?arena model solution =
     owner = Array.make_matrix nlinks vcs (-1);
     next_alloc = Array.make_matrix nlinks vcs None;
     wait = Array.make_matrix nlinks vcs 0;
-    inputs_of;
     injectors;
-    injectors_at;
-    packets = Hashtbl.create 256;
+    requesters;
     rr = Array.make nlinks 0;
     next_packet_id = 0;
     cycle = 0;
@@ -223,24 +240,11 @@ let apply_kills t =
                { cycle = t.cycle; link = Noc.Mesh.link_of_id t.mesh l }))
         due
 
-(* Index of link [l] on the packet's route (routes never repeat a link). *)
-let hop_index pkt l =
-  let rec go i =
-    if i >= Array.length pkt.route then -1
-    else if pkt.route.(i) = l then i
-    else go (i + 1)
-  in
-  go 0
-
 let escape_vc_of t = t.config.Config.num_vcs - 1
 
 let normal_vcs t =
   if t.config.Config.escape_vc then t.config.Config.num_vcs - 1
   else t.config.Config.num_vcs
-
-let allowed_vcs t pkt =
-  if pkt.escaped then [ escape_vc_of t ]
-  else List.init (normal_vcs t) Fun.id
 
 (* ---------------- injection ---------------- *)
 
@@ -277,13 +281,12 @@ let inject_new_packets t =
           {
             id = t.next_packet_id;
             comm_idx = inj_idx;
-            route = Array.copy route;
+            route;
             injected_at = t.cycle;
             escaped = false;
           }
         in
         t.next_packet_id <- t.next_packet_id + 1;
-        Hashtbl.replace t.packets pkt.id pkt;
         Queue.push pkt inj.pending;
         inj.injected <- inj.injected + 1;
         emit t
@@ -304,9 +307,8 @@ let eject t =
       if not (Queue.is_empty q) then begin
         let f = Queue.peek q in
         if f.stamp + t.config.Config.router_latency <= t.cycle then begin
-          let pkt = Hashtbl.find t.packets f.pkt in
-          let idx = hop_index pkt l in
-          if idx = Array.length pkt.route - 1 then begin
+          let pkt = f.pkt in
+          if f.hop = Array.length pkt.route - 1 then begin
             (* Arrived: consume one flit per cycle per stream. *)
             ignore (Queue.pop q);
             t.space.(l).(v) <- t.space.(l).(v) + 1;
@@ -327,8 +329,7 @@ let eject t =
                 (Delivered
                    { cycle = t.cycle;
                      comm_id = inj.comm.Traffic.Communication.id;
-                     packet = pkt.id; latency = lat });
-              Hashtbl.remove t.packets pkt.id
+                     packet = pkt.id; latency = lat })
             end
           end
         end
@@ -338,30 +339,28 @@ let eject t =
 
 (* ---------------- switch arbitration ---------------- *)
 
-type requester = From of int * int | Inject of int
-
 (* Whether the requester has a flit ready to cross [l_out] now, and the
    output VC to use; performs VC allocation for head flits. *)
 let try_transfer t l_out req =
   let allocate pkt =
-    let rec find = function
-      | [] -> None
-      | w :: rest ->
-          if t.owner.(l_out).(w) = -1 && t.space.(l_out).(w) >= 1 then Some w
-          else find rest
+    (* An escaped packet may only take the escape VC. *)
+    let last = if pkt.escaped then escape_vc_of t else normal_vcs t - 1 in
+    let rec find w =
+      if w > last then None
+      else if t.owner.(l_out).(w) = -1 && t.space.(l_out).(w) >= 1 then Some w
+      else find (w + 1)
     in
-    find (allowed_vcs t pkt)
+    find (if pkt.escaped then last else 0)
   in
-  let deliver flit out_vc ~on_sent =
+  let deliver flit out_vc =
     Queue.push flit t.queue.(l_out).(out_vc);
     flit.stamp <- t.cycle;
     t.space.(l_out).(out_vc) <- t.space.(l_out).(out_vc) - 1;
-    if flit.is_head then t.owner.(l_out).(out_vc) <- flit.pkt;
+    if flit.is_head then t.owner.(l_out).(out_vc) <- flit.pkt.id;
     t.credit.(l_out) <- t.credit.(l_out) -. 1.;
     t.flits_moved <- t.flits_moved + 1;
     if t.measuring then t.link_flits.(l_out) <- t.link_flits.(l_out) + 1;
-    t.last_progress <- t.cycle;
-    on_sent ()
+    t.last_progress <- t.cycle
   in
   match req with
   | From (l_in, v) ->
@@ -371,10 +370,9 @@ let try_transfer t l_out req =
         let f = Queue.peek q in
         if f.stamp + t.config.Config.router_latency > t.cycle then false
         else begin
-          let pkt = Hashtbl.find t.packets f.pkt in
-          let idx = hop_index pkt l_in in
-          if idx < 0 || idx + 1 >= Array.length pkt.route then false
-          else if pkt.route.(idx + 1) <> l_out then false
+          let pkt = f.pkt in
+          if f.hop + 1 >= Array.length pkt.route then false
+          else if pkt.route.(f.hop + 1) <> l_out then false
           else begin
             let out_vc =
               match t.next_alloc.(l_in).(v) with
@@ -395,7 +393,8 @@ let try_transfer t l_out req =
                     t.owner.(l_in).(v) <- -1;
                     t.next_alloc.(l_in).(v) <- None
                   end;
-                  deliver f w ~on_sent:(fun () -> ());
+                  f.hop <- f.hop + 1;
+                  deliver f w;
                   true
                 end
           end
@@ -421,7 +420,7 @@ let try_transfer t l_out req =
               if t.space.(l_out).(w) < 1 then false
               else begin
                 let is_tail = inj.emit_count = pf - 1 in
-                let f = { pkt = pkt.id; is_head; is_tail; stamp = t.cycle } in
+                let f = { pkt; is_head; is_tail; stamp = t.cycle; hop = 0 } in
                 if is_head then inj.emit_vc <- w;
                 inj.emit_count <- inj.emit_count + 1;
                 t.flits_in_flight <- t.flits_in_flight + 1;
@@ -431,7 +430,7 @@ let try_transfer t l_out req =
                   inj.emit_count <- 0;
                   inj.emit_vc <- -1
                 end;
-                deliver f w ~on_sent:(fun () -> ());
+                deliver f w;
                 true
               end
         end
@@ -440,58 +439,35 @@ let try_transfer t l_out req =
 let arbitrate t =
   for l_out = 0 to t.nlinks - 1 do
     t.credit.(l_out) <- Float.min 2. (t.credit.(l_out) +. t.rate.(l_out));
-    if t.credit.(l_out) >= 1. then begin
-      let src = (Noc.Mesh.link_of_id t.mesh l_out).Noc.Mesh.src in
-      let requesters =
-        List.concat
-          [
-            List.concat_map
-              (fun l_in ->
-                List.init t.config.Config.num_vcs (fun v -> From (l_in, v)))
-              t.inputs_of.(l_out);
-            List.map
-              (fun ci -> Inject ci)
-              (Option.value ~default:[] (Hashtbl.find_opt t.injectors_at src));
-          ]
+    let requesters = t.requesters.(l_out) in
+    let n = Array.length requesters in
+    if t.credit.(l_out) >= 1. && n > 0 then begin
+      let start = t.rr.(l_out) mod n in
+      let rec go k =
+        if k < n then begin
+          let i = (start + k) mod n in
+          if try_transfer t l_out requesters.(i) then t.rr.(l_out) <- i + 1
+          else go (k + 1)
+        end
       in
-      let n = List.length requesters in
-      if n > 0 then begin
-        let arr = Array.of_list requesters in
-        let start = t.rr.(l_out) mod n in
-        let rec go k =
-          if k < n then begin
-            let i = (start + k) mod n in
-            if try_transfer t l_out arr.(i) then t.rr.(l_out) <- i + 1
-            else go (k + 1)
-          end
-        in
-        go 0
-      end
+      go 0
     end
   done
 
 (* ---------------- escape ---------------- *)
 
-let reroute_via_xy t pkt current_core =
+(* The blocked head flit [f] waits in [current_core]: keep the links up to
+   its hop, which its body flits are still on, and finish dimension-ordered
+   from there. *)
+let reroute_via_xy t f current_core =
+  let pkt = f.pkt in
   let comm = t.injectors.(pkt.comm_idx).comm in
   let snk = comm.Traffic.Communication.snk in
   if Noc.Coord.equal current_core snk then ()
   else begin
     let xy = Noc.Path.xy ~src:current_core ~snk in
     let tail_ids = path_links t.mesh xy in
-    let idx =
-      (* Links already traversed: everything up to the current position. *)
-      let rec find i =
-        if i >= Array.length pkt.route then Array.length pkt.route - 1
-        else
-          let l = pkt.route.(i) in
-          if Noc.Coord.equal (Noc.Mesh.link_of_id t.mesh l).Noc.Mesh.dst current_core
-          then i
-          else find (i + 1)
-      in
-      find 0
-    in
-    pkt.route <- Array.append (Array.sub pkt.route 0 (idx + 1)) tail_ids;
+    pkt.route <- Array.append (Array.sub pkt.route 0 (f.hop + 1)) tail_ids;
     pkt.escaped <- true
   end
 
@@ -507,13 +483,13 @@ let trigger_escapes t =
         then begin
           t.wait.(l).(v) <- t.wait.(l).(v) + 1;
           let f = Queue.peek q in
-          let pkt = Hashtbl.find t.packets f.pkt in
+          let pkt = f.pkt in
           if
             t.wait.(l).(v) >= t.config.Config.escape_patience
             && (not pkt.escaped)
             && v <> escape_vc_of t
           then begin
-            reroute_via_xy t pkt (Noc.Mesh.link_of_id t.mesh l).Noc.Mesh.dst;
+            reroute_via_xy t f (Noc.Mesh.link_of_id t.mesh l).Noc.Mesh.dst;
             emit t
               (Escaped
                  { cycle = t.cycle;
@@ -674,13 +650,18 @@ let run ?warmup ?tolerance t ~cycles =
      done
    with Exit -> ());
   let measured = max 1 t.measured_cycles in
-  let cap = ref 0. in
-  Array.iteri
-    (fun l n ->
-      let u = float_of_int n /. float_of_int measured in
-      ignore l;
-      if u > !cap then cap := u)
-    t.link_flits;
+  let link_utilization =
+    Array.mapi
+      (fun l n -> (l, float_of_int n /. float_of_int measured))
+      t.link_flits
+  in
+  (* Every measured tail latency, injector order: the pooled quantiles are
+     the campaign-level latency objective. *)
+  let pooled =
+    Array.fold_left
+      (fun acc (inj : injector) -> List.rev_append inj.latencies acc)
+      [] t.injectors
+  in
   {
     cycles = measured;
     comms =
@@ -708,25 +689,11 @@ let run ?warmup ?tolerance t ~cycles =
            t.injectors);
     flits_moved = t.flits_moved;
     deadlocked = !deadlocked;
-    max_link_utilization = !cap;
-    link_utilization =
-      Array.mapi
-        (fun l n -> (l, float_of_int n /. float_of_int measured))
-        t.link_flits;
-    (* Pooled quantiles over every measured tail latency, injector order
-       — the campaign-level latency objective. *)
-    latency_p50 =
-      percentile
-        (Array.fold_left
-           (fun acc (inj : injector) -> List.rev_append inj.latencies acc)
-           [] t.injectors)
-        0.50;
-    latency_p95 =
-      percentile
-        (Array.fold_left
-           (fun acc (inj : injector) -> List.rev_append inj.latencies acc)
-           [] t.injectors)
-        0.95;
+    max_link_utilization =
+      Array.fold_left (fun m (_, u) -> Float.max m u) 0. link_utilization;
+    link_utilization;
+    latency_p50 = percentile pooled 0.50;
+    latency_p95 = percentile pooled 0.95;
     injected_flits = t.total_injected;
     ejected_flits = t.total_ejected;
     in_flight_flits = t.flits_in_flight;

@@ -88,7 +88,9 @@ val create :
   ?config:Config.t -> ?arena:Arena.t -> Power.Model.t -> Routing.Solution.t -> t
 (** Builds the network, assigns link frequencies from the solution's loads
     and installs one injector per communication. Detour walks of the
-    solution are source-routed exactly like Manhattan paths. With [arena],
+    solution are source-routed exactly like Manhattan paths: every flit
+    follows its route hop by hop, so a walk that revisits a core, and so
+    crosses a link twice, is followed in order. With [arena],
     the input-link table is taken from (or stored in) the arena; results
     are bit-identical either way.
     @raise Invalid_argument on an inconsistent configuration. *)

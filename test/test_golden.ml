@@ -351,6 +351,62 @@ let campaign_case (fig : Harness.Figure.t) ~csv ~audit =
       Alcotest.(check string) (fig.id ^ " CSV") csv got_csv;
       Alcotest.(check string) (fig.id ^ " audit JSONL") audit got_audit)
 
+(* ------------------------------------------------------------------ *)
+(* Simulator report digests
+
+   figpareto simulates healthy-mesh heuristics only, so no campaign
+   digest reaches a detour walk or an escaped packet. Two populations
+   pin both: the PF(8) and REC(4) design points of the pareto benchmark
+   on keyed 20-communication mixed workloads, whose solutions hold
+   detour walks, each feasible one simulated for a fixed 1,000 cycles;
+   and the cyclic channel dependency at two VCs, which only drains
+   through the escape VC. *)
+
+let sim_line buf (r : Sim.Network.report) =
+  Printf.bprintf buf "%h %h |" r.latency_p50 r.latency_p95;
+  List.iter
+    (fun (s : Sim.Network.comm_stats) -> Printf.bprintf buf " %h" s.delivered_rate)
+    r.comms;
+  Printf.bprintf buf " | %d %d %d %d %d\n" r.flits_moved r.injected_flits
+    r.ejected_flits r.in_flight_flits (Sim_check.escaped r)
+
+let test_sim_digest () =
+  let mesh = Noc.Mesh.square 8 in
+  let designs =
+    [
+      Optim.Pathfinder.heuristic ~iterations:8 ();
+      Optim.Recover.heuristic ~events:4 ();
+    ]
+  in
+  let buf = Buffer.create 4096 in
+  let detours = ref 0 and escaped = ref 0 in
+  let add r =
+    escaped := !escaped + Sim_check.escaped r;
+    sim_line buf r
+  in
+  for t = 0 to 7 do
+    let rng = Traffic.Rng.of_key "golden-sim" [ Int64.of_int t ] in
+    let comms =
+      Traffic.Workload.uniform rng mesh ~n:20 ~weight:Traffic.Workload.mixed
+    in
+    List.iter
+      (fun (h : Routing.Heuristic.t) ->
+        let sol = h.run km mesh comms in
+        if (Routing.Evaluate.solution km sol).Routing.Evaluate.feasible then begin
+          List.iter
+            (fun (r : Routing.Solution.route) ->
+              detours := !detours + List.length r.detours)
+            (Routing.Solution.routes sol);
+          add (Sim.Network.run (Sim.Network.create km sol) ~cycles:1_000)
+        end)
+      designs
+  done;
+  add (Sim_check.cyclic_two_vcs ()).report;
+  check_bool "a detour walk is simulated" true (!detours > 0);
+  check_bool "a packet escapes" true (!escaped > 0);
+  Alcotest.(check string) "report digest" "72fff0a138994e724a44fe069f9b64da"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "golden"
     [
@@ -420,4 +476,9 @@ let () =
             campaign_case figserve ~csv:"9684fd4e22dda3a2552924fc6bf923df"
               ~audit:"dcbc24ddad73ceb3d7f2807797f8344b";
           ] );
+      ( "sim-md5",
+        [
+          Alcotest.test_case "PF8/REC4 walks and 2-VC escapes" `Quick
+            test_sim_digest;
+        ] );
     ]

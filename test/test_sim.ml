@@ -70,26 +70,6 @@ let test_multipath_delivery () =
   let v = Sim.Validate.run ~cycles:20_000 km sol in
   check_bool "delivered over two paths" true v.all_delivered
 
-(* Four L-shaped routes forming the textbook cyclic channel dependency
-   around the unit square (E->S->W->N->E). *)
-let cyclic_instance () =
-  let mesh = Noc.Mesh.square 3 in
-  let mk id src mid snk =
-    let c = comm id src snk 3400. in
-    let path = Noc.Path.of_cores [| src; mid; snk |] in
-    Routing.Solution.route_single c path
-  in
-  let sol =
-    Routing.Solution.make mesh
-      [
-        mk 0 (coord 1 1) (coord 1 2) (coord 2 2);
-        mk 1 (coord 1 2) (coord 2 2) (coord 2 1);
-        mk 2 (coord 2 2) (coord 2 1) (coord 1 1);
-        mk 3 (coord 2 1) (coord 1 1) (coord 1 2);
-      ]
-  in
-  sol
-
 let test_cyclic_routes_deadlock_without_escape () =
   let config =
     {
@@ -101,7 +81,7 @@ let test_cyclic_routes_deadlock_without_escape () =
       deadlock_window = 2_000;
     }
   in
-  let v = Sim.Validate.run ~config ~cycles:30_000 km (cyclic_instance ()) in
+  let v = Sim.Validate.run ~config ~cycles:30_000 km (Sim_check.cyclic_instance ()) in
   check_bool "deadlock detected" true v.report.Sim.Network.deadlocked
 
 let test_cyclic_routes_survive_with_escape () =
@@ -114,16 +94,41 @@ let test_cyclic_routes_survive_with_escape () =
       deadlock_window = 2_000;
     }
   in
-  let v = Sim.Validate.run ~config ~cycles:30_000 km (cyclic_instance ()) in
+  let v = Sim.Validate.run ~config ~cycles:30_000 km (Sim_check.cyclic_instance ()) in
   check_bool "no deadlock" false v.report.Sim.Network.deadlocked;
-  (* The escape channel must actually have been used. *)
-  let escapes =
-    List.fold_left
-      (fun acc (s : Sim.Network.comm_stats) -> acc + s.escaped_packets)
-      0 v.report.Sim.Network.comms
-  in
+  (* At the default 4 VCs this instance does not deadlock even without
+     the escape VC, and no packet escapes: the 2-VC case below is the
+     one that exercises the escape channel. *)
   check_bool "packets escaped or delivered cleanly" true
-    (escapes >= 0 && v.worst_fraction > 0.3)
+    (Sim_check.escaped v.report >= 0 && v.worst_fraction > 0.3)
+
+(* One VC deadlocks on the cycle (above); with the escape VC as the
+   second, the cycle must drain through escapes. *)
+let test_cyclic_routes_escape_at_two_vcs () =
+  let v = Sim_check.cyclic_two_vcs () in
+  check_bool "no deadlock" false v.report.Sim.Network.deadlocked;
+  check_bool "packets escaped" true (Sim_check.escaped v.report > 0);
+  check_bool "delivery floor" true (v.worst_fraction > 0.25)
+
+(* A detour walk may revisit a core, and so cross a link twice: the
+   packet must follow the walk hop by hop, not loop back to the link's
+   first occurrence. *)
+let test_walk_revisiting_link () =
+  let mesh = Noc.Mesh.create ~rows:2 ~cols:3 in
+  let c = comm 0 (coord 1 1) (coord 1 3) 300. in
+  let walk =
+    Noc.Walk.of_cores
+      [| coord 1 1; coord 1 2; coord 1 1; coord 1 2; coord 1 3 |]
+  in
+  let sol =
+    Routing.Solution.make mesh [ Routing.Solution.route_detour c walk ]
+  in
+  let v = Sim.Validate.run ~cycles:4_000 km sol in
+  let r = v.report in
+  check_bool "delivered" true v.all_delivered;
+  check_bool "no deadlock" false r.Sim.Network.deadlocked;
+  check_int "flits conserved" r.injected_flits
+    (r.ejected_flits + r.in_flight_flits)
 
 let test_latency_percentiles () =
   let mesh = Noc.Mesh.square 5 in
@@ -353,7 +358,7 @@ let test_validate_deadlock_never_passes () =
   in
   let v =
     Sim.Validate.run ~config ~cycles:30_000 ~threshold:0. km
-      (cyclic_instance ())
+      (Sim_check.cyclic_instance ())
   in
   check_bool "deadlocked" true v.report.Sim.Network.deadlocked;
   check_bool "not validated" false v.all_delivered
@@ -564,11 +569,13 @@ let () =
           quick "feasible routing" test_feasible_routing_delivers;
           quick "overload starves" test_overload_starves;
           quick "multipath" test_multipath_delivery;
+          quick "walk revisiting a link" test_walk_revisiting_link;
         ] );
       ( "deadlock",
         [
           quick "cycle without escape" test_cyclic_routes_deadlock_without_escape;
           quick "escape saves the cycle" test_cyclic_routes_survive_with_escape;
+          quick "escape at two vcs" test_cyclic_routes_escape_at_two_vcs;
         ] );
       ( "stats",
         [
