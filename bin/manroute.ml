@@ -429,6 +429,17 @@ let figure_cmd =
     | Some path when not (Sys.file_exists (Filename.dirname path)) ->
         fail "checkpoint directory %s does not exist" (Filename.dirname path)
     | _ -> ());
+    (* Create the CSV directory and open each figure's file now, as
+       [--trace] does its file: an unwritable destination fails before
+       the first trial. *)
+    Option.iter
+      (fun dir ->
+        Harness.Audit.mkdir_p dir;
+        List.iter
+          (fun (f : Harness.Figure.t) ->
+            close_out (open_out (Filename.concat dir (f.id ^ ".csv"))))
+          figures)
+      csv;
     let acc = Harness.Summary.create () in
     Harness.Telemetry.tracing (Harness.Telemetry.trace_file ?cli:trace ())
     @@ fun () ->

@@ -34,7 +34,7 @@ let mutate rng (comm : Traffic.Communication.t) path =
     let l = links.(Traffic.Rng.int rng (Array.length links)) in
     match Xy_improver.divert path l with Some p -> p | None -> fresh ()
 
-let anneal rng mesh model comms ~iterations ~t_start ~t_end =
+let anneal rng mesh model comms ~iterations =
   let comms = Array.of_list comms in
   let nc = Array.length comms in
   (* Start from the simple greedy solution: cheap and usually decent. *)
@@ -63,7 +63,8 @@ let anneal rng mesh model comms ~iterations ~t_start ~t_end =
          0. comms)
   in
   let best_paths = Array.copy paths and best_cost = ref !cost in
-  let t0 = t_start *. scale and t1 = t_end *. scale in
+  (* Initial and final temperatures, relative to that scale. *)
+  let t0 = 0.02 *. scale and t1 = 1e-4 *. scale in
   let decay =
     if iterations <= 1 then 1.
     else Float.pow (t1 /. t0) (1. /. float_of_int (iterations - 1))
@@ -94,8 +95,7 @@ let anneal rng mesh model comms ~iterations ~t_start ~t_end =
   done;
   (!best_cost, best_paths, comms)
 
-let route ?(seed = 1) ?(iterations = 60_000) ?(restarts = 3) ?(t_start = 0.02)
-    ?(t_end = 1e-4) mesh model comms =
+let route ?(seed = 1) ?(iterations = 60_000) ?(restarts = 3) mesh model comms =
   if comms = [] then Solution.make mesh []
   else begin
     let rng = Traffic.Rng.create seed in
@@ -103,7 +103,7 @@ let route ?(seed = 1) ?(iterations = 60_000) ?(restarts = 3) ?(t_start = 0.02)
     for _ = 1 to max 1 restarts do
       let run_rng = Traffic.Rng.split rng in
       let cost, paths, carr =
-        anneal run_rng mesh model comms ~iterations ~t_start ~t_end
+        anneal run_rng mesh model comms ~iterations
       in
       match !best with
       | Some (c, _, _) when c <= cost -> ()

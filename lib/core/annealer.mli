@@ -12,14 +12,12 @@ val route :
   ?seed:int ->
   ?iterations:int ->
   ?restarts:int ->
-  ?t_start:float ->
-  ?t_end:float ->
   Noc.Mesh.t ->
   Power.Model.t ->
   Traffic.Communication.t list ->
   Solution.t
-(** Defaults: seed 1, 60_000 iterations per restart, 3 restarts, initial
-    temperature [t_start = 0.02] and final [t_end = 1e-4] (both relative to
-    the initial solution's penalized cost). Deterministic for a given seed.
+(** Defaults: seed 1, 60_000 iterations per restart, 3 restarts. The
+    temperature cools from 0.02 to 1e-4 of a power scale of the instance.
+    Deterministic for a given seed.
     The result may be infeasible only if the annealer never found a
     feasible state. *)

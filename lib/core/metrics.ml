@@ -86,6 +86,10 @@ let snapshot () =
 
 let diff a b = init (fun f -> f.get a - f.get b)
 let add ~into c = List.iter (fun f -> f.set into (f.get into + f.get c)) fields
+
+let nearest_rank n p =
+  max 0 (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n)) - 1))
+
 let is_zero c = List.for_all (fun f -> f.get c = 0) fields
 let equal a b = List.for_all (fun f -> f.get a = f.get b) fields
 

@@ -92,6 +92,13 @@ val add : into:counters -> counters -> unit
     sums: associative, so any deterministic fold order gives bit-identical
     totals. *)
 
+val nearest_rank : int -> float -> int
+(** [nearest_rank n p] is the index of the nearest-rank [p]-quantile
+    among [n >= 1] sorted values: [ceil (p * n) - 1], clamped to
+    [0 .. n-1]. No interpolation. The one rank rule of the work and
+    latency quantiles: simulator reports, served sessions and campaign
+    summaries. *)
+
 val is_zero : counters -> bool
 val equal : counters -> counters -> bool
 

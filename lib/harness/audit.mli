@@ -107,11 +107,15 @@ val select : verdict array -> (int * kind list) list
 
 (** {1 Sinks and artifact files} *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents. A level that cannot be
+    created is skipped: opening a file inside it then fails. *)
+
 type sink
 
 val create : dir:string -> figure_id:string -> sink
-(** Open (truncating) [dir/<figure_id>-audit.jsonl], creating [dir] if
-    needed. *)
+(** Open (truncating) [dir/<figure_id>-audit.jsonl], creating [dir] and
+    its parents if needed. *)
 
 val path : sink -> string
 val write : sink -> record -> unit

@@ -122,7 +122,7 @@ let power_heatmap (p : Routing.Probe.t) =
   chip_map mesh cell
 
 let write_csv ~dir (r : Runner.result) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Audit.mkdir_p dir;
   let path = Filename.concat dir (r.figure.Figure.id ^ ".csv") in
   let oc = open_out path in
   output_string oc (csv r);

@@ -10,8 +10,8 @@ val csv : Runner.result -> string
     {!Runner.fields} entry per heuristic [H], one row per x value. *)
 
 val write_csv : dir:string -> Runner.result -> string
-(** Writes [<dir>/<figure id>.csv] (creating [dir] if needed) and returns
-    the path. *)
+(** Writes [<dir>/<figure id>.csv] (creating [dir] and its parents if
+    needed) and returns the path. *)
 
 val heatmap : ?capacity:float -> Noc.Load.t -> string
 (** ASCII chip map of the link loads: cores are [+], each inter-core gap

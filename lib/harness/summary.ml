@@ -92,8 +92,7 @@ let order =
 (* Nearest-rank quantile on the retained runtimes: exact, no
    interpolation, deterministic for a fixed observation order. *)
 let quantile sorted p =
-  let n = Array.length sorted in
-  sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n)) - 1)))
+  sorted.(Routing.Metrics.nearest_rank (Array.length sorted) p)
 
 let quantiles values =
   if Array.length values = 0 then (0., 0.)

@@ -170,46 +170,25 @@ let float_field line key =
       done;
       float_of_string_opt (String.sub line i (!j - i))
 
-let balanced_json text =
-  (* Brace/bracket balance outside string literals; also rejects a
-     truncated trailing string. *)
-  let depth = ref 0 and in_string = ref false and escaped = ref false in
-  let ok = ref true in
-  String.iter
-    (fun c ->
-      if !in_string then
-        if !escaped then escaped := false
-        else if c = '\\' then escaped := true
-        else if c = '"' then in_string := false
-        else ()
-      else
-        match c with
-        | '"' -> in_string := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    text;
-  !ok && !depth = 0 && not !in_string
-
 (* A trimmed excerpt of the offending line, so a validation failure in a
    multi-megabyte trace can be localized without opening it. *)
 let snippet line =
   let line = String.trim line in
   if String.length line <= 60 then line else String.sub line 0 57 ^ "..."
 
-(* Localize what [balanced_json] only detects globally: the first line
-   that closes more than it opens or leaves a string literal open (event
-   lines never span lines), else the imbalance is an unclosed brace at
-   the end of the file — the torn-write case. *)
-let unbalanced_detail text =
+(* Brace/bracket balance outside string literals, line by line: the
+   first line that closes more than it opens or ends inside a string
+   literal (event lines never span lines), else a brace left open at the
+   end of the text — the torn-write case. [None] when balanced. *)
+let unbalanced text =
   let depth = ref 0 and in_string = ref false and escaped = ref false in
-  let result = ref None in
   let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun i line ->
-      if !result = None then begin
+  let rec go i = function
+    | [] ->
+        if !depth = 0 then None
+        else Some (List.length lines, "braces or brackets left open", "")
+    | line :: rest ->
+        let closes_more = ref false in
         String.iter
           (fun c ->
             if !in_string then
@@ -223,17 +202,16 @@ let unbalanced_detail text =
               | '{' | '[' -> incr depth
               | '}' | ']' ->
                   decr depth;
-                  if !depth < 0 && !result = None then
-                    result := Some (i + 1, "closes more than it opens", line)
+                  if !depth < 0 then closes_more := true
               | _ -> ())
           line;
-        if !in_string && !result = None then
-          result := Some (i + 1, "unterminated string", line)
-      end)
-    lines;
-  match !result with
-  | Some r -> r
-  | None -> (List.length lines, "braces or brackets left open", "")
+        if !closes_more then Some (i, "closes more than it opens", line)
+        else if !in_string then Some (i, "unterminated string", line)
+        else go (i + 1) rest
+  in
+  go 1 lines
+
+let balanced_json text = unbalanced text = None
 
 let read_file path =
   let ic = open_in path in
@@ -245,11 +223,11 @@ let read_file path =
 let validate_file path =
   let text = read_file path in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  if not (balanced_json text) then
-    let line, why, at = unbalanced_detail text in
-    fail "line %d: %s%s" line why
-      (if at = "" then "" else ": " ^ snippet at)
-  else
+  match unbalanced text with
+  | Some (line, why, at) ->
+      fail "line %d: %s%s" line why
+        (if at = "" then "" else ": " ^ snippet at)
+  | None -> (
     match String.split_on_char '\n' (String.trim text) with
     | "[" :: rest when List.rev rest <> [] && List.hd (List.rev rest) = "]" ->
         let body = List.filter (fun l -> l <> "]") rest in
@@ -324,7 +302,7 @@ let validate_file path =
                   else go (idx + 1) ts tl)
         in
         go 0 neg_infinity body
-    | _ -> fail "not a trace-event array (expected '[' ... ']')"
+    | _ -> fail "not a trace-event array (expected '[' ... ']')")
 
 (* ------------------------------------------------------------------ *)
 (* CLI / environment wiring *)

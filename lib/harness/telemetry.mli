@@ -77,8 +77,9 @@ val escape_json : Buffer.t -> string -> unit
     characters; no surrounding quotes). *)
 
 val balanced_json : string -> bool
-(** Braces/brackets balance outside string literals; also rejects a
-    truncated trailing string. *)
+(** Braces/brackets balance outside string literals, and no line ends
+    inside a string literal (which also rejects a truncated trailing
+    string). *)
 
 val find_field : string -> string -> int option
 (** [find_field line key] is the position just after a literal

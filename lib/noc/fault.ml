@@ -124,7 +124,7 @@ let shuffle_with choose a =
     a.(j) <- tmp
   done
 
-let random_dead ?(connected_only = true) ~choose ~kills mesh =
+let random_dead ~choose ~kills mesh =
   let t = ref (healthy mesh) in
   (try
      for _ = 1 to kills do
@@ -134,7 +134,7 @@ let random_dead ?(connected_only = true) ~choose ~kills mesh =
          Array.exists
            (fun l ->
              let t' = kill_link !t l in
-             if (not connected_only) || connected t' then begin
+             if connected t' then begin
                t := t';
                true
              end
@@ -146,17 +146,17 @@ let random_dead ?(connected_only = true) ~choose ~kills mesh =
    with Exit -> ());
   !t
 
-let default_factors = [| 0.25; 0.5; 0.75 |]
+let degrade_factors = [| 0.25; 0.5; 0.75 |]
 
-let random_degraded ?(factors = default_factors) ~choose ~n mesh =
-  if Array.length factors = 0 then
-    invalid_arg "Fault.random_degraded: no factors";
+let random_degraded ~choose ~n mesh =
   let t = ref (healthy mesh) in
   let edges = alive_edges !t in
   shuffle_with choose edges;
   let n = min n (Array.length edges) in
   for i = 0 to n - 1 do
-    t := degrade_link !t edges.(i) factors.(choose (Array.length factors))
+    t :=
+      degrade_link !t edges.(i)
+        degrade_factors.(choose (Array.length degrade_factors))
   done;
   !t
 
@@ -234,10 +234,8 @@ module Schedule = struct
             else acc)
           [] (Mesh.all_cores mesh)
 
-  let random ?init ?(factors = default_factors) ~choose ~events:n mesh =
+  let random ?init ~choose ~events:n mesh =
     if n < 0 then invalid_arg "Fault.Schedule.random: negative events";
-    if Array.length factors = 0 then
-      invalid_arg "Fault.Schedule.random: no factors";
     let fault =
       ref (match init with Some f -> f | None -> healthy mesh)
     in
@@ -255,7 +253,7 @@ module Schedule = struct
           Kill_router (pick (Mesh.all_cores mesh))
         else if Array.length alive = 0 then Restore (pick broken)
         else if k < 9 then Kill_link (pick alive)
-        else if k < 14 then Degrade_link (pick alive, pick factors)
+        else if k < 14 then Degrade_link (pick alive, pick degrade_factors)
         else if k < 15 then Kill_router (pick (Mesh.all_cores mesh))
         else if k < 16 then begin
           let a = pick (Mesh.all_cores mesh) in

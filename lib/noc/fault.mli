@@ -68,21 +68,17 @@ val connected : t -> bool
 
 (** {1 Random scenarios} *)
 
-val random_dead :
-  ?connected_only:bool -> choose:(int -> int) -> kills:int -> Mesh.t -> t
+val random_dead : choose:(int -> int) -> kills:int -> Mesh.t -> t
 (** [random_dead ~choose ~kills mesh] kills [kills] uniformly random edges.
-    With [connected_only] (the default) each kill is resampled so the
-    surviving graph stays connected — every core pair keeps some route, and
-    the sweep isolates capacity loss from outright disconnection. If no
-    further edge can be removed without disconnecting the mesh, fewer than
-    [kills] edges die. [choose n] must return a uniform integer in
+    Each kill is resampled so the surviving graph stays connected — every
+    core pair keeps some route, and the sweep isolates capacity loss from
+    outright disconnection. If no further edge can be removed without
+    disconnecting the mesh, fewer than [kills] edges die. [choose n] must return a uniform integer in
     [0 .. n-1]. *)
 
-val random_degraded :
-  ?factors:float array -> choose:(int -> int) -> n:int -> Mesh.t -> t
+val random_degraded : choose:(int -> int) -> n:int -> Mesh.t -> t
 (** Degrade [n] distinct random edges, each to a factor drawn from
-    [factors] (default [[|0.25; 0.5; 0.75|]]).
-    @raise Invalid_argument if [factors] is empty. *)
+    [[|0.25; 0.5; 0.75|]]. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -132,21 +128,19 @@ module Schedule : sig
 
   val random :
     ?init:fault ->
-    ?factors:float array ->
     choose:(int -> int) ->
     events:int ->
     Mesh.t ->
     t
   (** Draw an [events]-long schedule. Each event is, with fixed weights,
       a kill of a random alive edge (9/20), a degradation of one to a
-      factor from [factors] (5/20, default {!random_degraded}'s), a router
-      kill (1/20), a small regional outage (1/20), or a restore of a
-      random broken edge (4/20, falling back to a kill when nothing is
-      broken). Generation tracks the evolving scenario starting from
-      [init] (default {!healthy}), so targets always exist; when every
-      edge is dead a restore is forced.
-      @raise Invalid_argument if [events] is negative or [factors] is
-      empty. *)
+      factor drawn as in {!random_degraded} (5/20), a router kill (1/20),
+      a small regional outage (1/20), or a restore of a random broken
+      edge (4/20, falling back to a kill when nothing is broken).
+      Generation tracks the evolving scenario starting from [init]
+      (default {!healthy}), so targets always exist; when every edge is
+      dead a restore is forced.
+      @raise Invalid_argument if [events] is negative. *)
 
   val pp_event : Format.formatter -> event -> unit
 end

@@ -142,72 +142,26 @@ let negotiate t ~iterations pred =
     (r.Pathfinder.passes, r.Pathfinder.rips)
   end
 
-exception No_offender
+(* Park a shed request on the readmission queue. *)
+let park t shed_now comm reason =
+  let s = { comm; reason } in
+  t.pending_shed <- t.pending_shed @ [ s ];
+  t.s_shed <- t.s_shed + 1;
+  shed_now := s :: !shed_now
 
-(* Shed the lightest live route crossing a convicted link until the
-   state is feasible (the empty state is). Negotiation ran to its caps
-   first, so the overload itself is the reason. *)
-let shed_until_feasible t shed_now =
-  let rep = ref (Routing.Delta.report t.eng) in
-  (try
-     while not !rep.Routing.Evaluate.feasible do
-       let over = Routing.Evaluate.overload_mask t.mesh !rep in
-       let pick = ref None in
-       List.iter
-         (fun (id, (r : Routing.Solution.route)) ->
-           if Routing.Solution.route_crosses t.mesh over r then
-             match !pick with
-             | Some (_, (p : Routing.Solution.route))
-               when p.comm.Traffic.Communication.rate
-                    <= r.comm.Traffic.Communication.rate ->
-                 ()
-             | _ -> pick := Some (id, r))
-         t.live_routes;
-       match !pick with
-       | None ->
-           (* Unreachable: an overloaded link carries some live route's
-              rate. Guarded anyway — shedding must never spin. *)
-           raise No_offender
-       | Some (id, r) ->
-           Routing.Delta.remove_route t.eng r;
-           t.live_routes <- List.filter (fun (i, _) -> i <> id) t.live_routes;
-           let s = { comm = r.comm; reason = Recover.Infeasible_overload } in
-           t.pending_shed <- t.pending_shed @ [ s ];
-           t.s_shed <- t.s_shed + 1;
-           shed_now := s :: !shed_now;
-           rep := Routing.Delta.report t.eng
-     done
-   with No_offender -> ())
-
-(* Speculative readmission of the shed queue, oldest first: kept only
-   when the whole state stays feasible, rolled back bit-exactly
-   otherwise. *)
+(* Speculative readmission of the shed queue, oldest first. *)
 let readmit t reroutes readmitted =
   let still = ref [] in
   List.iter
     (fun s ->
       incr reroutes;
-      let kept = ref false in
-      (match
-         Routing.Repair.local_route t.fault
-           (Routing.Delta.scorer_of t.eng)
-           s.comm
-       with
-      | None -> ()
+      match Recover.readmit t.fault t.eng s.comm with
       | Some r ->
-          let m = Routing.Delta.mark t.eng in
-          Routing.Delta.add_route t.eng r;
-          let rep = Routing.Delta.report t.eng in
-          if rep.Routing.Evaluate.feasible then begin
-            Routing.Delta.commit t.eng m;
-            t.live_routes <-
-              t.live_routes @ [ (s.comm.Traffic.Communication.id, r) ];
-            t.s_readmitted <- t.s_readmitted + 1;
-            readmitted := s.comm :: !readmitted;
-            kept := true
-          end
-          else Routing.Delta.rollback t.eng m);
-      if not !kept then still := s :: !still)
+          t.live_routes <-
+            t.live_routes @ [ (s.comm.Traffic.Communication.id, r) ];
+          t.s_readmitted <- t.s_readmitted + 1;
+          readmitted := s.comm :: !readmitted
+      | None -> still := s :: !still)
     t.pending_shed;
   t.pending_shed <- List.rev !still
 
@@ -266,15 +220,10 @@ let step t (event : Traffic.Trace.event) =
           (* The fault disconnects the endpoints: park the request for
              readmission once capacity returns. *)
           rung := 5;
-          let s = { comm; reason = Recover.Disconnected } in
-          t.pending_shed <- t.pending_shed @ [ s ];
-          t.s_shed <- t.s_shed + 1;
-          shed_now := [ s ]
+          park t shed_now comm Recover.Disconnected
       | Some r ->
-          let m = Routing.Delta.mark t.eng in
           Routing.Delta.add_route t.eng r;
           let rep = Routing.Delta.report t.eng in
-          Routing.Delta.commit t.eng m;
           t.live_routes <-
             t.live_routes @ [ (comm.Traffic.Communication.id, r) ];
           if rep.Routing.Evaluate.feasible then
@@ -303,8 +252,14 @@ let step t (event : Traffic.Trace.event) =
             end;
             let rep = Routing.Delta.report t.eng in
             if not rep.Routing.Evaluate.feasible then begin
+              (* A fresh read, not [rep]: every read counts in
+                 [feasibility_checks], a campaign CSV column. *)
               rung := 5;
-              shed_until_feasible t shed_now
+              Recover.shed_lightest t.eng (Routing.Delta.report t.eng)
+                t.live_routes (fun id (r : Routing.Solution.route) ->
+                  t.live_routes <-
+                    List.filter (fun (i, _) -> i <> id) t.live_routes;
+                  park t shed_now r.comm Recover.Infeasible_overload)
             end;
             admitted :=
               List.exists
@@ -446,15 +401,10 @@ type session = {
   final : Routing.Evaluate.report;
 }
 
-(* Nearest-rank quantile over a sorted array — the same rule as the
-   harness Summary machinery, restated here because [optim] sits below
-   [harness] in the library stack. *)
+(* Nearest-rank quantile over a sorted array, 0 when empty. *)
 let quantile sorted p =
   let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    sorted.(max 0
-              (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n)) - 1)))
+  if n = 0 then 0. else sorted.(Routing.Metrics.nearest_rank n p)
 
 let session t =
   let ops = t.seq in

@@ -9,12 +9,13 @@
     overloads a link, the engine escalates exactly like the
     {!Recover} ladder — neighborhood PathFinder negotiation
     ({!Pathfinder.refine} with persistent history), then global
-    negotiation, then typed shedding of the lightest offender. Each
-    {b departure} releases the communication's links and locally
-    re-optimizes its neighborhood (every live route crossing a freed
-    link gets one cheaper-path retry, kept only when the total power
-    strictly drops), then speculatively readmits previously-shed
-    communications.
+    negotiation, then typed shedding of the lightest offender in
+    admission order ({!Recover.shed_lightest}). Each {b departure}
+    releases the communication's links and locally re-optimizes its
+    neighborhood (every live route crossing a freed link gets one
+    cheaper-path retry, kept only when the total power strictly drops),
+    then speculatively readmits previously-shed communications, oldest
+    first ({!Recover.readmit}).
 
     {b Idle-link switch-off.} Leakage is first-order (~16.9 mW per
     active link in the Kim–Horowitz model), and the batch evaluator
@@ -137,7 +138,7 @@ type session = {
           the fraction of the always-awake power that switch-off saved. *)
   p50_work : float;
   p95_work : float;
-      (** Nearest-rank quantiles (the {!Harness.Summary} rule) of the
+      (** Nearest-rank quantiles ({!Routing.Metrics.nearest_rank}) of the
           per-op [delta_evals] work — the deterministic latency proxy
           that flows into campaign rows. Wall-clock per-op latencies are
           the caller's to measure around {!step}. *)

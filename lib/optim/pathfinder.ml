@@ -179,6 +179,65 @@ type refinement = {
   rips : int;
 }
 
+(* Heaviest first, ties by input position: the order every pass
+   (re)routes in. *)
+let heaviest_first n rate =
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Float.compare (rate b) (rate a)) order;
+  order
+
+(* The rip-up-and-reroute loop of both entry points, from [passes]
+   sweeps already run: read the report before each pass (never after a
+   pass that reaches [iterations]), stop on a feasible read, otherwise
+   convict and reroute [routes] in place, in [order]. Classic PathFinder
+   discipline: rip up and reroute {e every} communication against the
+   evolving loads — nets not crossing any convicted link also move,
+   clearing the way for the ones that do (offenders-only ripping
+   oscillates on hard instances). Only offenders count as rips. A
+   reroute that finds nothing rolls back bit-exactly through the journal
+   mark and keeps its old route: the candidate set may shrink to a
+   usable state some other way (shedding); never escalate a refinement
+   into a crash. Returns the sweeps run, the rips and whether a read
+   found the state feasible. *)
+let rip_up ~iterations ~history eng order routes passes =
+  let loads = Routing.Delta.loads eng in
+  let sc = Routing.Delta.scorer_of eng in
+  let model = Routing.Delta.model eng in
+  let mesh = Noc.Load.mesh loads in
+  let capacity = model.Power.Model.capacity in
+  let passes = ref passes and rips = ref 0 and feasible = ref false in
+  while (not !feasible) && !passes < iterations do
+    let rep = Routing.Delta.report eng in
+    if rep.Routing.Evaluate.feasible then feasible := true
+    else begin
+      incr passes;
+      bump_iterations ();
+      let over = convict loads history ~capacity rep in
+      Array.iter
+        (fun i ->
+          let r = routes.(i) in
+          if Routing.Solution.route_crosses mesh over r then begin
+            incr rips;
+            bump_rips ()
+          end;
+          let m = Routing.Delta.mark eng in
+          match
+            Routing.Delta.remove_route eng r;
+            let r' =
+              search model sc loads history ~capacity r.Routing.Solution.comm
+            in
+            Routing.Delta.add_route eng r';
+            r'
+          with
+          | r' ->
+              Routing.Delta.commit eng m;
+              routes.(i) <- r'
+          | exception Routing.Repair.No_route _ -> Routing.Delta.rollback eng m)
+        order
+    end
+  done;
+  (!passes, !rips, !feasible)
+
 (* Negotiation over an existing journal: rip up and reroute only the
    given routes (which the engine's loads must already contain), leaving
    every other contribution in place. The recovery engine's rung-3/4
@@ -189,61 +248,18 @@ type refinement = {
 let refine ?(iterations = default_iterations) ~history eng routes =
   if iterations < 0 then invalid_arg "Pathfinder.refine: iterations < 0";
   Routing.Metrics.with_span "pathfinder" @@ fun () ->
-  let loads = Routing.Delta.loads eng in
-  let sc = Routing.Delta.scorer_of eng in
-  let model = Routing.Delta.model eng in
-  let mesh = Noc.Load.mesh loads in
-  let capacity = model.Power.Model.capacity in
-  let n = Array.length routes in
   let routes = Array.copy routes in
-  (* Heaviest first, ties by input position — same discipline as
-     {!negotiate}. *)
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      Float.compare
-        routes.(b).Routing.Solution.comm.Traffic.Communication.rate
-        routes.(a).Routing.Solution.comm.Traffic.Communication.rate)
-    order;
-  let passes = ref 0 and rips = ref 0 in
-  let rep = ref (Routing.Delta.report eng) in
-  while (not !rep.Routing.Evaluate.feasible) && !passes < iterations do
-    incr passes;
-    bump_iterations ();
-    let over = convict loads history ~capacity !rep in
-    Array.iter
-      (fun i ->
-        let r = routes.(i) in
-        if Routing.Solution.route_crosses mesh over r then begin
-          incr rips;
-          bump_rips ()
-        end;
-        let m = Routing.Delta.mark eng in
-        match
-          Routing.Delta.remove_route eng r;
-          let r' =
-            search model sc loads history ~capacity r.Routing.Solution.comm
-          in
-          Routing.Delta.add_route eng r';
-          r'
-        with
-        | r' ->
-            Routing.Delta.commit eng m;
-            routes.(i) <- r'
-        | exception Routing.Repair.No_route _ ->
-            (* Keep the old route: the candidate set may shrink to a
-               usable state some other way (shedding); never escalate a
-               refinement into a crash. *)
-            Routing.Delta.rollback eng m)
-      order;
-    rep := Routing.Delta.report eng
-  done;
-  {
-    routes;
-    feasible = !rep.Routing.Evaluate.feasible;
-    passes = !passes;
-    rips = !rips;
-  }
+  let order =
+    heaviest_first (Array.length routes) (fun i ->
+        routes.(i).Routing.Solution.comm.Traffic.Communication.rate)
+  in
+  let passes, rips, feasible = rip_up ~iterations ~history eng order routes 0 in
+  (* A loop stopped by its cap has not read the state its last pass
+     left. *)
+  let feasible =
+    feasible || (Routing.Delta.report eng).Routing.Evaluate.feasible
+  in
+  { routes; feasible; passes; rips }
 
 let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
   if iterations < 1 then invalid_arg "Pathfinder.negotiate: iterations < 1";
@@ -253,76 +269,30 @@ let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
   let sc = Routing.Delta.scorer_of eng in
   let capacity = model.Power.Model.capacity in
   let history = Array.make (Noc.Mesh.num_links mesh) 0. in
-  let comms_arr = Array.of_list comms in
-  let n = Array.length comms_arr in
-  (* Heaviest first, ties by input position: the order every pass
-     processes (re)routes in. *)
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      Float.compare comms_arr.(b).Traffic.Communication.rate
-        comms_arr.(a).Traffic.Communication.rate)
-    order;
-  let routes = Array.make n None in
-  let search_apply i =
-    let comm = comms_arr.(i) in
-    let r = search model sc loads history ~capacity comm in
-    Routing.Delta.add_route eng r;
-    routes.(i) <- Some r
+  let comms = Array.of_list comms in
+  let order =
+    heaviest_first (Array.length comms) (fun i ->
+        comms.(i).Traffic.Communication.rate)
   in
   (* Initial pass: route everything once. *)
   bump_iterations ();
-  Array.iter search_apply order;
-  let passes = ref 1 in
-  let rips = ref 0 in
-  let continue = ref true in
-  while !continue && !passes < iterations do
-    let rep = Routing.Delta.report eng in
-    if rep.Routing.Evaluate.feasible then continue := false
-    else begin
-      incr passes;
-      bump_iterations ();
-      let over = convict loads history ~capacity rep in
-      (* Classic PathFinder discipline: rip up and reroute {e every}
-         communication against the evolving loads, heaviest first —
-         nets not crossing any convicted link also move, clearing the
-         way for the ones that do (offenders-only ripping oscillates
-         on hard instances). Only offenders count as rips. The journal
-         mark makes a failed reroute (disconnection) restore the state
-         bit-exactly before the exception escapes. *)
-      Array.iter
-        (fun i ->
-          match routes.(i) with
-          | Some r ->
-              if Routing.Solution.route_crosses mesh over r then begin
-                incr rips;
-                bump_rips ()
-              end;
-              let m = Routing.Delta.mark eng in
-              (try
-                 Routing.Delta.remove_route eng r;
-                 search_apply i;
-                 Routing.Delta.commit eng m
-               with e ->
-                 Routing.Delta.rollback eng m;
-                 raise e)
-          | None -> ())
-        order
-    end
-  done;
+  let routes = Array.make (Array.length comms) None in
+  Array.iter
+    (fun i ->
+      let r = search model sc loads history ~capacity comms.(i) in
+      Routing.Delta.add_route eng r;
+      routes.(i) <- Some r)
+    order;
+  let routes = Array.map Option.get routes in
+  let passes, rips, _ = rip_up ~iterations ~history eng order routes 1 in
   (* Canonical rebuild in input order: the rip-up history's float
      cancellations never leak into the report. *)
-  let final =
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> assert false (* all routed *))
-         routes)
-  in
+  let final = Array.to_list routes in
   let solution = Routing.Solution.make mesh final in
   let report =
     Routing.Delta.report (Routing.Delta.of_routes ?fault model mesh final)
   in
-  { solution; report; iterations = !passes; rips = !rips }
+  { solution; report; iterations = passes; rips }
 
 type annotation = { a_iterations : int; a_rips : int; a_kept : bool }
 type Routing.Heuristic.note += Negotiation of annotation

@@ -26,7 +26,8 @@
     through its mark/rollback, bit-exactly.
 
     The engine bumps [pf_iterations] (one per sweep) and [pf_rips] (one
-    per ripped-and-rerouted communication) on {!Routing.Metrics}. *)
+    per rerouted communication that crossed an overloaded link) on
+    {!Routing.Metrics}. *)
 
 type outcome = {
   solution : Routing.Solution.t;
@@ -37,7 +38,7 @@ type outcome = {
           never read off the rip-up history, whose float cancellations
           are not exact. *)
   iterations : int;  (** Sweeps actually run (>= 1). *)
-  rips : int;  (** Communications ripped up and rerouted. *)
+  rips : int;  (** Rerouted communications that crossed an overloaded link. *)
 }
 
 val negotiate :
@@ -48,12 +49,13 @@ val negotiate :
   Traffic.Communication.t list ->
   outcome
 (** The raw engine: route everything once (heaviest communication
-    first), then rip-up-and-reroute every communication crossing an
-    overloaded link until the report is feasible or [iterations]
-    (default 32, must be >= 1) sweeps have run. Deterministic: no
+    first), then, while the report is infeasible, rip up and reroute
+    every communication, heaviest first, until [iterations] (default 32,
+    must be >= 1) sweeps have run. This is {!refine}'s loop, and as there
+    a reroute that finds nothing keeps its old route. Deterministic: no
     randomness, fixed processing order, canonical final accounting.
-    Raises {!Routing.Repair.No_route} when a communication's endpoints
-    are disconnected by the fault. *)
+    Raises {!Routing.Repair.No_route} when the initial pass finds a
+    communication's endpoints disconnected by the fault. *)
 
 type refinement = {
   routes : Routing.Solution.route array;
@@ -77,13 +79,13 @@ val refine :
     is feasible or [iterations] (default 32, may be 0) sweeps have run.
     [history] belongs to the caller and is grown in place on convicted
     links, so repulsion persists across calls. A candidate whose
-    endpoints are disconnected keeps its old route (rolled back
-    bit-exactly) instead of raising. Bumps [pf_iterations]/[pf_rips].
+    reroute finds nothing keeps its old route (rolled back bit-exactly)
+    instead of raising. Bumps [pf_iterations]/[pf_rips].
     The incremental recovery engine's neighborhood and global rungs. *)
 
 type annotation = {
   a_iterations : int;  (** Negotiation sweeps the {!engine} run made. *)
-  a_rips : int;  (** Communications it ripped up and rerouted. *)
+  a_rips : int;  (** Its rips, as in {!outcome}. *)
   a_kept : bool;
       (** Whether the negotiated solution beat the single-path baseline
           (when [false] the engine returned the baseline). *)

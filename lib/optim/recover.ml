@@ -98,7 +98,55 @@ let create ?fault ?budget model solution =
     power;
   }
 
-exception No_offender
+(* Rung 5: shed the lightest route of [lives] crossing a link the
+   report convicts — the first in [lives] order on ties — until the
+   state is feasible, as the empty state is. Every overloaded link
+   carries some live route's rate, so the no-pick case is unreachable;
+   it is guarded anyway, since shedding must never spin. *)
+let shed_lightest eng rep lives shed =
+  let mesh = Noc.Load.mesh (Routing.Delta.loads eng) in
+  let rec go (rep : Routing.Evaluate.report) lives =
+    if not rep.feasible then begin
+      let over = Routing.Evaluate.overload_mask mesh rep in
+      let pick =
+        List.fold_left
+          (fun pick ((_, (r : Routing.Solution.route)) as kr) ->
+            if not (Routing.Solution.route_crosses mesh over r) then pick
+            else
+              match pick with
+              | Some (_, (p : Routing.Solution.route))
+                when p.comm.Traffic.Communication.rate
+                     <= r.comm.Traffic.Communication.rate ->
+                  pick
+              | _ -> Some kr)
+          None lives
+      in
+      match pick with
+      | None -> ()
+      | Some ((k, r) as kr) ->
+          Routing.Delta.remove_route eng r;
+          shed k r;
+          go (Routing.Delta.report eng) (List.filter (( != ) kr) lives)
+    end
+  in
+  go rep lives
+
+(* Speculative readmission: route [comm] locally and keep it only when
+   the whole state stays feasible, rolled back bit-exactly otherwise. *)
+let readmit fault eng comm =
+  match Routing.Repair.local_route fault (Routing.Delta.scorer_of eng) comm with
+  | None -> None
+  | Some r ->
+      let m = Routing.Delta.mark eng in
+      Routing.Delta.add_route eng r;
+      if (Routing.Delta.report eng).Routing.Evaluate.feasible then begin
+        Routing.Delta.commit eng m;
+        Some r
+      end
+      else begin
+        Routing.Delta.rollback eng m;
+        None
+      end
 
 let step t event =
   bump_events ();
@@ -193,61 +241,34 @@ let step t event =
       done;
       refine_rung 4 ~configured:rung4_iterations !all
     end;
-    (* Rung 5: graceful degradation — shed the lightest live route
-       crossing a convicted link until the remainder is feasible. The
-       loop terminates: an overloaded link carries load, so some live
-       route crosses it, and the empty solution is feasible. *)
+    (* Rung 5: graceful degradation — shed the lightest offenders until
+       the remainder is feasible. *)
     if not !rep.Routing.Evaluate.feasible then begin
       rung := 5;
       let reason =
         if !truncated then Budget_exhausted else Infeasible_overload
       in
-      try
-        while not !rep.Routing.Evaluate.feasible do
-          let over = Routing.Evaluate.overload_mask t.mesh !rep in
-          let pick = ref (-1) in
-          for i = 0 to n - 1 do
-            match t.routes.(i) with
-            | Some r when Routing.Solution.route_crosses t.mesh over r ->
-                if
-                  !pick < 0
-                  || t.comms.(i).Traffic.Communication.rate
-                     < t.comms.(!pick).Traffic.Communication.rate
-                then pick := i
-            | _ -> ()
-          done;
-          (* Unreachable: every overloaded link carries some live
-             route's rate. Guarded anyway — shedding must never spin. *)
-          if !pick < 0 then raise No_offender;
-          Routing.Delta.remove_route eng (Option.get t.routes.(!pick));
-          shed !pick reason;
-          rep := Routing.Delta.report eng
-        done
-      with No_offender -> ()
+      shed_lightest eng !rep
+        (List.filter_map
+           (fun i -> Option.map (fun r -> (i, r)) t.routes.(i))
+           (List.init n Fun.id))
+        (fun i _ -> shed i reason)
     end
   end;
   (* Readmission: previously-shed communications get one speculative
      try per event (capacity may have returned via [Restore], or other
-     routes moved away). Kept only when the whole state stays feasible;
-     rolled back bit-exactly otherwise. *)
+     routes moved away). *)
   let readmitted = ref [] in
   for i = 0 to n - 1 do
     match (t.routes.(i), t.reasons.(i)) with
     | None, Some _ when not shed_this_event.(i) -> (
         incr reroutes;
-        match Routing.Repair.local_route t.fault sc t.comms.(i) with
+        match readmit t.fault eng t.comms.(i) with
         | None -> ()
         | Some r ->
-            let m = Routing.Delta.mark eng in
-            Routing.Delta.add_route eng r;
-            let rep' = Routing.Delta.report eng in
-            if rep'.Routing.Evaluate.feasible then begin
-              Routing.Delta.commit eng m;
-              t.routes.(i) <- Some r;
-              t.reasons.(i) <- None;
-              readmitted := t.comms.(i) :: !readmitted
-            end
-            else Routing.Delta.rollback eng m)
+            t.routes.(i) <- Some r;
+            t.reasons.(i) <- None;
+            readmitted := t.comms.(i) :: !readmitted)
     | _ -> ()
   done;
   bump_rung !rung;

@@ -128,6 +128,26 @@ val find : string -> Routing.Heuristic.t option
     ["REC(12)"] (explicit count, >= 0). [None] for anything else, so the
     CLI can try the next engine's [find]. *)
 
+val shed_lightest :
+  Routing.Delta.t ->
+  Routing.Evaluate.report ->
+  ('k * Routing.Solution.route) list ->
+  ('k -> Routing.Solution.route -> unit) ->
+  unit
+(** [shed_lightest eng rep lives shed], rung 5 of this ladder and of
+    {!Online}'s: while the engine's report ([rep], then a fresh read
+    after each shed) is infeasible, remove the lightest route of [lives]
+    crossing an overloaded link, the first in [lives] order on ties, and
+    call [shed] on its key and route. *)
+
+val readmit :
+  Noc.Fault.t -> Routing.Delta.t -> Traffic.Communication.t ->
+  Routing.Solution.route option
+(** Speculative readmission, shared with {!Online}: add
+    {!Routing.Repair.local_route}'s route for a shed communication under
+    a journal mark and keep it only when the whole state stays feasible;
+    otherwise roll back bit-exactly and return [None]. *)
+
 val pp_reason : Format.formatter -> shed_reason -> unit
 
 val default_events : int

@@ -550,9 +550,7 @@ let percentile latencies q =
   | l ->
       let a = Array.of_list l in
       Array.sort Int.compare a;
-      let n = Array.length a in
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      float_of_int a.(max 0 (min (n - 1) (rank - 1)))
+      float_of_int a.(Routing.Metrics.nearest_rank (Array.length a) q)
 
 (* One convergence probe per injector: the delivered rate and the latency
    quantiles measured so far. *)

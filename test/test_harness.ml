@@ -259,6 +259,20 @@ let test_write_csv () =
   check_bool "file exists" true (Sys.file_exists path);
   Sys.remove path
 
+let test_write_csv_nested () =
+  let r = Harness.Runner.run ~trials:2 tiny_figure in
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "manroute_test_csv_nested_%d" (Unix.getpid ()))
+  in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Harness.Render.write_csv ~dir r in
+  check_bool "file exists two levels down" true (Sys.file_exists path);
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 let test_summary_ratios () =
   let acc = Harness.Summary.create () in
   ignore (Harness.Runner.run ~trials:15 ~summary:acc tiny_figure);
@@ -800,6 +814,9 @@ let test_trace_validator_rejects_garbage () =
   in
   reject "not-json" "hello\n";
   reject "unbalanced" "[\n{\"name\":\"a\",\"ph\":\"X\"\n";
+  (* A string literal that spans lines and closes later. *)
+  reject "split-string"
+    "[\n{\"name\":\"a\nb\",\"ph\":\"X\",\"ts\":1.0,\"dur\":2.0,\"tid\":0}\n]\n";
   reject "missing-ph" "[\n{\"name\":\"a\",\"ts\":1.0,\"dur\":2.0,\"tid\":0}\n]\n";
   (* Two same-thread spans that partially overlap cannot come from
      balanced instrumentation. *)
@@ -1168,6 +1185,7 @@ let () =
         [
           quick "csv shape" test_csv_shape;
           quick "write csv" test_write_csv;
+          quick "write csv into nested directories" test_write_csv_nested;
           quick "pp result smoke" test_pp_result_smoke;
           quick "summary pp smoke" test_summary_pp_smoke;
           quick "stderr sane" test_stderr_sane;

@@ -217,6 +217,54 @@ let test_iteration_cap_respected () =
   check_int "cap 1 is exactly the initial pass" 1 o.Optim.Pathfinder.iterations;
   check_int "the initial pass rips nothing" 0 o.rips
 
+(* Three 3000 Mb/s communications along row 1 of a 4x4 mesh overload
+   every row-1 link whatever the negotiation tries, so each run goes to
+   its cap. Both entry points read the report at the top of every pass
+   and never after a capped last one ([refine] reads once more for its
+   verdict); the work counters below pin that discipline. *)
+let test_negotiation_reads_report () =
+  let mesh = Noc.Mesh.square 4 in
+  let comms = List.init 3 (fun id -> comm id 1 1 1 4 3000.) in
+  let metered f =
+    let before = Routing.Metrics.snapshot () in
+    let x = f () in
+    (x, Routing.Metrics.diff (Routing.Metrics.snapshot ()) before)
+  in
+  List.iter
+    (fun (k, rips, checks, evals) ->
+      let o, w =
+        metered (fun () ->
+            Optim.Pathfinder.negotiate ~iterations:k km mesh comms)
+      in
+      let tag s = Printf.sprintf "negotiate %d: %s" k s in
+      check_int (tag "iterations") k o.Optim.Pathfinder.iterations;
+      check_int (tag "rips") rips o.rips;
+      check_bool (tag "infeasible") false o.report.Routing.Evaluate.feasible;
+      check_int (tag "feasibility_checks") checks
+        w.Routing.Metrics.feasibility_checks;
+      check_int (tag "pf_iterations") k w.pf_iterations;
+      check_int (tag "pf_rips") rips w.pf_rips;
+      check_int (tag "delta_evals") evals w.delta_evals)
+    [ (1, 0, 1, 186); (2, 2, 2, 448); (5, 8, 5, 1306) ];
+  List.iter
+    (fun (k, rips, checks, evals) ->
+      let routes = Routing.Solution.routes (Routing.Xy.route mesh comms) in
+      let eng = Routing.Delta.of_routes km mesh routes in
+      let history = Array.make (Noc.Mesh.num_links mesh) 0. in
+      let r, w =
+        metered (fun () ->
+            Optim.Pathfinder.refine ~iterations:k ~history eng
+              (Array.of_list routes))
+      in
+      let tag s = Printf.sprintf "refine %d: %s" k s in
+      check_int (tag "passes") k r.Optim.Pathfinder.passes;
+      check_int (tag "rips") rips r.rips;
+      check_bool (tag "infeasible") false r.feasible;
+      check_int (tag "feasibility_checks") checks
+        w.Routing.Metrics.feasibility_checks;
+      check_int (tag "delta_evals") evals w.delta_evals)
+    [ (0, 0, 1, 0); (1, 3, 2, 272); (3, 7, 4, 848) ]
+
 (* ------------------------------------------------------------------ *)
 (* Faults: dead links respected, disconnection is structured *)
 
@@ -340,6 +388,8 @@ let () =
             test_report_matches_full_rescore;
           Alcotest.test_case "negotiation meters its work" `Quick
             test_negotiation_meters_its_work;
+          Alcotest.test_case "negotiation reads the report as before" `Quick
+            test_negotiation_reads_report;
         ] );
       ( "engine",
         [

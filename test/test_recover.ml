@@ -274,7 +274,26 @@ let test_overload_sheds_infeasible_overload () =
       Alcotest.fail
         "full-length negotiation cannot help: Infeasible_overload expected");
   check_int "one communication survives" 1 r.live;
-  check_bool "the survivor is feasible" true r.eval.Routing.Evaluate.feasible
+  check_bool "the survivor is feasible" true r.eval.Routing.Evaluate.feasible;
+  (* A 1x3 corridor whose first link drops to half capacity (1750) under
+     two 1000 Mb/s communications: on the rate tie the first in solution
+     order is shed. *)
+  let mesh = Noc.Mesh.create ~rows:1 ~cols:3 in
+  let solution =
+    Routing.Xy.route mesh [ comm 0 1 1 1 3 1000.; comm 1 1 1 1 3 1000. ]
+  in
+  let schedule =
+    Noc.Fault.Schedule.make mesh [ Degrade_link (link 1 1 1 2, 0.5) ]
+  in
+  let _, reports = Optim.Recover.run km solution schedule in
+  let r = List.hd reports in
+  check_int "degraded corridor: rung 5 reached" 5 r.Optim.Recover.rung;
+  check_int "degraded corridor: one survivor" 1 r.live;
+  check_bool "degraded corridor: the first of the tie is shed" true
+    (List.map
+       (fun (s : Optim.Recover.shed) -> s.comm.Traffic.Communication.id)
+       r.shed_now
+    = [ 0 ])
 
 let test_zero_budget_sheds_budget_exhausted () =
   (* Same structural overload, but with the negotiation budget clamped to

@@ -294,6 +294,47 @@ let test_sleep_strictly_cheaper_and_nosleep_column () =
     s.Optim.Online.final s0.Optim.Online.final
 
 (* ------------------------------------------------------------------ *)
+(* The ladder's bottom rung: shedding and readmission *)
+
+(* A 1x3 corridor has one path per direction, so two 2000 Mb/s
+   arrivals on it overload row 1 (capacity 3500) whatever negotiation
+   does. Rung 5 sheds the lightest offender; on a rate tie the first in
+   admission order (comm 0) goes, and the departure of comm 1 readmits
+   it. *)
+let test_rung5_sheds_and_readmits () =
+  let mesh = Noc.Mesh.create ~rows:1 ~cols:3 in
+  let ev time kind = { Traffic.Trace.time; kind } in
+  let arr t c = ev t (Traffic.Trace.Arrive c) in
+  let events =
+    [
+      arr 1. (comm 0 1 1 1 3 2000.);
+      arr 2. (comm 1 1 1 1 3 2000.);
+      ev 3. (Traffic.Trace.Depart 1);
+    ]
+  in
+  let t = Optim.Online.create km mesh in
+  let ids = List.map (fun (c : Traffic.Communication.t) -> c.id) in
+  List.iteri
+    (fun i (op, (rung, admitted, live, shed, readmitted, checks)) ->
+      let tag s = Printf.sprintf "op %d: %s" i s in
+      check_int (tag "rung") rung op.Optim.Online.rung;
+      check_bool (tag "admitted") admitted op.admitted;
+      check_int (tag "live") live op.live;
+      check_bool (tag "shed ids") true
+        (ids (List.map (fun (s : Optim.Online.shed) -> s.comm) op.shed_now)
+        = shed);
+      check_bool (tag "readmitted ids") true (ids op.readmitted = readmitted);
+      check_int (tag "feasibility_checks") checks
+        op.work.Routing.Metrics.feasibility_checks)
+    (List.combine
+       (Optim.Online.serve t events)
+       [
+         (1, true, 1, [], [], 2);
+         (5, true, 1, [ 0 ], [], 28);
+         (1, false, 1, [], [ 0 ], 2);
+       ])
+
+(* ------------------------------------------------------------------ *)
 (* Validation, registry spellings, deterministic engine *)
 
 let test_create_and_engine_validate () =
@@ -406,6 +447,12 @@ let () =
             prop_nosleep_column_bit_matches_disabled_run;
           Alcotest.test_case "sleeping run strictly cheaper" `Quick
             test_sleep_strictly_cheaper_and_nosleep_column;
+        ] );
+      ( "ladder",
+        [
+          Alcotest.test_case
+            "rung 5 sheds the first lightest offender, then readmits it"
+            `Quick test_rung5_sheds_and_readmits;
         ] );
       ( "engine",
         [
