@@ -566,6 +566,11 @@ let pareto_cmd =
       ]
   in
   let run mesh model seed n weight trials jobs cycles tolerance kills csv () =
+    (* The simulator adds its default warmup, cycles/5, to the budget and
+       rejects a total past max_int; a point that raises scores as
+       infeasible, so such a budget is refused here, before any trial. *)
+    if cycles > max_int - (cycles / 5) then
+      fail "--sim-cycles %d: the budget plus its warmup overflows" cycles;
     (* Opened first, so an unwritable path fails before the exploration. *)
     let csv_out = Option.map (fun path -> (path, open_out path)) csv in
     let points = design_points model in

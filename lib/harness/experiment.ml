@@ -1056,13 +1056,16 @@ let sim_bench () =
       solutions
   in
   let optimized () = ignore (batch (Sim.Network.Arena.create ())) in
-  (* Sanity: arena reuse + early exit stay deterministic across runs. *)
+  (* Sanity: arena reuse + early exit stay deterministic across runs.
+     Marshalling keeps NaNs and float bits, so equal digests mean
+     bit-identical reports. *)
   let reports = batch (Sim.Network.Arena.domain ()) in
   let reports2 = batch (Sim.Network.Arena.domain ()) in
+  let digest (r : Sim.Network.report) = Digest.string (Marshal.to_string r []) in
   List.iter2
-    (fun (a : Sim.Network.report) (b : Sim.Network.report) ->
-      if Int64.bits_of_float a.latency_p95 <> Int64.bits_of_float b.latency_p95
-      then failwith "sim bench: batched simulation is not deterministic")
+    (fun a b ->
+      if not (Digest.equal (digest a) (digest b)) then
+        failwith "sim bench: batched simulation is not deterministic")
     reports reports2;
   let early =
     List.length (List.filter (fun r -> r.Sim.Network.early_exit) reports)

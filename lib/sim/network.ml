@@ -5,33 +5,14 @@ type event =
   | Deadlock of { cycle : int }
   | Link_killed of { cycle : int; link : Noc.Mesh.link }
 
-type packet = {
-  id : int;
-  comm_idx : int;
-  mutable route : int array;
-      (* link ids, source core to sink core: the injector's array until an
-         escape replaces it, so never written in place *)
-  injected_at : int;
-  mutable escaped : bool;
-}
-
-type flit = {
-  pkt : packet;
-  is_head : bool;
-  is_tail : bool;
-  mutable stamp : int;
-  mutable hop : int;  (* index in [pkt.route] of the link it is buffered at *)
-}
-
-type requester = From of int * int | Inject of int
-
 type injector = {
   comm : Traffic.Communication.t;
   paths : (int array * float) array;  (* routes (link ids) and rate shares *)
   flit_rate : float;  (* injected flits per cycle *)
   mutable acc : float;
   mutable sent_per_path : float array;
-  mutable pending : packet Queue.t;
+  pending : int array;  (* packet slots, oldest first ... *)
+  mutable pending_len : int;  (* ... in the first [pending_len] cells *)
   mutable emit_count : int;  (* flits of the head pending packet emitted *)
   mutable emit_vc : int;  (* VC allocated for the head pending packet *)
   mutable injected : int;
@@ -39,22 +20,51 @@ type injector = {
   mutable flits_delivered : int;
   mutable escaped_done : int;
   mutable latency_sum : int;
-  mutable latencies : int list;  (* measured-window tail latencies *)
+  mutable latencies : int array;  (* measured-window tail latencies in ... *)
+  mutable n_latencies : int;  (* ... the first cells; full, it doubles *)
 }
 
+(* Input queue [q = l * vcs + v] buffers flits at the dst of link [l] on
+   VC [v]. A VC holds one packet at a time (allocation waits for its
+   owner's tail flit to leave): the queue holds the owner's flits
+   [gone.(q)] to [gone.(q) + len.(q) - 1], entered over its route's link
+   [hop.(q)], flit [k] stamped in slot [q * depth + k mod depth]. *)
 type t = {
   config : Config.t;
   mesh : Noc.Mesh.t;
   nlinks : int;
+  vcs : int;
+  depth : int;  (* buffer_flits *)
   rate : float array;  (* flits/cycle per link *)
   credit : float array;
-  queue : flit Queue.t array array;  (* queue.(l).(v): buffered at dst of l *)
-  space : int array array;
-  owner : int array array;  (* packet id or -1 *)
-  next_alloc : (int * int) option array array;  (* (out link, out vc) *)
-  wait : int array array;
+  stamp : int array;  (* per flit slot: the cycle it was buffered *)
+  len : int array;  (* per queue *)
+  owner : int array;  (* packet slot or -1 *)
+  hop : int array;
+  gone : int array;  (* the owner's flits that left: 0 while its head is in *)
+  want : int array;
+      (* the link the oldest flit crosses next, [nlinks + l] when the flits
+         of link [l] are at their sink, -1 when empty *)
+  next_alloc : int array;  (* the output queue of the owner's flits or -1 *)
+  wait : int array;
+  demand : int array;
+      (* per [want] value: the queues that want it, plus, for a link, the
+         injectors whose oldest pending packet starts on it *)
+  (* Packet slots: the pending packets plus one per VC bound the live
+     ones. A slot is freed when its packet's tail flit ejects. *)
+  pkt_id : int array;  (* sequential, as events report them *)
+  pkt_comm : int array;  (* injector index *)
+  pkt_injected_at : int array;
+  pkt_escaped : bool array;
+  pkt_route : int array array;
+      (* link ids, source core to sink core: the injector's array until an
+         escape replaces it, so never written in place *)
+  free : int array;  (* a stack of the free slots *)
+  mutable nfree : int;
   injectors : injector array;
-  requesters : requester array array;  (* per output link, arbitration order *)
+  requesters : int array array;
+      (* per output link, arbitration order: an input queue, or [-1 - i]
+         for injector [i] *)
   rr : int array;  (* round-robin pointer per output link *)
   mutable next_packet_id : int;
   mutable cycle : int;
@@ -108,10 +118,8 @@ let link_rate config model load =
 let inputs_table mesh nlinks =
   Array.init nlinks (fun l ->
       let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
-      List.filter_map
-        (fun nb ->
-          let inl = Noc.Mesh.link ~src:nb ~dst:src in
-          Some (Noc.Mesh.link_id mesh inl))
+      List.map
+        (fun nb -> Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:nb ~dst:src))
         (Noc.Mesh.neighbors mesh src))
 
 let create ?(config = Config.default) ?arena model solution =
@@ -119,7 +127,7 @@ let create ?(config = Config.default) ?arena model solution =
   let mesh = Routing.Solution.mesh solution in
   let nlinks = Noc.Mesh.num_links mesh in
   let loads = Routing.Solution.loads solution in
-  let vcs = config.Config.num_vcs in
+  let vcs = config.Config.num_vcs and depth = config.Config.buffer_flits in
   let injectors =
     Array.of_list
       (List.map
@@ -139,7 +147,8 @@ let create ?(config = Config.default) ?arena model solution =
              flit_rate = total /. model.Power.Model.capacity;
              acc = 0.;
              sent_per_path = Array.make (List.length all_routes) 0.;
-             pending = Queue.create ();
+             pending = Array.make config.Config.max_pending_packets (-1);
+             pending_len = 0;
              emit_count = 0;
              emit_vc = -1;
              injected = 0;
@@ -147,7 +156,8 @@ let create ?(config = Config.default) ?arena model solution =
              flits_delivered = 0;
              escaped_done = 0;
              latency_sum = 0;
-             latencies = [];
+             latencies = Array.make 16 0;
+             n_latencies = 0;
            })
          (Routing.Solution.routes solution))
   in
@@ -162,38 +172,49 @@ let create ?(config = Config.default) ?arena model solution =
         table
     | None -> inputs_table mesh nlinks
   in
+  let ninj = Array.length injectors and nq = nlinks * vcs in
   (* Every VC of every link into the output link's source router, then
      the injectors at that router in index order. *)
   let requesters =
     Array.init nlinks (fun l ->
         let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
-        let from =
-          List.concat_map
-            (fun l_in -> List.init vcs (fun v -> From (l_in, v)))
-            inputs_of.(l)
-        in
-        let inject =
-          List.filter
+        List.concat_map
+          (fun l_in -> List.init vcs (fun v -> (l_in * vcs) + v))
+          inputs_of.(l)
+        @ List.filter_map
             (fun i ->
-              Noc.Coord.equal injectors.(i).comm.Traffic.Communication.src src)
-            (List.init (Array.length injectors) Fun.id)
-        in
-        Array.of_list (from @ List.map (fun i -> Inject i) inject))
+              let c = injectors.(i).comm.Traffic.Communication.src in
+              if Noc.Coord.equal c src then Some (-1 - i) else None)
+            (List.init ninj Fun.id)
+        |> Array.of_list)
   in
+  let slots = (ninj * config.Config.max_pending_packets) + nq in
   {
     config;
     mesh;
     nlinks;
+    vcs;
+    depth;
     rate =
       Array.init nlinks (fun l ->
           link_rate config model (Noc.Load.get loads l));
     credit = Array.make nlinks 0.;
-    queue =
-      Array.init nlinks (fun _ -> Array.init vcs (fun _ -> Queue.create ()));
-    space = Array.make_matrix nlinks vcs config.Config.buffer_flits;
-    owner = Array.make_matrix nlinks vcs (-1);
-    next_alloc = Array.make_matrix nlinks vcs None;
-    wait = Array.make_matrix nlinks vcs 0;
+    stamp = Array.make (nq * depth) 0;
+    len = Array.make nq 0;
+    owner = Array.make nq (-1);
+    hop = Array.make nq 0;
+    gone = Array.make nq 0;
+    want = Array.make nq (-1);
+    next_alloc = Array.make nq (-1);
+    wait = Array.make nq 0;
+    demand = Array.make (2 * nlinks) 0;
+    pkt_id = Array.make slots 0;
+    pkt_comm = Array.make slots 0;
+    pkt_injected_at = Array.make slots 0;
+    pkt_escaped = Array.make slots false;
+    pkt_route = Array.make slots [||];
+    free = Array.init slots Fun.id;
+    nfree = slots;
     injectors;
     requesters;
     rr = Array.make nlinks 0;
@@ -218,6 +239,8 @@ let emit t event =
   match t.observer with Some f -> f event | None -> ()
 
 let schedule_link_kill t ~cycle link =
+  if t.ran then
+    invalid_arg "Network.schedule_link_kill: the network has already run";
   if not (Noc.Mesh.link_exists t.mesh link) then
     invalid_arg
       (Format.asprintf "Network.schedule_link_kill: no link %a"
@@ -240,11 +263,31 @@ let apply_kills t =
                { cycle = t.cycle; link = Noc.Mesh.link_of_id t.mesh l }))
         due
 
-let escape_vc_of t = t.config.Config.num_vcs - 1
+let oldest_stamp t q = t.stamp.((q * t.depth) + (t.gone.(q) mod t.depth))
 
-let normal_vcs t =
-  if t.config.Config.escape_vc then t.config.Config.num_vcs - 1
-  else t.config.Config.num_vcs
+(* What the owner of queue [q] wants next: a link, or its sink. *)
+let next_link t q =
+  let route = t.pkt_route.(t.owner.(q)) and next = t.hop.(q) + 1 in
+  if next < Array.length route then route.(next)
+  else t.nlinks + route.(next - 1)
+
+let add_demand t w d = if w >= 0 then t.demand.(w) <- t.demand.(w) + d
+
+let set_want t q w =
+  add_demand t t.want.(q) (-1);
+  add_demand t w 1;
+  t.want.(q) <- w
+
+(* Takes the oldest flit out of queue [q]; the owner's tail frees the VC. *)
+let pop t q =
+  t.len.(q) <- t.len.(q) - 1;
+  if t.len.(q) = 0 then set_want t q (-1);
+  if t.gone.(q) = t.config.Config.packet_flits - 1 then begin
+    t.owner.(q) <- -1;
+    t.gone.(q) <- 0;
+    t.next_alloc.(q) <- -1
+  end
+  else t.gone.(q) <- t.gone.(q) + 1
 
 (* ---------------- injection ---------------- *)
 
@@ -265,34 +308,31 @@ let choose_path inj =
   !best
 
 let inject_new_packets t =
+  let pf = float_of_int t.config.Config.packet_flits in
   Array.iteri
     (fun inj_idx inj ->
       inj.acc <- inj.acc +. inj.flit_rate;
-      let pf = float_of_int t.config.Config.packet_flits in
-      while
-        inj.acc >= pf
-        && Queue.length inj.pending < t.config.Config.max_pending_packets
-      do
+      while inj.acc >= pf && inj.pending_len < Array.length inj.pending do
         inj.acc <- inj.acc -. pf;
         let path_idx = choose_path inj in
         let route, _ = inj.paths.(path_idx) in
         inj.sent_per_path.(path_idx) <- inj.sent_per_path.(path_idx) +. 1.;
-        let pkt =
-          {
-            id = t.next_packet_id;
-            comm_idx = inj_idx;
-            route;
-            injected_at = t.cycle;
-            escaped = false;
-          }
-        in
+        t.nfree <- t.nfree - 1;
+        let p = t.free.(t.nfree) in
+        t.pkt_id.(p) <- t.next_packet_id;
+        t.pkt_comm.(p) <- inj_idx;
+        t.pkt_injected_at.(p) <- t.cycle;
+        t.pkt_escaped.(p) <- false;
+        t.pkt_route.(p) <- route;
         t.next_packet_id <- t.next_packet_id + 1;
-        Queue.push pkt inj.pending;
+        inj.pending.(inj.pending_len) <- p;
+        inj.pending_len <- inj.pending_len + 1;
+        if inj.pending_len = 1 then add_demand t route.(0) 1;
         inj.injected <- inj.injected + 1;
         emit t
           (Injected
              { cycle = t.cycle; comm_id = inj.comm.Traffic.Communication.id;
-               packet = pkt.id })
+               packet = t.pkt_id.(p) })
       done;
       (* Without pending room the offered load is dropped: saturation. *)
       if inj.acc >= pf then inj.acc <- pf)
@@ -302,204 +342,194 @@ let inject_new_packets t =
 
 let eject t =
   for l = 0 to t.nlinks - 1 do
-    for v = 0 to t.config.Config.num_vcs - 1 do
-      let q = t.queue.(l).(v) in
-      if not (Queue.is_empty q) then begin
-        let f = Queue.peek q in
-        if f.stamp + t.config.Config.router_latency <= t.cycle then begin
-          let pkt = f.pkt in
-          if f.hop = Array.length pkt.route - 1 then begin
-            (* Arrived: consume one flit per cycle per stream. *)
-            ignore (Queue.pop q);
-            t.space.(l).(v) <- t.space.(l).(v) + 1;
-            t.flits_in_flight <- t.flits_in_flight - 1;
-            t.total_ejected <- t.total_ejected + 1;
-            t.last_progress <- t.cycle;
-            let inj = t.injectors.(pkt.comm_idx) in
-            if t.measuring then inj.flits_delivered <- inj.flits_delivered + 1;
-            if f.is_tail then begin
-              t.owner.(l).(v) <- -1;
-              t.next_alloc.(l).(v) <- None;
-              inj.delivered <- inj.delivered + 1;
-              if pkt.escaped then inj.escaped_done <- inj.escaped_done + 1;
-              let lat = t.cycle - pkt.injected_at in
-              inj.latency_sum <- inj.latency_sum + lat;
-              if t.measuring then inj.latencies <- lat :: inj.latencies;
-              emit t
-                (Delivered
-                   { cycle = t.cycle;
-                     comm_id = inj.comm.Traffic.Communication.id;
-                     packet = pkt.id; latency = lat })
-            end
+    (* Only a link whose flits are at their sink has any to eject. *)
+    if t.demand.(t.nlinks + l) > 0 then
+      for v = 0 to t.vcs - 1 do
+        let q = (l * t.vcs) + v in
+        if
+          t.want.(q) = t.nlinks + l
+          && oldest_stamp t q + t.config.Config.router_latency <= t.cycle
+        then begin
+          (* Arrived: consume one flit per cycle per stream. *)
+          let p = t.owner.(q) in
+          let is_tail = t.gone.(q) = t.config.Config.packet_flits - 1 in
+          pop t q;
+          t.flits_in_flight <- t.flits_in_flight - 1;
+          t.total_ejected <- t.total_ejected + 1;
+          t.last_progress <- t.cycle;
+          let inj = t.injectors.(t.pkt_comm.(p)) in
+          if t.measuring then inj.flits_delivered <- inj.flits_delivered + 1;
+          if is_tail then begin
+            inj.delivered <- inj.delivered + 1;
+            if t.pkt_escaped.(p) then inj.escaped_done <- inj.escaped_done + 1;
+            let lat = t.cycle - t.pkt_injected_at.(p) in
+            inj.latency_sum <- inj.latency_sum + lat;
+            if t.measuring then begin
+              if inj.n_latencies = Array.length inj.latencies then
+                inj.latencies <- Array.append inj.latencies inj.latencies;
+              inj.latencies.(inj.n_latencies) <- lat;
+              inj.n_latencies <- inj.n_latencies + 1
+            end;
+            emit t
+              (Delivered
+                 { cycle = t.cycle;
+                   comm_id = inj.comm.Traffic.Communication.id;
+                   packet = t.pkt_id.(p); latency = lat });
+            t.free.(t.nfree) <- p;
+            t.nfree <- t.nfree + 1
           end
         end
-      end
-    done
+      done
   done
 
 (* ---------------- switch arbitration ---------------- *)
 
-(* Whether the requester has a flit ready to cross [l_out] now, and the
-   output VC to use; performs VC allocation for head flits. *)
+(* The first VC of [l_out] that packet [p] may take, free and with buffer
+   room, or -1. An escaped packet may only take the escape VC, the last. *)
+let allocate t l_out p =
+  let escaped = t.pkt_escaped.(p) in
+  let last =
+    if escaped || not t.config.Config.escape_vc then t.vcs - 1 else t.vcs - 2
+  in
+  let base = l_out * t.vcs in
+  let w = ref (if escaped then last else 0) in
+  while
+    !w <= last && not (t.owner.(base + !w) = -1 && t.len.(base + !w) < t.depth)
+  do
+    incr w
+  done;
+  if !w > last then -1 else !w
+
+(* Sends a flit of packet [p] across [l_out] into VC [w]; a head flit
+   takes the VC at route position [hop]. *)
+let deliver t l_out w p ~is_head ~hop =
+  let q = (l_out * t.vcs) + w in
+  if is_head then begin
+    t.owner.(q) <- p;
+    t.hop.(q) <- hop
+  end;
+  t.stamp.((q * t.depth) + ((t.gone.(q) + t.len.(q)) mod t.depth)) <- t.cycle;
+  t.len.(q) <- t.len.(q) + 1;
+  if t.len.(q) = 1 then set_want t q (next_link t q);
+  t.credit.(l_out) <- t.credit.(l_out) -. 1.;
+  t.flits_moved <- t.flits_moved + 1;
+  if t.measuring then t.link_flits.(l_out) <- t.link_flits.(l_out) + 1;
+  t.last_progress <- t.cycle
+
+(* Whether requester [req], an injector or an input queue whose flits want
+   [l_out], moves one across it now; head flits get a VC allocated. *)
 let try_transfer t l_out req =
-  let allocate pkt =
-    (* An escaped packet may only take the escape VC. *)
-    let last = if pkt.escaped then escape_vc_of t else normal_vcs t - 1 in
-    let rec find w =
-      if w > last then None
-      else if t.owner.(l_out).(w) = -1 && t.space.(l_out).(w) >= 1 then Some w
-      else find (w + 1)
-    in
-    find (if pkt.escaped then last else 0)
-  in
-  let deliver flit out_vc =
-    Queue.push flit t.queue.(l_out).(out_vc);
-    flit.stamp <- t.cycle;
-    t.space.(l_out).(out_vc) <- t.space.(l_out).(out_vc) - 1;
-    if flit.is_head then t.owner.(l_out).(out_vc) <- flit.pkt.id;
-    t.credit.(l_out) <- t.credit.(l_out) -. 1.;
-    t.flits_moved <- t.flits_moved + 1;
-    if t.measuring then t.link_flits.(l_out) <- t.link_flits.(l_out) + 1;
-    t.last_progress <- t.cycle
-  in
-  match req with
-  | From (l_in, v) ->
-      let q = t.queue.(l_in).(v) in
-      if Queue.is_empty q then false
+  if req >= 0 then begin
+    if oldest_stamp t req + t.config.Config.router_latency > t.cycle
+    then false
+    else begin
+      let p = t.owner.(req) and is_head = t.gone.(req) = 0 in
+      let base = l_out * t.vcs in
+      (* Body flits want the link their head took, on its VC. *)
+      let w =
+        if is_head then allocate t l_out p else t.next_alloc.(req) - base
+      in
+      if w < 0 || t.len.(base + w) >= t.depth then false
       else begin
-        let f = Queue.peek q in
-        if f.stamp + t.config.Config.router_latency > t.cycle then false
+        t.wait.(req) <- 0;
+        if is_head then t.next_alloc.(req) <- base + w;
+        pop t req;
+        deliver t l_out w p ~is_head ~hop:(t.hop.(req) + 1);
+        true
+      end
+    end
+  end
+  else begin
+    let inj = t.injectors.(-1 - req) in
+    if inj.pending_len = 0 then false
+    else begin
+      let p = inj.pending.(0) in
+      if t.pkt_route.(p).(0) <> l_out then false
+      else begin
+        let is_head = inj.emit_count = 0 in
+        let w = if is_head then allocate t l_out p else inj.emit_vc in
+        if w < 0 || t.len.((l_out * t.vcs) + w) >= t.depth then false
         else begin
-          let pkt = f.pkt in
-          if f.hop + 1 >= Array.length pkt.route then false
-          else if pkt.route.(f.hop + 1) <> l_out then false
-          else begin
-            let out_vc =
-              match t.next_alloc.(l_in).(v) with
-              | Some (lo, w) when lo = l_out -> if f.is_head then None else Some w
-              | Some _ -> None
-              | None -> if f.is_head then allocate pkt else None
-            in
-            match out_vc with
-            | None -> false
-            | Some w ->
-                if t.space.(l_out).(w) < 1 then false
-                else begin
-                  ignore (Queue.pop q);
-                  t.space.(l_in).(v) <- t.space.(l_in).(v) + 1;
-                  t.wait.(l_in).(v) <- 0;
-                  if f.is_head then t.next_alloc.(l_in).(v) <- Some (l_out, w);
-                  if f.is_tail then begin
-                    t.owner.(l_in).(v) <- -1;
-                    t.next_alloc.(l_in).(v) <- None
-                  end;
-                  f.hop <- f.hop + 1;
-                  deliver f w;
-                  true
-                end
-          end
+          if is_head then inj.emit_vc <- w;
+          inj.emit_count <- inj.emit_count + 1;
+          t.flits_in_flight <- t.flits_in_flight + 1;
+          t.total_injected <- t.total_injected + 1;
+          if inj.emit_count = t.config.Config.packet_flits then begin
+            inj.pending_len <- inj.pending_len - 1;
+            Array.blit inj.pending 1 inj.pending 0 inj.pending_len;
+            add_demand t l_out (-1);
+            if inj.pending_len > 0 then
+              add_demand t t.pkt_route.(inj.pending.(0)).(0) 1;
+            inj.emit_count <- 0;
+            inj.emit_vc <- -1
+          end;
+          deliver t l_out w p ~is_head ~hop:0;
+          true
         end
       end
-  | Inject ci ->
-      let inj = t.injectors.(ci) in
-      if Queue.is_empty inj.pending then false
-      else begin
-        let pkt = Queue.peek inj.pending in
-        if pkt.route.(0) <> l_out then false
-        else begin
-          let pf = t.config.Config.packet_flits in
-          let is_head = inj.emit_count = 0 in
-          let out_vc =
-            if is_head then allocate pkt
-            else if inj.emit_vc >= 0 then Some inj.emit_vc
-            else None
-          in
-          match out_vc with
-          | None -> false
-          | Some w ->
-              if t.space.(l_out).(w) < 1 then false
-              else begin
-                let is_tail = inj.emit_count = pf - 1 in
-                let f = { pkt; is_head; is_tail; stamp = t.cycle; hop = 0 } in
-                if is_head then inj.emit_vc <- w;
-                inj.emit_count <- inj.emit_count + 1;
-                t.flits_in_flight <- t.flits_in_flight + 1;
-                t.total_injected <- t.total_injected + 1;
-                if is_tail then begin
-                  ignore (Queue.pop inj.pending);
-                  inj.emit_count <- 0;
-                  inj.emit_vc <- -1
-                end;
-                deliver f w;
-                true
-              end
-        end
-      end
+    end
+  end
+
+(* Round robin over the [k] requesters of [l_out] from index [i]: the
+   first that moves a flit puts the pointer past itself. One read rejects
+   an input queue whose flits are bound elsewhere. *)
+let rec scan t l_out requesters i k =
+  if k > 0 then begin
+    let next = if i + 1 = Array.length requesters then 0 else i + 1 in
+    let req = requesters.(i) in
+    if (req < 0 || t.want.(req) = l_out) && try_transfer t l_out req then
+      t.rr.(l_out) <- next
+    else scan t l_out requesters next (k - 1)
+  end
 
 let arbitrate t =
   for l_out = 0 to t.nlinks - 1 do
-    t.credit.(l_out) <- Float.min 2. (t.credit.(l_out) +. t.rate.(l_out));
-    let requesters = t.requesters.(l_out) in
-    let n = Array.length requesters in
-    if t.credit.(l_out) >= 1. && n > 0 then begin
-      let start = t.rr.(l_out) mod n in
-      let rec go k =
-        if k < n then begin
-          let i = (start + k) mod n in
-          if try_transfer t l_out requesters.(i) then t.rr.(l_out) <- i + 1
-          else go (k + 1)
-        end
-      in
-      go 0
-    end
+    (* [Float.min 2.], bit for bit, without its sign-bit calls. *)
+    let c = t.credit.(l_out) +. t.rate.(l_out) in
+    t.credit.(l_out) <- (if c > 2. then 2. else c);
+    (* Without demand, no requester has a flit for [l_out]. *)
+    if t.credit.(l_out) >= 1. && t.demand.(l_out) > 0 then
+      let requesters = t.requesters.(l_out) in
+      scan t l_out requesters t.rr.(l_out) (Array.length requesters)
   done
 
 (* ---------------- escape ---------------- *)
 
-(* The blocked head flit [f] waits in [current_core]: keep the links up to
-   its hop, which its body flits are still on, and finish dimension-ordered
-   from there. *)
-let reroute_via_xy t f current_core =
-  let pkt = f.pkt in
-  let comm = t.injectors.(pkt.comm_idx).comm in
-  let snk = comm.Traffic.Communication.snk in
-  if Noc.Coord.equal current_core snk then ()
-  else begin
-    let xy = Noc.Path.xy ~src:current_core ~snk in
-    let tail_ids = path_links t.mesh xy in
-    pkt.route <- Array.append (Array.sub pkt.route 0 (f.hop + 1)) tail_ids;
-    pkt.escaped <- true
+(* The blocked head flit of queue [q] waits in [current_core]: keep the
+   links up to its hop, which its body flits are still on, and finish
+   dimension-ordered from there. Only the queue's own next link changes. *)
+let reroute_via_xy t q (comm : Traffic.Communication.t) current_core =
+  let p = t.owner.(q) and snk = comm.snk in
+  if not (Noc.Coord.equal current_core snk) then begin
+    let tail_ids = path_links t.mesh (Noc.Path.xy ~src:current_core ~snk) in
+    t.pkt_route.(p) <-
+      Array.append (Array.sub t.pkt_route.(p) 0 (t.hop.(q) + 1)) tail_ids;
+    t.pkt_escaped.(p) <- true;
+    set_want t q (next_link t q)
   end
 
 let trigger_escapes t =
   if t.config.Config.escape_vc then
-    for l = 0 to t.nlinks - 1 do
-      for v = 0 to t.config.Config.num_vcs - 1 do
-        let q = t.queue.(l).(v) in
+    for q = 0 to Array.length t.len - 1 do
+      if t.len.(q) > 0 && t.gone.(q) = 0 && t.next_alloc.(q) < 0 then begin
+        t.wait.(q) <- t.wait.(q) + 1;
+        let p = t.owner.(q) in
         if
-          (not (Queue.is_empty q))
-          && (Queue.peek q).is_head
-          && t.next_alloc.(l).(v) = None
+          t.wait.(q) >= t.config.Config.escape_patience
+          && (not t.pkt_escaped.(p))
+          && q mod t.vcs <> t.vcs - 1
         then begin
-          t.wait.(l).(v) <- t.wait.(l).(v) + 1;
-          let f = Queue.peek q in
-          let pkt = f.pkt in
-          if
-            t.wait.(l).(v) >= t.config.Config.escape_patience
-            && (not pkt.escaped)
-            && v <> escape_vc_of t
-          then begin
-            reroute_via_xy t f (Noc.Mesh.link_of_id t.mesh l).Noc.Mesh.dst;
-            emit t
-              (Escaped
-                 { cycle = t.cycle;
-                   comm_id = t.injectors.(pkt.comm_idx).comm.Traffic.Communication.id;
-                   packet = pkt.id });
-            t.wait.(l).(v) <- 0
-          end
+          let comm = t.injectors.(t.pkt_comm.(p)).comm in
+          reroute_via_xy t q comm
+            (Noc.Mesh.link_of_id t.mesh (q / t.vcs)).Noc.Mesh.dst;
+          emit t
+            (Escaped
+               { cycle = t.cycle; comm_id = comm.Traffic.Communication.id;
+                 packet = t.pkt_id.(p) });
+          t.wait.(q) <- 0
         end
-        else t.wait.(l).(v) <- 0
-      done
+      end
+      else t.wait.(q) <- 0
     done
 
 (* ---------------- main loop ---------------- *)
@@ -543,14 +573,17 @@ type report = {
   early_exit : bool;
 }
 
-(* Nearest-rank percentile of the recorded latencies. *)
-let percentile latencies q =
-  match latencies with
-  | [] -> Float.nan
-  | l ->
-      let a = Array.of_list l in
-      Array.sort Int.compare a;
-      float_of_int a.(Routing.Metrics.nearest_rank (Array.length a) q)
+(* A sorted copy of the recorded latencies. *)
+let sorted_latencies (inj : injector) =
+  let a = Array.sub inj.latencies 0 inj.n_latencies in
+  Array.sort Int.compare a;
+  a
+
+(* Nearest-rank percentile of sorted latencies. *)
+let percentile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan
+  else float_of_int sorted.(Routing.Metrics.nearest_rank n q)
 
 (* One convergence probe per injector: the delivered rate and the latency
    quantiles measured so far. *)
@@ -561,7 +594,8 @@ let probe_injector measured (inj : injector) =
       float_of_int inj.flits_delivered /. float_of_int measured
       *. (inj.comm.Traffic.Communication.rate /. inj.flit_rate)
   in
-  (rate, percentile inj.latencies 0.50, percentile inj.latencies 0.95)
+  let sorted = sorted_latencies inj in
+  (rate, percentile sorted 0.50, percentile sorted 0.95)
 
 (* Convergence between two probes of the same injector, within the
    relative tolerance [tol]: the delivered rate must have reached the
@@ -589,8 +623,10 @@ let run ?warmup ?tolerance t ~cycles =
   | Some tol when (not (Float.is_finite tol)) || tol <= 0. ->
       invalid_arg "Sim.Network.run: tolerance must be positive"
   | _ -> ());
-  t.ran <- true;
   let warmup = match warmup with Some w -> w | None -> cycles / 5 in
+  if warmup > max_int - cycles then
+    invalid_arg "Sim.Network.run: warmup + cycles overflows";
+  t.ran <- true;
   let deadlocked = ref false in
   let early = ref false in
   (* Early-exit checkpoints: every [chunk] measured cycles, compare the
@@ -610,7 +646,7 @@ let run ?warmup ?tolerance t ~cycles =
              inj.delivered <- 0;
              inj.escaped_done <- 0;
              inj.latency_sum <- 0;
-             inj.latencies <- [];
+             inj.n_latencies <- 0;
              inj.injected <- 0)
            t.injectors;
          Array.fill t.link_flits 0 t.nlinks 0
@@ -630,13 +666,10 @@ let run ?warmup ?tolerance t ~cycles =
              Array.map (probe_injector t.measured_cycles) t.injectors
            in
            let stable prev =
-             let n = Array.length t.injectors in
-             let rec go i =
-               i >= n
-               || (probe_stable ~tol t.injectors.(i) prev.(i) cur.(i)
-                  && go (i + 1))
-             in
-             go 0
+             Array.for_all Fun.id
+               (Array.mapi
+                  (fun i inj -> probe_stable ~tol inj prev.(i) cur.(i))
+                  t.injectors)
            in
            (match !prev_probe with
            | Some prev when stable prev ->
@@ -653,19 +686,19 @@ let run ?warmup ?tolerance t ~cycles =
       (fun l n -> (l, float_of_int n /. float_of_int measured))
       t.link_flits
   in
-  (* Every measured tail latency, injector order: the pooled quantiles are
-     the campaign-level latency objective. *)
+  (* Every measured tail latency, sorted: the pooled quantiles are the
+     campaign-level latency objective. *)
   let pooled =
-    Array.fold_left
-      (fun acc (inj : injector) -> List.rev_append inj.latencies acc)
-      [] t.injectors
+    Array.concat (Array.to_list (Array.map sorted_latencies t.injectors))
   in
+  Array.sort Int.compare pooled;
   {
     cycles = measured;
     comms =
       Array.to_list
         (Array.map
            (fun (inj : injector) ->
+             let sorted = sorted_latencies inj in
              {
                comm = inj.comm;
                packets_injected = inj.injected;
@@ -675,9 +708,9 @@ let run ?warmup ?tolerance t ~cycles =
                mean_latency =
                  (if inj.delivered = 0 then Float.nan
                   else float_of_int inj.latency_sum /. float_of_int inj.delivered);
-               latency_p50 = percentile inj.latencies 0.50;
-               latency_p95 = percentile inj.latencies 0.95;
-               latency_p99 = percentile inj.latencies 0.99;
+               latency_p50 = percentile sorted 0.50;
+               latency_p95 = percentile sorted 0.95;
+               latency_p99 = percentile sorted 0.99;
                requested_rate = inj.comm.Traffic.Communication.rate;
                delivered_rate =
                  float_of_int inj.flits_delivered

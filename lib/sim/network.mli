@@ -106,8 +106,8 @@ val schedule_link_kill : t -> cycle:int -> Noc.Mesh.link -> unit
     stops earning credit, so flits routed over it stall at its source
     router until the escape VC reroutes them (or, with escapes disabled,
     until the deadlock detector fires). Call before {!run}.
-    @raise Invalid_argument on a link outside the mesh or a negative
-    cycle. *)
+    @raise Invalid_argument on a link outside the mesh, a negative cycle,
+    or a network that has already run (the kill would never apply). *)
 
 val run : ?warmup:int -> ?tolerance:float -> t -> cycles:int -> report
 (** Advances the simulation: [warmup] unmeasured cycles (default
@@ -124,7 +124,8 @@ val run : ?warmup:int -> ?tolerance:float -> t -> cycles:int -> report
     A communication starved by an overloaded link never reaches its
     requested rate, so an overloaded network always runs the full budget.
     @raise Invalid_argument when [cycles <= 0] (a non-positive budget used
-    to silently produce a bogus one-cycle report), when [warmup < 0], or
-    when [tolerance] is not a positive finite number. *)
+    to silently produce a bogus one-cycle report), when [warmup < 0], when
+    [warmup + cycles] exceeds [max_int] (it used to wrap and simulate
+    nothing), or when [tolerance] is not a positive finite number. *)
 
 val pp_report : Format.formatter -> report -> unit

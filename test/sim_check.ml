@@ -41,3 +41,52 @@ let escaped (r : Sim.Network.report) =
   List.fold_left
     (fun acc (s : Sim.Network.comm_stats) -> acc + s.escaped_packets)
     0 r.comms
+
+(* Every observer event of [net], one line each in emission order. *)
+let record_events buf net =
+  Sim.Network.set_observer net (function
+    | Sim.Network.Injected { cycle; comm_id; packet } ->
+        Printf.bprintf buf "I %d %d %d\n" cycle comm_id packet
+    | Delivered { cycle; comm_id; packet; latency } ->
+        Printf.bprintf buf "D %d %d %d %d\n" cycle comm_id packet latency
+    | Escaped { cycle; comm_id; packet } ->
+        Printf.bprintf buf "E %d %d %d\n" cycle comm_id packet
+    | Deadlock { cycle } -> Printf.bprintf buf "X %d\n" cycle
+    | Link_killed { cycle; link } ->
+        Printf.bprintf buf "K %d %s\n" cycle
+          (Format.asprintf "%a" Noc.Mesh.pp_link link))
+
+(* Two YX routes on 6x6 whose second hops die at cycles 200 and 300: the
+   blocked packets escape from row 2, seven hops from their sinks, and
+   the two XY escape tails share row 2 and column 5. *)
+let long_escape_instance () =
+  let mesh = Noc.Mesh.square 6 in
+  let yx id src snk rate =
+    let c = Traffic.Communication.make ~id ~src ~snk ~rate in
+    Routing.Solution.route_single c (Noc.Path.yx ~src ~snk)
+  in
+  ( Routing.Solution.make mesh
+      [ yx 0 (coord 1 1) (coord 5 5) 800.; yx 1 (coord 1 2) (coord 6 5) 600. ],
+    [
+      (200, Noc.Mesh.link ~src:(coord 2 1) ~dst:(coord 3 1));
+      (300, Noc.Mesh.link ~src:(coord 2 2) ~dst:(coord 3 2));
+    ] )
+
+(* Buffer/packet/VC/patience mixes that run the input buffers at one flit
+   and at odd sizes, the third with a two-cycle router. *)
+let odd_buffer_configs =
+  let mk buffer_flits packet_flits num_vcs escape_patience =
+    {
+      Sim.Config.default with
+      buffer_flits;
+      packet_flits;
+      num_vcs;
+      escape_patience;
+    }
+  in
+  [
+    mk 1 1 2 64;
+    mk 3 3 3 4;
+    { (mk 2 5 2 8) with router_latency = 2 };
+    mk 1 4 3 1;
+  ]

@@ -407,6 +407,57 @@ let test_sim_digest () =
   Alcotest.(check string) "report digest" "72fff0a138994e724a44fe069f9b64da"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Long escape tails, odd buffers and the event stream. The escapes above
+   all start one hop from their sink, so an escape finishing YX, or an
+   escaped packet taking a normal VC, leaves that digest alone. Here the
+   digest covers every observer event in order next to each report:
+   (a) the two-kill YX instance, under the default configuration and at
+   one-flit packets in two-flit buffers with a patience of two; (b) four
+   keyed 12-communication PR routings on 6x6 at 2250-2750 Mb/s, under
+   each buffer mix. *)
+let test_sim_stream_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let run ~config ?warmup ?(kills = []) ~cycles sol =
+    let net = Sim.Network.create ~config km sol in
+    List.iter
+      (fun (cycle, link) -> Sim.Network.schedule_link_kill net ~cycle link)
+      kills;
+    Sim_check.record_events buf net;
+    let r = Sim.Network.run ?warmup net ~cycles in
+    sim_line buf r;
+    Sim_check.escaped r
+  in
+  let sol, kills = Sim_check.long_escape_instance () in
+  let tight =
+    {
+      Sim.Config.default with
+      packet_flits = 1;
+      buffer_flits = 2;
+      num_vcs = 2;
+      escape_patience = 2;
+    }
+  in
+  List.iter
+    (fun (config, expected) ->
+      check_int "escaped packets" expected
+        (run ~config ~warmup:0 ~kills ~cycles:3_000 sol))
+    [ (Sim.Config.default, 96); (tight, 792) ];
+  let mesh = Noc.Mesh.square 6 in
+  for t = 0 to 3 do
+    let rng = Traffic.Rng.of_key "golden-sim-rings" [ Int64.of_int t ] in
+    let comms =
+      Traffic.Workload.uniform rng mesh ~n:12
+        ~weight:(Traffic.Workload.around 2500.)
+    in
+    let sol = Routing.Heuristic.pr.run km mesh comms in
+    List.iter
+      (fun config -> ignore (run ~config ~cycles:1_500 sol))
+      Sim_check.odd_buffer_configs
+  done;
+  Alcotest.(check string) "report and event digest"
+    "13b0251a5950496a613dfc35a6a5a07a"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "golden"
     [
@@ -480,5 +531,8 @@ let () =
         [
           Alcotest.test_case "PF8/REC4 walks and 2-VC escapes" `Quick
             test_sim_digest;
+          Alcotest.test_case
+            "long escape tails, odd buffers and the event stream" `Quick
+            test_sim_stream_digest;
         ] );
     ]

@@ -312,7 +312,10 @@ let test_schedule_kill_validation () =
     | exception Invalid_argument _ -> ()
   in
   rejects (-1) dead;
-  rejects 10 (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 3 3))
+  rejects 10 (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 3 3));
+  (* A kill scheduled once the network has run would never apply. *)
+  ignore (Sim.Network.run net ~cycles:10);
+  rejects 10 dead
 
 (* ------------------------------------------------------------------ *)
 (* Validate verdicts *)
@@ -391,7 +394,12 @@ let test_run_budget_validation () =
   Alcotest.check_raises "nan tolerance"
     (Invalid_argument "Sim.Network.run: tolerance must be positive")
     (fun () ->
-      ignore (Sim.Network.run ~tolerance:Float.nan (tiny_net ()) ~cycles:100))
+      ignore (Sim.Network.run ~tolerance:Float.nan (tiny_net ()) ~cycles:100));
+  (* The default warmup is cycles/5, so this total does not fit an int: it
+     used to wrap negative and simulate nothing. *)
+  Alcotest.check_raises "warmup + cycles overflows"
+    (Invalid_argument "Sim.Network.run: warmup + cycles overflows")
+    (fun () -> ignore (Sim.Network.run (tiny_net ()) ~cycles:max_int))
 
 let test_tiny_budget_measures_every_cycle () =
   let r = Sim.Network.run (tiny_net ()) ~cycles:3 in
