@@ -1227,9 +1227,12 @@ let optimal_cmd =
           (fun (o : Routing.Best.outcome) ->
             match o.report.Routing.Evaluate.feasible with
             | true ->
+                (* An empty instance's optimum is 0, and so is every
+                   routing's power: a gap of 0, not 0/0. *)
                 Format.printf "  %-4s %.3f mW (gap %+.1f%%)@."
                   o.heuristic.name o.report.total_power
-                  (100. *. (o.report.total_power -. p) /. p)
+                  (if p = 0. then 0.
+                   else 100. *. (o.report.total_power -. p) /. p)
             | false -> Format.printf "  %-4s failed@." o.heuristic.name)
           (Routing.Best.run_all model mesh comms)
     | Optim.Exact.Infeasible ->

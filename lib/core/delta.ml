@@ -39,9 +39,6 @@ let cost_at sc ~factor load =
 
 let cost sc id load = cost_at sc ~factor:(Noc.Load.factor sc.s_loads id) load
 
-let cost_link sc l load =
-  cost_at sc ~factor:(Noc.Load.factor_link sc.s_loads l) load
-
 (* Planned effective occupancy of a link if [rate] more units were routed
    over it — the SG / PR extraction scoring primitive. No cost table
    involved; routed through here so the reads are counted uniformly. *)
@@ -49,11 +46,6 @@ let occupancy loads ~dead ~rate id =
   bump ();
   let phi = Noc.Load.factor loads id in
   if phi <= 0. then dead else (Noc.Load.get loads id +. rate) /. phi
-
-let occupancy_link loads ~dead ~rate l =
-  bump ();
-  let phi = Noc.Load.factor_link loads l in
-  if phi <= 0. then dead else (Noc.Load.get_link loads l +. rate) /. phi
 
 (* ------------------------------------------------------------------ *)
 (* Tracked engine *)

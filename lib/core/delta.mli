@@ -45,15 +45,11 @@ val cost : scorer -> int -> float -> float
 (** {!cost_at} with the factor of the given link id, read from the fault
     the loads carry. *)
 
-val cost_link : scorer -> Noc.Mesh.link -> float -> float
-
 val occupancy : Noc.Load.t -> dead:float -> rate:float -> int -> float
 (** Planned effective occupancy of a link were [rate] more units routed
     over it: [(load + rate) / factor], or [dead] on a dead link — the
     scoring primitive of SG's fork choice and PR's path extraction
     (which use different [dead] sentinels). Bumps [delta_evals]. *)
-
-val occupancy_link : Noc.Load.t -> dead:float -> rate:float -> Noc.Mesh.link -> float
 
 (** {1 Tracked engine} *)
 
@@ -80,7 +76,6 @@ val add : t -> int -> float -> unit
 (** [add t id delta] routes [delta] (possibly negative) over one link:
     the {!Noc.Load.add} mutation plus O(1) classification upkeep. *)
 
-val add_link : t -> Noc.Mesh.link -> float -> unit
 val add_path : t -> Noc.Path.t -> float -> unit
 val remove_path : t -> Noc.Path.t -> float -> unit
 val add_walk : t -> Noc.Walk.t -> float -> unit

@@ -1,73 +1,62 @@
-let preroute_shares (comm : Traffic.Communication.t) =
-  let rect = Traffic.Communication.rect comm in
-  let n = Noc.Rect.length rect in
-  List.concat
-    (List.init n (fun k ->
-         let links = Noc.Rect.links_on_step rect k in
-         let share =
-           comm.rate /. float_of_int (List.length links)
-         in
-         List.map (fun l -> (l, share)) links))
-
-let apply_preroute loads comm sign =
-  List.iter
-    (fun (l, share) -> Noc.Load.add_link loads l (sign *. share))
-    (preroute_shares comm)
+(* The Figure 3 ideal distribution: the rate split evenly over the links
+   of each step. *)
+let apply_preroute loads (d : Noc.Rect.dag) rate sign =
+  for k = 0 to Noc.Rect.length d.rect - 1 do
+    let share = rate /. float_of_int (d.steps.(k + 1) - d.steps.(k)) in
+    for s = d.steps.(k) to d.steps.(k + 1) - 1 do
+      Noc.Load.add loads d.ids.(s) (sign *. share)
+    done
+  done
 
 (* Cost of sending [rate] more through a link, on top of its current
    (committed + virtual) load. Penalized so that the bound stays defined
    when the instance is overloaded; capped by the link's fault factor so
    dead and degraded links repel traffic. Scored through the delta
    engine's memoized cost table. *)
-let marginal sc rate l =
-  Delta.cost_link sc l (Noc.Load.get_link (Delta.scorer_loads sc) l +. rate)
+let marginal sc rate id =
+  Delta.cost sc id (Noc.Load.get (Delta.scorer_loads sc) id +. rate)
 
-let cheapest_step sc rate rect k =
-  List.fold_left
-    (fun best l -> Float.min best (marginal sc rate l))
-    infinity
-    (Noc.Rect.links_on_step rect k)
-
-let build_path sc (comm : Traffic.Communication.t) =
-  let rect = Traffic.Communication.rect comm in
-  let n = Noc.Rect.length rect in
-  let rate = comm.rate in
+let build_path sc (d : Noc.Rect.dag) rate =
+  let n = Noc.Rect.length d.rect in
   (* Suffix bounds: remainder.(k) = sum over steps k..n-1 of the cheapest
      per-step link cost; computed once, they do not depend on the branch
      taken (the paper's relaxation ignores reachability). *)
   let remainder = Array.make (n + 1) 0. in
   for k = n - 1 downto 0 do
-    remainder.(k) <- remainder.(k + 1) +. cheapest_step sc rate rect k
+    let cheapest = ref infinity in
+    for s = d.steps.(k) to d.steps.(k + 1) - 1 do
+      cheapest := Float.min !cheapest (marginal sc rate d.ids.(s))
+    done;
+    remainder.(k) <- remainder.(k + 1) +. !cheapest
   done;
-  let cores = Array.make (n + 1) comm.src in
-  for i = 0 to n - 1 do
-    let here = cores.(i) in
-    let next =
-      match Noc.Rect.out_links rect here with
-      | [ l ] -> l.Noc.Mesh.dst
-      | [ a; b ] ->
-          let bound l = marginal sc rate l +. remainder.(i + 1) in
-          if bound a <= bound b then a.Noc.Mesh.dst else b.Noc.Mesh.dst
-      | _ -> assert false
-    in
-    cores.(i + 1) <- next
-  done;
+  let fork k a =
+    let bound s = marginal sc rate d.ids.(s) +. remainder.(k + 1) in
+    if bound a <= bound (a + 1) then a else a + 1
+  in
   let m = Metrics.current () in
   m.Metrics.paths_scored <- m.Metrics.paths_scored + 1;
-  Noc.Path.of_cores cores
+  Noc.Rect.path d (Noc.Rect.walk d fork)
 
 let route ?(order = Traffic.Communication.By_rate_desc) ?fault mesh model
     comms =
   let loads = Noc.Load.create ?fault mesh in
   let sc = Delta.scorer model loads in
-  let sorted = Traffic.Communication.sort order comms in
-  List.iter (fun comm -> apply_preroute loads comm 1.) sorted;
-  let routes =
+  let sorted =
     List.map
       (fun comm ->
-        apply_preroute loads comm (-1.);
-        let path = build_path sc comm in
-        Noc.Load.add_path loads path comm.Traffic.Communication.rate;
+        (comm, Noc.Rect.compile mesh (Traffic.Communication.rect comm)))
+      (Traffic.Communication.sort order comms)
+  in
+  List.iter
+    (fun ((comm : Traffic.Communication.t), d) ->
+      apply_preroute loads d comm.rate 1.)
+    sorted;
+  let routes =
+    List.map
+      (fun ((comm : Traffic.Communication.t), d) ->
+        apply_preroute loads d comm.rate (-1.);
+        let path = build_path sc d comm.rate in
+        Noc.Load.add_path loads path comm.rate;
         Solution.route_single comm path)
       sorted
   in

@@ -1,202 +1,153 @@
-(* Per-communication search state. Links of the bounding rectangle are held
-   in per-step slot arrays; reachability runs over flat boolean arrays
-   indexed by the core's row-offset within its diagonal step, so the hot
-   recompute path allocates nothing but small scratch arrays. *)
-
-type slot = {
-  id : int;  (* dense link id in the mesh *)
-  src_step : int;  (* diagonal step of the link's source core *)
-  src_pos : int;  (* row-offset index of the source within its step *)
-  dst_pos : int;  (* row-offset index of the destination in step+1 *)
-  mutable allowed : bool;
-  mutable listed : bool;
-      (* still a deletion candidate in the user index; implies [allowed] *)
-}
+(* Per-communication search state over the compiled step DAG of its
+   bounding rectangle ({!Noc.Rect.dag}): deletion flags per slot,
+   reachability per core offset, and the alive-link count per step that
+   the Figure 3 spread divides by. *)
 
 type cstate = {
   comm : Traffic.Communication.t;
-  steps : slot array array;  (* steps.(k) = links from diagonal k to k+1 *)
-  alive_count : int array;  (* per step, number of allowed links *)
-  mutable single : bool;  (* every step down to one link *)
+  dag : Noc.Rect.dag;
+  allowed : bool array;  (* per slot *)
+  listed : bool array;
+      (* per slot: still a deletion candidate in the user index; implies
+         [allowed] *)
+  alive_count : int array;  (* per step, number of allowed slots *)
+  mutable single : bool;  (* every step down to one slot *)
   mutable finished : bool;  (* no more deletions wanted for this comm *)
-  (* scratch reachability buffers, one flag per core of each diagonal *)
-  fwd : bool array array;
-  bwd : bool array array;
+  (* scratch reachability flags, one per core offset *)
+  fwd : bool array;
+  bwd : bool array;
 }
 
-let step_width rect k =
-  let drow = rect.Noc.Rect.drow and dcol = rect.Noc.Rect.dcol in
-  let lo = max 0 (k - dcol) and hi = min k drow in
-  if lo > hi then 0 else hi - lo + 1
+let count_alive st =
+  let steps = st.dag.Noc.Rect.steps in
+  st.single <- true;
+  for k = 0 to Array.length st.alive_count - 1 do
+    let count = ref 0 in
+    for s = steps.(k) to steps.(k + 1) - 1 do
+      if st.allowed.(s) then incr count
+    done;
+    st.alive_count.(k) <- !count;
+    if !count <> 1 then st.single <- false
+  done
 
-let core_pos rect k (c : Noc.Coord.t) =
-  let dr = abs (c.row - rect.Noc.Rect.src.Noc.Coord.row) in
-  dr - max 0 (k - rect.Noc.Rect.dcol)
-
-let make_state ?fault mesh comm =
-  let rect = Traffic.Communication.rect comm in
-  let n = Noc.Rect.length rect in
-  let usable id =
-    match fault with None -> true | Some f -> Noc.Fault.usable_id f id
-  in
-  let steps =
-    Array.init n (fun k ->
-        Array.of_list
-          (List.map
-             (fun (l : Noc.Mesh.link) ->
-               let id = Noc.Mesh.link_id mesh l in
-               {
-                 id;
-                 src_step = k;
-                 src_pos = core_pos rect k l.src;
-                 dst_pos = core_pos rect (k + 1) l.dst;
-                 allowed = usable id;
-                 listed = false;
-               })
-             (Noc.Rect.links_on_step rect k)))
-  in
-  let count_allowed slots =
-    Array.fold_left (fun n s -> if s.allowed then n + 1 else n) 0 slots
-  in
-  {
-    comm;
-    steps;
-    alive_count = Array.map count_allowed steps;
-    single = Array.for_all (fun s -> count_allowed s = 1) steps;
-    finished = false;
-    fwd = Array.init (n + 1) (fun k -> Array.make (max 1 (step_width rect k)) false);
-    bwd = Array.init (n + 1) (fun k -> Array.make (max 1 (step_width rect k)) false);
-  }
-
-(* Recompute which allowed links still lie on a source-to-sink path; prune
+(* Recompute which allowed slots still lie on a source-to-sink path; prune
    the rest ("path cleaning"). Returns false when no path survives — the
-   caller must then roll back its tentative deletion. *)
+   caller must then roll back its tentative deletion. Slots are in step
+   order, so one forward and one backward sweep settle reachability. *)
 let recompute st =
-  let n = Array.length st.steps in
+  let { Noc.Rect.tail; head; _ } = st.dag in
+  let nslots = Array.length tail and sink = Array.length st.fwd - 1 in
   (* Two sweeps plus the prune pass touch every slot of the rectangle:
      account them in one addition instead of three per-slot bumps. *)
   let m = Metrics.current () in
-  Array.iter
-    (fun slots -> m.Metrics.dp_cells <- m.Metrics.dp_cells + Array.length slots)
-    st.steps;
-  let reset a = Array.fill a 0 (Array.length a) false in
-  Array.iter reset st.fwd;
-  Array.iter reset st.bwd;
-  st.fwd.(0).(0) <- true;
-  for k = 0 to n - 1 do
-    Array.iter
-      (fun s ->
-        if s.allowed && st.fwd.(k).(s.src_pos) then
-          st.fwd.(k + 1).(s.dst_pos) <- true)
-      st.steps.(k)
+  m.Metrics.dp_cells <- m.Metrics.dp_cells + nslots;
+  Array.fill st.fwd 0 (sink + 1) false;
+  Array.fill st.bwd 0 (sink + 1) false;
+  st.fwd.(0) <- true;
+  for s = 0 to nslots - 1 do
+    if st.allowed.(s) && st.fwd.(tail.(s)) then st.fwd.(head.(s)) <- true
   done;
-  if not st.fwd.(n).(0) then false
+  if not st.fwd.(sink) then false
   else begin
-    st.bwd.(n).(0) <- true;
-    for k = n - 1 downto 0 do
-      Array.iter
-        (fun s ->
-          if s.allowed && st.bwd.(k + 1).(s.dst_pos) then
-            st.bwd.(k).(s.src_pos) <- true)
-        st.steps.(k)
+    st.bwd.(sink) <- true;
+    for s = nslots - 1 downto 0 do
+      if st.allowed.(s) && st.bwd.(head.(s)) then st.bwd.(tail.(s)) <- true
     done;
-    st.single <- true;
-    for k = 0 to n - 1 do
-      let count = ref 0 in
-      Array.iter
-        (fun s ->
-          if s.allowed then
-            if st.fwd.(k).(s.src_pos) && st.bwd.(k + 1).(s.dst_pos) then
-              incr count
-            else s.allowed <- false)
-        st.steps.(k);
-      st.alive_count.(k) <- !count;
-      if !count > 1 then st.single <- false
+    for s = 0 to nslots - 1 do
+      st.allowed.(s) <-
+        st.allowed.(s) && st.fwd.(tail.(s)) && st.bwd.(head.(s))
     done;
+    count_alive st;
     true
   end
 
 (* Fault-aware state: prune slots lying on no surviving Manhattan path. If
    the fault cut every Manhattan path of the rectangle, fall back to the
    full rectangle — the repair pass will detour this communication. *)
-let make_state_pruned ?fault mesh comm =
-  let st = make_state ?fault mesh comm in
-  (match fault with
-  | None -> ()
-  | Some _ ->
-      if not (recompute st) then begin
-        Array.iter (Array.iter (fun s -> s.allowed <- true)) st.steps;
-        Array.iteri
-          (fun k slots -> st.alive_count.(k) <- Array.length slots)
-          st.steps;
-        st.single <- Array.for_all (fun s -> Array.length s = 1) st.steps
-      end);
+let make_state ?fault mesh comm =
+  let dag = Noc.Rect.compile mesh (Traffic.Communication.rect comm) in
+  let usable id =
+    match fault with None -> true | Some f -> Noc.Fault.usable_id f id
+  in
+  let ncores = Array.length dag.Noc.Rect.out in
+  let st =
+    {
+      comm;
+      dag;
+      allowed = Array.map usable dag.Noc.Rect.ids;
+      listed = Array.make (Array.length dag.Noc.Rect.ids) false;
+      alive_count = Array.make (Noc.Rect.length dag.rect) 0;
+      single = true;
+      finished = false;
+      fwd = Array.make ncores false;
+      bwd = Array.make ncores false;
+    }
+  in
+  count_alive st;
+  if Option.is_some fault && not (recompute st) then begin
+    Array.fill st.allowed 0 (Array.length st.allowed) true;
+    count_alive st
+  end;
   st
 
 let spread loads st sign =
   let rate = st.comm.Traffic.Communication.rate in
+  let { Noc.Rect.ids; steps; _ } = st.dag in
   Array.iteri
-    (fun k slots ->
-      let share = sign *. rate /. float_of_int st.alive_count.(k) in
-      Array.iter (fun s -> if s.allowed then Noc.Load.add loads s.id share) slots)
-    st.steps
+    (fun k alive ->
+      let share = sign *. rate /. float_of_int alive in
+      for s = steps.(k) to steps.(k + 1) - 1 do
+        if st.allowed.(s) then Noc.Load.add loads ids.(s) share
+      done)
+    st.alive_count
 
-(* Number of surviving paths of a communication, saturating at [cap]. *)
+(* Number of surviving paths of a communication, saturating at [cap]:
+   path counts per core offset, pushed forward slot by slot. *)
 let path_count ?(cap = 1_000_000) st =
-  let n = Array.length st.steps in
-  if n = 0 then 1
-  else begin
-    let rect = Traffic.Communication.rect st.comm in
-    let cnt =
-      Array.init (n + 1) (fun k -> Array.make (max 1 (step_width rect k)) 0)
-    in
-    cnt.(0).(0) <- 1;
-    for k = 0 to n - 1 do
-      Array.iter
-        (fun s ->
-          if s.allowed then
-            cnt.(k + 1).(s.dst_pos) <-
-              min cap (cnt.(k + 1).(s.dst_pos) + cnt.(k).(s.src_pos)))
-        st.steps.(k)
-    done;
-    cnt.(n).(0)
-  end
+  let { Noc.Rect.tail; head; _ } = st.dag in
+  let cnt = Array.make (Array.length st.fwd) 0 in
+  cnt.(0) <- 1;
+  Array.iteri
+    (fun s ok ->
+      if ok then cnt.(head.(s)) <- min cap (cnt.(head.(s)) + cnt.(tail.(s))))
+    st.allowed;
+  cnt.(Array.length cnt - 1)
 
-(* Enumerate the surviving paths, depth first, at most [limit] of them. *)
-let surviving_paths ~limit mesh st =
-  let n = Array.length st.steps in
+(* Enumerate the surviving paths, depth first (horizontal slot first), at
+   most [limit] of them. *)
+let surviving_paths ~limit st =
+  let d = st.dag in
+  let n = Array.length st.alive_count in
+  let chain = Array.make n 0 in
   let results = ref [] and count = ref 0 in
-  let rec dfs k pos acc =
-    if !count >= limit then ()
-    else if k = n then begin
+  let rec dfs k o =
+    if k = n then begin
       incr count;
       let m = Metrics.current () in
       m.Metrics.paths_scored <- m.Metrics.paths_scored + 1;
-      results := Noc.Path.of_cores (Array.of_list (List.rev acc)) :: !results
+      results := Noc.Rect.path d chain :: !results
     end
     else
-      Array.iter
-        (fun s ->
-          if s.allowed && s.src_pos = pos && !count < limit then
-            let dst = (Noc.Mesh.link_of_id mesh s.id).Noc.Mesh.dst in
-            dfs (k + 1) s.dst_pos (dst :: acc))
-        st.steps.(k)
+      for s = d.out.(o) to d.out.(o) + Noc.Rect.out_degree d o - 1 do
+        if st.allowed.(s) && !count < limit then begin
+          chain.(k) <- s;
+          dfs (k + 1) d.head.(s)
+        end
+      done
   in
-  dfs 0 0 [ st.comm.Traffic.Communication.src ];
+  dfs 0 0;
   List.rev !results
 
 (* Delete a listed slot from its communication: respread over the
    survivors when a path remains, else restore the slot. Either way the
    slot leaves the user index, and so does every slot the path cleaning
    killed. *)
-let try_remove loads st slot =
+let try_remove loads st s =
   spread loads st (-1.);
-  slot.allowed <- false;
+  st.allowed.(s) <- false;
   if recompute st then begin
     spread loads st 1.;
-    Array.iter
-      (Array.iter (fun s -> if not s.allowed then s.listed <- false))
-      st.steps;
+    Array.iteri (fun i ok -> if not ok then st.listed.(i) <- false) st.allowed;
     true
   end
   else begin
@@ -204,98 +155,67 @@ let try_remove loads st slot =
        one flag restores the exact previous alive set. Allowed sets
        only ever shrink, so this deletion can never succeed later:
        drop the slot from the candidacy index for good. *)
-    slot.allowed <- true;
+    st.allowed.(s) <- true;
     spread loads st 1.;
-    slot.listed <- false;
+    st.listed.(s) <- false;
     false
   end
 
+(* Cheapest surviving path by current loads (unique when finalized).
+   Planned effective occupancy (load + rate) / phi; every path of the
+   rectangle has the same hop count, so without a fault the added rate
+   shifts all candidates equally and the extraction is unchanged. Dead
+   links carry a huge *finite* penalty, not infinity: when the fault cut
+   every Manhattan path of the rectangle (the all-allowed fallback of
+   [make_state]), the search must still chain through — it then
+   picks the path with the fewest dead crossings and the repair pass
+   detours them. Every allowed slot lies on a surviving path, so each is
+   scored once. *)
 let extract_path loads st =
-  (* Cheapest surviving path by current loads (unique when finalized). *)
-  let rect = Traffic.Communication.rect st.comm in
-  let n = Array.length st.steps in
-  let cost = Array.init (n + 1) (fun k -> Array.make (max 1 (step_width rect k)) infinity) in
-  let via : slot option array array =
-    Array.init (n + 1) (fun k -> Array.make (max 1 (step_width rect k)) None)
-  in
-  cost.(n).(0) <- 0.;
-  let relaxed = ref 0 in
-  for k = n - 1 downto 0 do
-    Array.iter
-      (fun s ->
-        if s.allowed then begin
-          incr relaxed;
-          (* Planned effective occupancy (load + rate) / phi; every path of
-             the rectangle has the same hop count, so without a fault the
-             added rate shifts all candidates equally and the extraction is
-             unchanged. Dead links carry a huge *finite* penalty, not
-             infinity: when the fault cut every Manhattan path of the
-             rectangle (the all-allowed fallback of [make_state_pruned]),
-             the DP must still chain through — it then picks the path with
-             the fewest dead crossings and the repair pass detours them. *)
-          let hop =
-            Delta.occupancy loads ~dead:1e15
-              ~rate:st.comm.Traffic.Communication.rate s.id
-          in
-          let c = cost.(k + 1).(s.dst_pos) +. hop in
-          if c < cost.(k).(s.src_pos) then begin
-            cost.(k).(s.src_pos) <- c;
-            via.(k).(s.src_pos) <- Some s
-          end
-        end)
-      st.steps.(k)
-  done;
+  let rate = st.comm.Traffic.Communication.rate and d = st.dag in
   let m = Metrics.current () in
-  m.Metrics.dp_cells <- m.Metrics.dp_cells + !relaxed;
+  m.Metrics.dp_cells <-
+    m.Metrics.dp_cells + Array.fold_left ( + ) 0 st.alive_count;
   m.Metrics.paths_scored <- m.Metrics.paths_scored + 1;
-  let mesh_of_id = Noc.Load.mesh loads in
-  let cores = Array.make (n + 1) st.comm.Traffic.Communication.src in
-  let pos = ref 0 in
-  for k = 0 to n - 1 do
-    match via.(k).(!pos) with
-    | Some s ->
-        let link = Noc.Mesh.link_of_id mesh_of_id s.id in
-        cores.(k + 1) <- link.Noc.Mesh.dst;
-        pos := s.dst_pos
-    | None -> assert false
-  done;
-  Noc.Path.of_cores cores
+  match
+    Noc.Rect.cheapest d
+      ~usable:(fun s -> st.allowed.(s))
+      ~cost:(fun s -> Delta.occupancy loads ~dead:1e15 ~rate d.ids.(s))
+  with
+  | Some (slots, _) -> Noc.Rect.path d slots
+  | None -> assert false
 
 (* Per-link user index, flat: the entries [first.(id) .. first.(id+1) - 1]
    of [owner] and [slot] are the communications whose rectangle allowed
    link [id] after pruning, in deletion-preference order, each with its
    slot for that link. Entries are never removed, only unlisted. *)
-type users = { first : int array; owner : int array; slot : slot array }
+type users = { first : int array; owner : int array; slot : int array }
 
 let index_users nlinks states order =
   let first = Array.make (nlinks + 1) 0 in
   let iter_allowed f st =
-    Array.iter (Array.iter (fun s -> if s.allowed then f s)) st.steps
+    Array.iteri (fun s ok -> if ok then f st.dag.Noc.Rect.ids.(s) s) st.allowed
   in
   Array.iter
-    (iter_allowed (fun s -> first.(s.id + 1) <- first.(s.id + 1) + 1))
+    (iter_allowed (fun id _ -> first.(id + 1) <- first.(id + 1) + 1))
     states;
   for id = 0 to nlinks - 1 do
     first.(id + 1) <- first.(id + 1) + first.(id)
   done;
   let next = Array.sub first 0 nlinks in
   let total = first.(nlinks) in
-  let owner = Array.make total 0 in
-  let slot =
-    Array.make total
-      { id = -1; src_step = 0; src_pos = 0; dst_pos = 0; allowed = false;
-        listed = false }
-  in
+  let owner = Array.make total 0 and slot = Array.make total 0 in
   Array.iter
     (fun idx ->
+      let st = states.(idx) in
       iter_allowed
-        (fun s ->
-          let e = next.(s.id) in
+        (fun id s ->
+          let e = next.(id) in
           owner.(e) <- idx;
           slot.(e) <- s;
-          next.(s.id) <- e + 1;
-          s.listed <- true)
-        states.(idx))
+          next.(id) <- e + 1;
+          st.listed.(s) <- true)
+        st)
     order;
   { first; owner; slot }
 
@@ -305,7 +225,7 @@ let index_users nlinks states order =
 let solve ~finished ?fault mesh comms =
   let loads = Noc.Load.create ?fault mesh in
   let states =
-    Array.of_list (List.map (make_state_pruned ?fault mesh) comms)
+    Array.of_list (List.map (make_state ?fault mesh) comms)
   in
   Array.iter
     (fun st ->
@@ -321,7 +241,8 @@ let solve ~finished ?fault mesh comms =
   let users = index_users (Noc.Mesh.num_links mesh) states order in
   (* An entry still wanting its link deleted. *)
   let open_entry e =
-    users.slot.(e).listed && not states.(users.owner.(e)).finished
+    let st = states.(users.owner.(e)) in
+    st.listed.(users.slot.(e)) && not st.finished
   in
   let rec wanted e stop = e < stop && (open_entry e || wanted (e + 1) stop) in
   let remaining = ref 0 in
@@ -368,7 +289,7 @@ let route_multipath ~s ?fault mesh comms =
     (Array.to_list
        (Array.map
           (fun st ->
-            match surviving_paths ~limit:s mesh st with
+            match surviving_paths ~limit:s st with
             | [] -> assert false
             | [ p ] -> Solution.route_single st.comm p
             | paths ->

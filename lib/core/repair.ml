@@ -20,14 +20,19 @@ let route_usable fault (r : Solution.route) =
    [Noc.Fault.factor fault id]. *)
 let manhattan_usable_sc fault sc (comm : Traffic.Communication.t) =
   let loads = Delta.scorer_loads sc in
-  let marginal id =
+  let d =
+    Noc.Rect.compile (Noc.Load.mesh loads) (Traffic.Communication.rect comm)
+  in
+  let marginal s =
+    let id = d.ids.(s) in
     let before = Noc.Load.get loads id in
     Delta.cost sc id (before +. comm.rate) -. Delta.cost sc id before
   in
-  Option.map fst
-    (Noc.Rect.cheapest (Noc.Load.mesh loads)
-       (Noc.Rect.make ~src:comm.src ~snk:comm.snk)
-       ~usable:(Noc.Fault.usable_id fault) ~cost:marginal)
+  Option.map
+    (fun (slots, _) -> Noc.Rect.path d slots)
+    (Noc.Rect.cheapest d
+       ~usable:(fun s -> Noc.Fault.usable_id fault d.ids.(s))
+       ~cost:marginal)
 
 (* Shortest surviving walk by BFS over the directed links; deterministic
    given the [Mesh.neighbors] enumeration order. *)

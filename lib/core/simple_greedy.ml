@@ -1,44 +1,32 @@
 (* Tie-break: distance of a core to the straight segment src-snk, measured
-   by the (absolute) cross product of (core - src) with (snk - src). *)
-let diagonal_deviation (comm : Traffic.Communication.t) (c : Noc.Coord.t) =
-  let dr = comm.snk.Noc.Coord.row - comm.src.Noc.Coord.row
-  and dc = comm.snk.Noc.Coord.col - comm.src.Noc.Coord.col in
-  abs
-    (((c.Noc.Coord.row - comm.src.Noc.Coord.row) * dc)
-    - ((c.Noc.Coord.col - comm.src.Noc.Coord.col) * dr))
+   by the (absolute) cross product of (core - src) with (snk - src), read
+   off the core's offset in the rectangle. *)
+let diagonal_deviation (r : Noc.Rect.t) o =
+  let w = r.dcol + 1 in
+  abs (((o / w) * r.dcol) - ((o mod w) * r.drow))
 
 let build_path loads (comm : Traffic.Communication.t) =
-  let rect = Traffic.Communication.rect comm in
-  let n = Traffic.Communication.length comm in
-  let cores = Array.make (n + 1) comm.src in
-  for i = 0 to n - 1 do
-    let here = cores.(i) in
-    let next =
-      match Noc.Rect.out_links rect here with
-      | [ l ] -> l.Noc.Mesh.dst
-      | [ a; b ] ->
-          (* Planned effective occupancy (load + rate) / phi: a degraded
-             link looks proportionally fuller even while empty, a dead one
-             infinitely full. Without a fault the rate is a common offset,
-             so the comparison reduces to the original raw-load order. *)
-          let planned (l : Noc.Mesh.link) =
-            Delta.occupancy_link loads ~dead:infinity
-              ~rate:comm.Traffic.Communication.rate l
-          in
-          let la = planned a and lb = planned b in
-          if la < lb then a.Noc.Mesh.dst
-          else if lb < la then b.dst
-          else if
-            diagonal_deviation comm a.dst <= diagonal_deviation comm b.dst
-          then a.dst
-          else b.dst
-      | _ -> assert false
-    in
-    cores.(i + 1) <- next
-  done;
+  let d =
+    Noc.Rect.compile (Noc.Load.mesh loads) (Traffic.Communication.rect comm)
+  in
+  (* Planned effective occupancy (load + rate) / phi: a degraded link
+     looks proportionally fuller even while empty, a dead one infinitely
+     full. Without a fault the rate is a common offset, so the comparison
+     reduces to the original raw-load order. *)
+  let planned s =
+    Delta.occupancy loads ~dead:infinity ~rate:comm.rate d.ids.(s)
+  in
+  let deviation s = diagonal_deviation d.rect d.head.(s) in
+  let fork _ a =
+    let la = planned a and lb = planned (a + 1) in
+    if la < lb then a
+    else if lb < la then a + 1
+    else if deviation a <= deviation (a + 1) then a
+    else a + 1
+  in
   let m = Metrics.current () in
   m.Metrics.paths_scored <- m.Metrics.paths_scored + 1;
-  Noc.Path.of_cores cores
+  Noc.Rect.path d (Noc.Rect.walk d fork)
 
 let route ?(order = Traffic.Communication.By_rate_desc) ?fault mesh comms =
   let loads = Noc.Load.create ?fault mesh in

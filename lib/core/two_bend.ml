@@ -1,10 +1,12 @@
 (* Added penalized cost of routing [rate] over the candidate, scored
    through the delta engine's memoized cost table. *)
 let added_cost sc loads rate path =
+  let mesh = Noc.Load.mesh loads in
   Array.fold_left
     (fun acc l ->
-      let before = Noc.Load.get_link loads l in
-      acc +. Delta.cost_link sc l (before +. rate) -. Delta.cost_link sc l before)
+      let id = Noc.Mesh.link_id mesh l in
+      let before = Noc.Load.get loads id in
+      acc +. Delta.cost sc id (before +. rate) -. Delta.cost sc id before)
     0. (Noc.Path.links path)
 
 let best_candidate sc loads (comm : Traffic.Communication.t) =

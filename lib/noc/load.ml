@@ -29,8 +29,6 @@ let get_effective t id =
   else if phi = 0. then if x > 0. then infinity else 0.
   else x /. phi
 
-let get_effective_link t l = get_effective t (Mesh.link_id t.mesh l)
-
 (* Loads are sums/differences of the same rate values, so exact cancellation
    is common; clamp the residual noise so that feasibility tests with
    [capacity] stay stable. *)

@@ -40,8 +40,6 @@ val get_effective : t -> int -> float
     with positive load reads as [infinity]; without a fault this is {!get}
     exactly. *)
 
-val get_effective_link : t -> Mesh.link -> float
-
 val add : t -> int -> float -> unit
 (** [add t id delta] adds [delta] (possibly negative) to a link load.
     Tiny results from float cancellation are snapped to [0.]: absolutely

@@ -41,7 +41,9 @@ val link_exists : t -> link -> bool
 (** Both endpoints are in the mesh and one step apart. *)
 
 val link_id : t -> link -> int
-(** Dense identifier of a directed link.
+(** Dense identifier of a directed link. Within one direction the ids are
+    row-major by source core: one column further adds 1, one row further
+    adds [cols - 1] to a horizontal link and [cols] to a vertical one.
     @raise Invalid_argument if the link does not exist in the mesh. *)
 
 val link_of_id : t -> int -> link

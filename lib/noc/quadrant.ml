@@ -18,5 +18,4 @@ let diag_index ~rows ~cols d (c : Coord.t) =
 
 let all = [ D1; D2; D3; D4 ]
 let to_int = function D1 -> 1 | D2 -> 2 | D3 -> 3 | D4 -> 4
-let pp ppf d = Format.fprintf ppf "D%d" (to_int d)
 let equal a b = to_int a = to_int b

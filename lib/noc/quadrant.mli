@@ -35,6 +35,4 @@ val all : t list
 val to_int : t -> int
 (** [1..4], matching the paper's [d]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool

@@ -17,86 +17,102 @@ let make ~src ~snk =
 
 let length t = t.drow + t.dcol
 
-let contains_core t (c : Coord.t) =
-  let between a b x = min a b <= x && x <= max a b in
-  between t.src.Coord.row t.snk.Coord.row c.row
-  && between t.src.Coord.col t.snk.Coord.col c.col
+type dag = {
+  rect : t;
+  ids : int array;
+  tail : int array;
+  head : int array;
+  steps : int array;
+  out : int array;
+}
 
-let step_of_core t (c : Coord.t) =
-  abs (c.row - t.src.Coord.row) + abs (c.col - t.src.Coord.col)
-
-let cores_on_step t k =
+(* Cores are numbered [row distance * (dcol + 1) + column distance] from
+   the source; slots are laid out step by step, each step's cores by
+   increasing row distance, each core's horizontal link first. A link id
+   is its direction's id at the source plus fixed row and column strides
+   ({!Mesh.link_id}). *)
+let compile mesh t =
+  if not (Mesh.in_mesh mesh t.snk) then
+    invalid_arg "Rect.compile: sink off the mesh";
+  let w = t.dcol + 1 and n = length t and cols = Mesh.cols mesh in
   let rs = Quadrant.row_step t.quadrant
   and cs = Quadrant.col_step t.quadrant in
-  let lo = max 0 (k - t.dcol) and hi = min k t.drow in
-  if lo > hi then []
-  else
-    List.init
-      (hi - lo + 1)
-      (fun i ->
-        let dr = lo + i in
-        Coord.make
-          ~row:(t.src.Coord.row + (dr * rs))
-          ~col:(t.src.Coord.col + ((k - dr) * cs)))
-
-let out_links t (c : Coord.t) =
-  let rs = Quadrant.row_step t.quadrant
-  and cs = Quadrant.col_step t.quadrant in
-  let h =
-    if c.col <> t.snk.Coord.col then
-      [ Mesh.link ~src:c ~dst:(Coord.make ~row:c.row ~col:(c.col + cs)) ]
-    else []
-  and v =
-    if c.row <> t.snk.Coord.row then
-      [ Mesh.link ~src:c ~dst:(Coord.make ~row:(c.row + rs) ~col:c.col) ]
-    else []
+  (* The ids of the source's horizontal and vertical links, when present. *)
+  let from_src extent dst =
+    if extent = 0 then 0 else Mesh.link_id mesh (Mesh.link ~src:t.src ~dst)
   in
-  h @ v
-
-let links_on_step t k = List.concat_map (out_links t) (cores_on_step t k)
-
-let cheapest mesh t ~usable ~cost =
-  let w = t.dcol + 1 in
-  let offset (c : Coord.t) =
-    (abs (c.row - t.src.Coord.row) * w) + abs (c.col - t.src.Coord.col)
+  let h0 = from_src t.dcol { t.src with col = t.src.col + cs }
+  and v0 = from_src t.drow { t.src with row = t.src.row + rs } in
+  let nslots = (t.drow * w) + (t.dcol * (t.drow + 1)) in
+  let ids = Array.make nslots 0
+  and tail = Array.make nslots 0
+  and head = Array.make nslots 0
+  and steps = Array.make (n + 1) nslots
+  and out = Array.make ((t.drow + 1) * w) nslots in
+  let s = ref 0 in
+  let add id o h =
+    ids.(!s) <- id;
+    tail.(!s) <- o;
+    head.(!s) <- h;
+    incr s
   in
-  let n = length t and sink = offset t.snk in
-  (* Per-core state, flat by the core's offset: the cheapest cost to the
-     sink and the next core on that path ([-1] while none is known). *)
-  let tail = Array.make (sink + 1) 0. and next = Array.make (sink + 1) (-1) in
-  next.(sink) <- sink;
-  for k = n - 1 downto 0 do
-    List.iter
-      (fun core ->
-        let o = offset core in
-        List.iter
-          (fun (l : Mesh.link) ->
-            let id = Mesh.link_id mesh l and h = offset l.dst in
-            if usable id && next.(h) >= 0 then begin
-              let c = tail.(h) +. cost id in
-              if next.(o) < 0 || not (tail.(o) <= c) then begin
-                tail.(o) <- c;
-                next.(o) <- h
-              end
-            end)
-          (out_links t core))
-      (cores_on_step t k)
+  for k = 0 to n - 1 do
+    steps.(k) <- !s;
+    for dr = max 0 (k - t.dcol) to min k t.drow do
+      let dc = k - dr in
+      let o = (dr * w) + dc in
+      out.(o) <- !s;
+      if dc < t.dcol then
+        add (h0 + (dr * rs * (cols - 1)) + (dc * cs)) o (o + 1);
+      if dr < t.drow then add (v0 + (dr * rs * cols) + (dc * cs)) o (o + w)
+    done
   done;
-  if next.(0) < 0 then None
+  { rect = t; ids; tail; head; steps; out }
+
+let out_degree d o =
+  let w = d.rect.dcol + 1 in
+  Bool.to_int (o mod w < d.rect.dcol) + Bool.to_int (o / w < d.rect.drow)
+
+let walk d fork =
+  let slots = Array.make (length d.rect) 0 and o = ref 0 in
+  for k = 0 to Array.length slots - 1 do
+    let a = d.out.(!o) in
+    slots.(k) <- (if out_degree d !o = 2 then fork k a else a);
+    o := d.head.(slots.(k))
+  done;
+  slots
+
+let path d slots =
+  let w = d.rect.dcol + 1 in
+  Path.make ~src:d.rect.src ~snk:d.rect.snk
+    (Array.map
+       (fun s -> if d.head.(s) - d.tail.(s) = w then Path.V else Path.H)
+       slots)
+
+let cheapest d ~usable ~cost =
+  let n = length d.rect and sink = Array.length d.out - 1 in
+  (* Per core: the cheapest cost to the sink and the first slot of that
+     path ([-1] while none is known; the sink holds the slot count). *)
+  let dist = Array.make (sink + 1) 0. and via = Array.make (sink + 1) (-1) in
+  via.(sink) <- Array.length d.ids;
+  for k = n - 1 downto 0 do
+    for s = d.steps.(k) to d.steps.(k + 1) - 1 do
+      let h = d.head.(s) in
+      if usable s && via.(h) >= 0 then begin
+        let o = d.tail.(s) and c = dist.(h) +. cost s in
+        if via.(o) < 0 || not (dist.(o) <= c) then begin
+          dist.(o) <- c;
+          via.(o) <- s
+        end
+      end
+    done
+  done;
+  if via.(0) < 0 then None
   else begin
-    let moves = Array.make n Path.H and o = ref 0 in
+    let slots = Array.make n 0 and o = ref 0 in
     for i = 0 to n - 1 do
-      let h = next.(!o) in
-      if h - !o = w then moves.(i) <- Path.V;
-      o := h
+      slots.(i) <- via.(!o);
+      o := d.head.(slots.(i))
     done;
-    Some (Path.make ~src:t.src ~snk:t.snk moves, tail.(0))
+    Some (slots, dist.(0))
   end
-
-let contains_link t (l : Mesh.link) =
-  contains_core t l.src && contains_core t l.dst
-  && step_of_core t l.dst = step_of_core t l.src + 1
-
-let pp ppf t =
-  Format.fprintf ppf "rect %a->%a (%a)" Coord.pp t.src Coord.pp t.snk
-    Quadrant.pp t.quadrant

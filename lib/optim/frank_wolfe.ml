@@ -7,67 +7,44 @@ type result = {
 
 type flow = {
   comm : Traffic.Communication.t;
-  rect : Noc.Rect.t;
-  link_ids : int array;  (** All rectangle links, fixed order. *)
-  slot : (int, int) Hashtbl.t;  (** Link id -> its index in [link_ids]. *)
-  shares : float array;  (** Flow on [link_ids.(i)], in rate units. *)
+  dag : Noc.Rect.dag;
+  shares : float array;  (** Flow on each slot of [dag], in rate units. *)
 }
-
-let rect_links mesh rect =
-  let ids = ref [] in
-  for k = Noc.Rect.length rect - 1 downto 0 do
-    List.iter
-      (fun l -> ids := Noc.Mesh.link_id mesh l :: !ids)
-      (Noc.Rect.links_on_step rect k)
-  done;
-  Array.of_list !ids
 
 (* Even-branching spread as a warm start: every core forwards its inflow
    in equal halves (or whole) along its forward links. This approximates
    the paper's Figure 3 diagonal spread while being a genuine flow — the
    per-diagonal even spread balances steps but not cores, and a
    non-conserved start would leave every FW iterate non-conserved too,
-   breaking the decomposability {!solve_flows} promises. *)
+   breaking the decomposability {!solve_flows} promises. Slots run in step
+   order, so a core's inflow is complete before its out-slots read it. *)
 let initial_flow mesh (comm : Traffic.Communication.t) =
-  let rect = Traffic.Communication.rect comm in
-  let link_ids = rect_links mesh rect in
-  let shares = Array.make (Array.length link_ids) 0. in
-  let slot = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.replace slot id i) link_ids;
-  let inflow = Hashtbl.create 16 in
-  Hashtbl.replace inflow comm.src comm.rate;
-  for k = 0 to Noc.Rect.length rect - 1 do
-    List.iter
-      (fun core ->
-        match Hashtbl.find_opt inflow core with
-        | None -> ()
-        | Some f ->
-            let outs = Noc.Rect.out_links rect core in
-            let share = f /. float_of_int (List.length outs) in
-            List.iter
-              (fun (l : Noc.Mesh.link) ->
-                let i = Hashtbl.find slot (Noc.Mesh.link_id mesh l) in
-                shares.(i) <- shares.(i) +. share;
-                Hashtbl.replace inflow l.dst
-                  (share
-                  +. Option.value ~default:0. (Hashtbl.find_opt inflow l.dst)))
-              outs)
-      (Noc.Rect.cores_on_step rect k)
-  done;
-  { comm; rect; link_ids; slot; shares }
+  let dag = Noc.Rect.compile mesh (Traffic.Communication.rect comm) in
+  let shares = Array.make (Array.length dag.ids) 0. in
+  let inflow = Array.make (Array.length dag.out) 0. in
+  inflow.(0) <- comm.rate;
+  Array.iteri
+    (fun s o ->
+      let share = inflow.(o) /. float_of_int (Noc.Rect.out_degree dag o) in
+      shares.(s) <- share;
+      inflow.(dag.head.(s)) <- share +. inflow.(dag.head.(s)))
+    dag.tail;
+  { comm; dag; shares }
 
 (* Cheapest path of the rectangle DAG under per-link weights; returns the
    indicator shares (full rate on the chosen path). *)
-let shortest_shares mesh weights fl =
-  let shares = Array.make (Array.length fl.link_ids) 0. in
+let shortest_shares weights fl =
+  let shares = Array.make (Array.length fl.shares) 0. in
   match
-    Noc.Rect.cheapest mesh fl.rect ~usable:(fun _ -> true) ~cost:weights
+    Noc.Rect.cheapest fl.dag
+      ~usable:(fun _ -> true)
+      ~cost:(fun s -> weights fl.dag.ids.(s))
   with
   | None -> assert false (* every rectangle link is usable *)
-  | Some (path, _) ->
-      Noc.Path.iter_links path (fun l ->
-          shares.(Hashtbl.find fl.slot (Noc.Mesh.link_id mesh l)) <-
-            fl.comm.Traffic.Communication.rate);
+  | Some (slots, _) ->
+      Array.iter
+        (fun s -> shares.(s) <- fl.comm.Traffic.Communication.rate)
+        slots;
       shares
 
 (* Generic Frank-Wolfe over the product of per-communication path
@@ -79,7 +56,7 @@ let solve_generic ~iterations ~value ~slope mesh comms =
   let loads = Noc.Load.create mesh in
   List.iter
     (fun fl ->
-      Array.iteri (fun i id -> Noc.Load.add loads id fl.shares.(i)) fl.link_ids)
+      Array.iteri (fun s id -> Noc.Load.add loads id fl.shares.(s)) fl.dag.ids)
     flows;
   let objective_of () =
     Noc.Load.fold (fun _ load acc -> acc +. value load) loads 0.
@@ -93,16 +70,20 @@ let solve_generic ~iterations ~value ~slope mesh comms =
        (* Linearized subproblem: per communication, ship everything on the
           gradient-cheapest path. *)
        let targets =
-         List.map (fun fl -> shortest_shares mesh gradient fl) flows
+         List.map (fun fl -> shortest_shares gradient fl) flows
        in
-       (* Duality gap <grad, current - target>. *)
+       (* Duality gap <grad, current - target>. Its last bits depend on
+          the summation order: step by step, each step's slots last to
+          first. *)
        let g = ref 0. in
        List.iter2
          (fun fl target ->
-           Array.iteri
-             (fun i id ->
-               g := !g +. (gradient id *. (fl.shares.(i) -. target.(i))))
-             fl.link_ids)
+           let { Noc.Rect.ids; steps; rect; _ } = fl.dag in
+           for k = 0 to Noc.Rect.length rect - 1 do
+             for s = steps.(k + 1) - 1 downto steps.(k) do
+               g := !g +. (gradient ids.(s) *. (fl.shares.(s) -. target.(s)))
+             done
+           done)
          flows targets;
        gap := Float.max 0. !g;
        if !gap <= 1e-9 *. Float.max 1. (objective_of ()) then raise Exit;
@@ -112,8 +93,8 @@ let solve_generic ~iterations ~value ~slope mesh comms =
        List.iter2
          (fun fl target ->
            Array.iteri
-             (fun i id -> Noc.Load.add delta id (target.(i) -. fl.shares.(i)))
-             fl.link_ids)
+             (fun s id -> Noc.Load.add delta id (target.(s) -. fl.shares.(s)))
+             fl.dag.ids)
          flows targets;
        let derivative gamma =
          Noc.Load.fold
@@ -137,11 +118,11 @@ let solve_generic ~iterations ~value ~slope mesh comms =
          List.iter2
            (fun fl target ->
              Array.iteri
-               (fun i id ->
-                 let d = gamma *. (target.(i) -. fl.shares.(i)) in
-                 fl.shares.(i) <- fl.shares.(i) +. d;
+               (fun s id ->
+                 let d = gamma *. (target.(s) -. fl.shares.(s)) in
+                 fl.shares.(s) <- fl.shares.(s) +. d;
                  Noc.Load.add loads id d)
-               fl.link_ids)
+               fl.dag.ids)
            flows targets
      done
    with Exit -> ());

@@ -24,13 +24,12 @@ type result = {
 
 type flow = {
   comm : Traffic.Communication.t;
-  rect : Noc.Rect.t;  (** The communication's bounding rectangle. *)
-  link_ids : int array;  (** All rectangle links, fixed order. *)
-  slot : (int, int) Hashtbl.t;  (** Link id -> its index in [link_ids]. *)
+  dag : Noc.Rect.dag;
+      (** The compiled step DAG of the communication's bounding rectangle. *)
   shares : float array;
-      (** Flow on [link_ids.(i)], in rate units. Conserved: at every
-          rectangle core but the endpoints, inflow equals outflow, and
-          the source emits exactly [comm.rate]. *)
+      (** Flow on each slot of [dag] (link [dag.ids.(s)]), in rate units.
+          Conserved: at every rectangle core but the endpoints, inflow
+          equals outflow, and the source emits exactly [comm.rate]. *)
 }
 
 val solve :

@@ -48,10 +48,15 @@ let link_fits model loads ~rate id =
    rectangle path. *)
 let manhattan_search sc loads history ~capacity (comm : Traffic.Communication.t)
     =
-  Noc.Rect.cheapest (Noc.Load.mesh loads)
-    (Noc.Rect.make ~src:comm.src ~snk:comm.snk)
-    ~usable:(Noc.Load.usable loads)
-    ~cost:(link_cost sc loads history ~capacity ~rate:comm.rate)
+  let d =
+    Noc.Rect.compile (Noc.Load.mesh loads) (Traffic.Communication.rect comm)
+  in
+  let cost = link_cost sc loads history ~capacity ~rate:comm.rate in
+  Option.map
+    (fun (slots, c) -> (Noc.Rect.path d slots, c))
+    (Noc.Rect.cheapest d
+       ~usable:(fun s -> Noc.Load.usable loads d.ids.(s))
+       ~cost:(fun s -> cost d.ids.(s)))
 
 (* Cheapest surviving walk over the whole mesh (Dijkstra on the directed
    links, negotiated cost): the widening step when the rectangle is cut

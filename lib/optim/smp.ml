@@ -1,57 +1,31 @@
 (* Flow-guided s-MP routing (see smp.mli for the pipeline overview). *)
 
-let bump_paths n =
-  let m = Routing.Metrics.current () in
-  m.Routing.Metrics.paths_scored <- m.Routing.Metrics.paths_scored + n
-
 (* Path-strip the fractional flow of one communication: repeatedly walk
-   src -> snk following the widest residual out-link (horizontal first on
-   ties, the {!Noc.Rect.out_links} order) and peel off the bottleneck.
-   Flow conservation guarantees the walk reaches the sink while the
-   residual source outflow is positive; at most [max_paths] strips, each
-   zeroing at least one link. *)
-let decompose mesh ~max_paths (fl : Frank_wolfe.flow) =
+   src -> snk following the widest residual out-slot (horizontal first on
+   ties) and peel off the bottleneck. Flow conservation guarantees the
+   walk reaches the sink while the residual source outflow is positive; at
+   most [max_paths] strips, each zeroing at least one link. *)
+let decompose ~max_paths (fl : Frank_wolfe.flow) =
+  let d = fl.Frank_wolfe.dag in
   let residual = Array.copy fl.Frank_wolfe.shares in
-  let idx l = Hashtbl.find fl.Frank_wolfe.slot (Noc.Mesh.link_id mesh l) in
-  let comm = fl.Frank_wolfe.comm in
-  let eps = 1e-7 *. comm.Traffic.Communication.rate in
+  let eps = 1e-7 *. fl.Frank_wolfe.comm.Traffic.Communication.rate in
+  let widest _ a = if residual.(a + 1) > residual.(a) then a + 1 else a in
   let out = ref [] in
   (try
      for _ = 1 to max_paths do
-       let rec walk cur cores links =
-         if Noc.Coord.equal cur comm.Traffic.Communication.snk then
-           (List.rev cores, links)
-         else
-           let best =
-             List.fold_left
-               (fun best l ->
-                 let r = residual.(idx l) in
-                 match best with
-                 | Some (_, r') when r' >= r -> best
-                 | _ -> Some (l, r))
-               None
-               (Noc.Rect.out_links fl.Frank_wolfe.rect cur)
-           in
-           match best with
-           | None -> assert false (* the sink is always forward-reachable *)
-           | Some (l, _) ->
-               walk l.Noc.Mesh.dst (l.Noc.Mesh.dst :: cores) (idx l :: links)
-       in
-       let cores, links =
-         walk comm.Traffic.Communication.src
-           [ comm.Traffic.Communication.src ]
-           []
-       in
+       let slots = Noc.Rect.walk d widest in
        let bottleneck =
-         List.fold_left (fun m i -> Float.min m residual.(i)) infinity links
+         Array.fold_left (fun m s -> Float.min m residual.(s)) infinity slots
        in
        if bottleneck <= eps then raise Exit;
-       List.iter (fun i -> residual.(i) <- residual.(i) -. bottleneck) links;
-       out := (Noc.Path.of_cores (Array.of_list cores), bottleneck) :: !out
+       Array.iter (fun s -> residual.(s) <- residual.(s) -. bottleneck) slots;
+       out := (Noc.Rect.path d slots, bottleneck) :: !out
      done
    with Exit -> ());
   let paths = List.rev !out in
-  bump_paths (List.length paths);
+  let m = Routing.Metrics.current () in
+  m.Routing.Metrics.paths_scored <-
+    m.Routing.Metrics.paths_scored + List.length paths;
   paths
 
 (* One communication's split under optimization. [pool] is empty exactly
@@ -87,7 +61,7 @@ let initial_shares ~s ~rate weighted =
   | (p0, x0) :: rest -> (p0, x0 +. (rate -. sum)) :: rest
   | [] -> []
 
-let make_slot ~s ~max_pool ?fault mesh (base : Routing.Solution.route)
+let make_slot ~s ~max_pool ?fault (base : Routing.Solution.route)
     (fl : Frank_wolfe.flow) =
   let comm = fl.Frank_wolfe.comm in
   if base.Routing.Solution.detours <> [] then
@@ -100,7 +74,7 @@ let make_slot ~s ~max_pool ?fault mesh (base : Routing.Solution.route)
     in
     let stripped =
       List.filter (fun (p, _) -> usable p)
-        (decompose mesh ~max_paths:max_pool fl)
+        (decompose ~max_paths:max_pool fl)
     in
     let init =
       match
@@ -261,7 +235,7 @@ let engine ?(iterations = 120) ~s ?fault model mesh comms =
     let _, flows = Frank_wolfe.solve_flows ~iterations model mesh comms in
     let max_pool = Int.max (2 * s) 8 in
     let slots =
-      List.map2 (make_slot ~s ~max_pool ?fault mesh) base_routes flows
+      List.map2 (make_slot ~s ~max_pool ?fault) base_routes flows
     in
     let eng = Routing.Delta.create ?fault model mesh in
     List.iter

@@ -33,4 +33,9 @@ let validate t =
   if t.escape_patience < 1 then invalid_arg "Sim.Config: escape_patience < 1";
   if t.max_pending_packets < 1 then
     invalid_arg "Sim.Config: max_pending_packets < 1";
+  if t.num_vcs > Sys.max_array_length / t.buffer_flits then
+    invalid_arg
+      "Sim.Config: num_vcs * buffer_flits exceeds Sys.max_array_length";
+  if t.max_pending_packets > Sys.max_array_length then
+    invalid_arg "Sim.Config: max_pending_packets exceeds Sys.max_array_length";
   if t.deadlock_window < 1 then invalid_arg "Sim.Config: deadlock_window < 1"

@@ -42,4 +42,6 @@ val default : t
     deadlock window. *)
 
 val validate : t -> unit
-(** @raise Invalid_argument on inconsistent parameters. *)
+(** @raise Invalid_argument on inconsistent parameters, and on capacities
+    no array can hold: [num_vcs * buffer_flits] or [max_pending_packets]
+    beyond [Sys.max_array_length]. *)

@@ -128,6 +128,9 @@ let create ?(config = Config.default) ?arena model solution =
   let nlinks = Noc.Mesh.num_links mesh in
   let loads = Routing.Solution.loads solution in
   let vcs = config.Config.num_vcs and depth = config.Config.buffer_flits in
+  if nlinks > Sys.max_array_length / (vcs * depth) then
+    invalid_arg
+      "Sim.Config: links * num_vcs * buffer_flits exceeds Sys.max_array_length";
   let injectors =
     Array.of_list
       (List.map

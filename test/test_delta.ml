@@ -417,7 +417,9 @@ let test_occupancy_matches_formula () =
   let loads = Noc.Load.create ~fault mesh in
   Noc.Load.add_link loads l_degraded 400.;
   Noc.Load.add_link loads l_healthy 400.;
-  let occ = Routing.Delta.occupancy_link loads ~rate:100. in
+  let occ ~dead l =
+    Routing.Delta.occupancy loads ~dead ~rate:100. (Noc.Mesh.link_id mesh l)
+  in
   check_bits "healthy: load + rate" 500. (occ ~dead:infinity l_healthy);
   check_bits "degraded: (load + rate) / factor" 1000.
     (occ ~dead:infinity l_degraded);

@@ -196,18 +196,17 @@ let test_load_effective_inflation () =
   in
   let fault = Noc.Fault.kill_link fault (link 2 1 2 2) in
   let loads = Noc.Load.create ~fault mesh in
+  let effective l = Noc.Load.get_effective loads (Noc.Mesh.link_id mesh l) in
   Noc.Load.add_link loads (link 1 1 1 2) 700.;
   check_float "raw load" 700. (Noc.Load.get_link loads (link 1 1 1 2));
-  check_float "effective doubled" 1400.
-    (Noc.Load.get_effective_link loads (link 1 1 1 2));
+  check_float "effective doubled" 1400. (effective (link 1 1 1 2));
   Noc.Load.add_link loads (link 2 1 2 2) 10.;
   check_bool "dead link load is infinite" true
-    (Noc.Load.get_effective_link loads (link 2 1 2 2) = infinity);
+    (effective (link 2 1 2 2) = infinity);
   check_bool "dead link unusable" false
     (Noc.Load.usable_link loads (link 2 1 2 2));
   Noc.Load.add_link loads (link 1 2 1 3) 500.;
-  check_float "healthy link untouched" 500.
-    (Noc.Load.get_effective_link loads (link 1 2 1 3))
+  check_float "healthy link untouched" 500. (effective (link 1 2 1 3))
 
 (* ------------------------------------------------------------------ *)
 (* Repair *)

@@ -267,6 +267,26 @@ let test_power_per_rate_degraded_consistent () =
 
 let golden_draws_per_x = 16
 
+(* Every route's cores, shares and detour count, then the work counters
+   the call bumped. *)
+let add_run buf run =
+  let before = Routing.Metrics.snapshot () in
+  let sol = run () in
+  let work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before in
+  List.iter
+    (fun (r : Routing.Solution.route) ->
+      Printf.bprintf buf "%d:" r.comm.Traffic.Communication.id;
+      List.iter
+        (fun (p, share) ->
+          Array.iter
+            (fun (c : Noc.Coord.t) -> Printf.bprintf buf "%d,%d " c.row c.col)
+            (Noc.Path.cores p);
+          Printf.bprintf buf "@%h;" share)
+        r.paths;
+      Printf.bprintf buf "+%d\n" (List.length r.detours))
+    (Routing.Solution.routes sol);
+  Buffer.add_string buf (Format.asprintf "|%a\n" Routing.Metrics.pp work)
+
 let golden_digest (fig : Harness.Figure.t) run =
   let mesh = Harness.Figure.mesh in
   let buf = Buffer.create 65536 in
@@ -282,25 +302,7 @@ let golden_digest (fig : Harness.Figure.t) run =
           Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:2 mesh
         in
         List.iter
-          (fun fault ->
-            let before = Routing.Metrics.snapshot () in
-            let sol = run ?fault mesh comms in
-            let work = Routing.Metrics.diff (Routing.Metrics.snapshot ()) before in
-            List.iter
-              (fun (r : Routing.Solution.route) ->
-                Printf.bprintf buf "%d:" r.comm.Traffic.Communication.id;
-                List.iter
-                  (fun (p, share) ->
-                    Array.iter
-                      (fun (c : Noc.Coord.t) ->
-                        Printf.bprintf buf "%d,%d " c.row c.col)
-                      (Noc.Path.cores p);
-                    Printf.bprintf buf "@%h;" share)
-                  r.paths;
-                Printf.bprintf buf "+%d\n" (List.length r.detours))
-              (Routing.Solution.routes sol);
-            Buffer.add_string buf
-              (Format.asprintf "|%a\n" Routing.Metrics.pp work))
+          (fun fault -> add_run buf (fun () -> run ?fault mesh comms))
           [ None; Some dead ]
       done)
     fig.xs;
@@ -325,6 +327,61 @@ let golden_xyi ?fault mesh comms = Routing.Xy_improver.route ?fault mesh km comm
 let golden_xyi_sg ?fault mesh comms =
   Routing.Xy_improver.improve ?fault km
     (Routing.Simple_greedy.route ?fault mesh comms)
+
+(* ------------------------------------------------------------------ *)
+(* Frank-Wolfe and s-MP digests
+
+   No other digest reaches the relaxation's duality gap or its flows, or
+   s-MP at any s but 2 (pinned only inside figpareto's campaign). One
+   keyed fig7b draw per x: the Frank-Wolfe solve (objective, gap and
+   iterations, then every flow's shares keyed by mesh link id in id
+   order, so the digest pins values and not the rectangle's layout),
+   min_overload's worst excess, then s-MP at s = 1, 2, 4 and 8, IG and
+   SG, each healthy and under a 2-kill dead-link fault, with their
+   routes and work counters. *)
+
+let test_fw_smp_digest () =
+  let mesh = Harness.Figure.mesh and fig = Harness.Figure.fig7b in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun x ->
+      let rng = Traffic.Rng.of_key "golden-fw-smp" [ Int64.bits_of_float x ] in
+      let comms = fig.generate rng x in
+      let dead =
+        Noc.Fault.random_dead ~choose:(Traffic.Rng.int rng) ~kills:2 mesh
+      in
+      let r, flows =
+        Optim.Frank_wolfe.solve_flows ~iterations:120 km mesh comms
+      in
+      Printf.bprintf buf "fw %h %h %d\n" r.objective r.gap r.iterations;
+      List.iter
+        (fun (fl : Optim.Frank_wolfe.flow) ->
+          List.iter
+            (fun (id, share) -> Printf.bprintf buf " %d:%h" id share)
+            (List.sort
+               (fun (a, _) (b, _) -> Int.compare a b)
+               (List.combine (Array.to_list fl.dag.ids)
+                  (Array.to_list fl.shares)));
+          Buffer.add_char buf '\n')
+        flows;
+      let worst, _ =
+        Optim.Frank_wolfe.min_overload ~iterations:120 km mesh comms
+      in
+      Printf.bprintf buf "overload %h\n" worst;
+      List.iter
+        (fun fault ->
+          List.iter
+            (fun s ->
+              add_run buf (fun () -> Optim.Smp.engine ~s ?fault km mesh comms))
+            [ 1; 2; 4; 8 ];
+          add_run buf (fun () ->
+              Routing.Improved_greedy.route ?fault mesh km comms);
+          add_run buf (fun () -> Routing.Simple_greedy.route ?fault mesh comms))
+        [ None; Some dead ])
+    fig.xs;
+  Alcotest.(check string) "flow, route and counter digest"
+    "de4f6a5fb402bc55f147848f531a6b88"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign output digests *)
@@ -513,6 +570,9 @@ let () =
                 "752a6054b8b0ec465f4e651aa6aa2a59";
                 "061f122bc5a46c79354e2493f08f3ec9" ]);
         ] );
+      ( "fw-smp-md5",
+        [ Alcotest.test_case "FW flows, SMP1-8, IG and SG" `Quick
+            test_fw_smp_digest ] );
       ( "campaign-md5",
         Harness.Figure.
           [

@@ -318,34 +318,66 @@ let prop_diag_index_in_range =
 (* ------------------------------------------------------------------ *)
 (* Rect *)
 
+(* The rectangle's geometry, from coordinates, to check the compiled DAG
+   against: a core's offset and diagonal step, and whether it lies inside
+   the rectangle. *)
+let rect_offset (r : Noc.Rect.t) (c : Noc.Coord.t) =
+  (abs (c.row - r.src.row) * (r.dcol + 1)) + abs (c.col - r.src.col)
+
+let step_of_core (r : Noc.Rect.t) (c : Noc.Coord.t) =
+  abs (c.row - r.src.row) + abs (c.col - r.src.col)
+
+let contains_core (r : Noc.Rect.t) (c : Noc.Coord.t) =
+  let between a b x = min a b <= x && x <= max a b in
+  between r.src.row r.snk.row c.row && between r.src.col r.snk.col c.col
+
 let test_rect_steps () =
   let r = Noc.Rect.make ~src:(coord 1 1) ~snk:(coord 3 4) in
+  let d = Noc.Rect.compile (Noc.Mesh.square 6) r in
   check_int "length" 5 (Noc.Rect.length r);
-  check_int "step 0 cores" 1 (List.length (Noc.Rect.cores_on_step r 0));
-  check_int "step 2 cores" 3 (List.length (Noc.Rect.cores_on_step r 2));
-  check_int "step 5 cores" 1 (List.length (Noc.Rect.cores_on_step r 5));
+  (* The cores of step k: the tails of its slots (the heads of step k-1's
+     for the sink step). *)
+  let cores_on_step k =
+    let ends, k = if k < 5 then (d.tail, k) else (d.head, k - 1) in
+    List.init (d.steps.(k + 1) - d.steps.(k)) (fun i -> ends.(d.steps.(k) + i))
+    |> List.sort_uniq Int.compare |> List.length
+  in
+  check_int "step 0 cores" 1 (cores_on_step 0);
+  check_int "step 2 cores" 3 (cores_on_step 2);
+  check_int "step 5 cores" 1 (cores_on_step 5);
   (* Total links over all steps = #horizontal + #vertical in the rect. *)
   let total =
-    List.init 5 (fun k -> List.length (Noc.Rect.links_on_step r k))
+    List.init 5 (fun k -> d.steps.(k + 1) - d.steps.(k))
     |> List.fold_left ( + ) 0
   in
-  check_int "total rect links" ((3 * 3) + (2 * 4)) total
+  check_int "total rect links" ((3 * 3) + (2 * 4)) total;
+  check_int "every slot in a step" (Array.length d.ids) d.steps.(5);
+  Alcotest.check_raises "sink off the mesh"
+    (Invalid_argument "Rect.compile: sink off the mesh") (fun () ->
+      ignore (Noc.Rect.compile (Noc.Mesh.square 2) r))
 
 let test_rect_quadrants () =
   (* The rectangle machinery must work identically in all four quadrants. *)
+  let m = Noc.Mesh.square 6 in
   List.iter
     (fun (src, snk) ->
       let r = Noc.Rect.make ~src ~snk in
+      let d = Noc.Rect.compile m r in
       let n = Noc.Rect.length r in
       for k = 0 to n - 1 do
-        List.iter
-          (fun (l : Noc.Mesh.link) ->
-            Alcotest.(check bool) "contains_link" true (Noc.Rect.contains_link r l);
-            check_int "step of src" k (Noc.Rect.step_of_core r l.src);
-            check_int "step of dst" (k + 1) (Noc.Rect.step_of_core r l.dst))
-          (Noc.Rect.links_on_step r k)
+        for s = d.steps.(k) to d.steps.(k + 1) - 1 do
+          let l = Noc.Mesh.link_of_id m d.ids.(s) in
+          Alcotest.(check bool) "contains_link" true
+            (contains_core r l.src && contains_core r l.dst
+            && rect_offset r l.src = d.tail.(s)
+            && rect_offset r l.dst = d.head.(s));
+          check_int "step of src" k (step_of_core r l.src);
+          check_int "step of dst" (k + 1) (step_of_core r l.dst)
+        done
       done;
-      check_int "snk step" n (Noc.Rect.step_of_core r snk))
+      check_int "snk step" n (step_of_core r snk);
+      check_int "snk is the last offset" (Array.length d.out - 1)
+        (rect_offset r snk))
     [
       (coord 2 2, coord 4 5);
       (coord 2 5, coord 4 2);
@@ -354,28 +386,40 @@ let test_rect_quadrants () =
     ]
 
 let test_rect_out_links_order () =
+  let m = Noc.Mesh.square 3 in
   let r = Noc.Rect.make ~src:(coord 1 1) ~snk:(coord 3 3) in
-  (match Noc.Rect.out_links r (coord 1 1) with
+  let d = Noc.Rect.compile m r in
+  let out_links c =
+    let o = rect_offset r c in
+    List.init (Noc.Rect.out_degree d o) (fun i ->
+        let s = d.out.(o) + i in
+        check_int "out-slot leaves its core" o d.tail.(s);
+        Noc.Mesh.link_of_id m d.ids.(s))
+  in
+  (match out_links (coord 1 1) with
   | [ h; v ] ->
       check_bool "horizontal first" true (Noc.Mesh.is_horizontal h);
       check_bool "then vertical" false (Noc.Mesh.is_horizontal v)
   | _ -> Alcotest.fail "expected two out links");
-  check_int "sink row: single link" 1
-    (List.length (Noc.Rect.out_links r (coord 3 2)));
-  check_int "sink: none" 0 (List.length (Noc.Rect.out_links r (coord 3 3)))
+  check_int "sink row: single link" 1 (List.length (out_links (coord 3 2)));
+  check_int "sink: none" 0 (List.length (out_links (coord 3 3)))
 
 let prop_every_path_stays_in_rect =
+  let m = Noc.Mesh.square 8 in
   QCheck.Test.make ~name:"every Manhattan path stays in its rectangle"
     ~count:200 arb_pair (fun ((r1, c1), (r2, c2)) ->
       QCheck.assume (not (r1 = r2 && c1 = c2));
       QCheck.assume (Noc.Coord.manhattan (coord r1 c1) (coord r2 c2) <= 7);
       let src = coord r1 c1 and snk = coord r2 c2 in
       let rect = Noc.Rect.make ~src ~snk in
+      let d = Noc.Rect.compile m rect in
       Noc.Path.fold_all
         (fun acc p ->
           acc
-          && Array.for_all (Noc.Rect.contains_core rect) (Noc.Path.cores p)
-          && Array.for_all (Noc.Rect.contains_link rect) (Noc.Path.links p))
+          && Array.for_all (contains_core rect) (Noc.Path.cores p)
+          && Array.for_all
+               (fun l -> Array.mem (Noc.Mesh.link_id m l) d.ids)
+               (Noc.Path.links p))
         true ~src ~snk)
 
 (* The shared rectangle search against brute force over every Manhattan
@@ -396,8 +440,15 @@ let prop_cheapest_is_brute_force =
     (fun ((r1, c1, r2, c2), costs, cuts) ->
       QCheck.assume (not (r1 = r2 && c1 = c2));
       let src = coord r1 c1 and snk = coord r2 c2 in
-      let rect = Noc.Rect.make ~src ~snk in
+      let d = Noc.Rect.compile m (Noc.Rect.make ~src ~snk) in
       let usable id = cuts.(id) > 0 and cost id = float_of_int costs.(id) in
+      let cheapest ~usable ~cost =
+        Option.map
+          (fun (slots, c) -> (Noc.Rect.path d slots, c))
+          (Noc.Rect.cheapest d
+             ~usable:(fun s -> usable d.ids.(s))
+             ~cost:(fun s -> cost d.ids.(s)))
+      in
       let ids p = Array.map (Noc.Mesh.link_id m) (Noc.Path.links p) in
       let path_cost p =
         Array.fold_left (fun c id -> c +. cost id) 0. (ids p)
@@ -413,16 +464,14 @@ let prop_cheapest_is_brute_force =
           None ~src ~snk
       in
       let same_minimum =
-        match (Noc.Rect.cheapest m rect ~usable ~cost, brute) with
+        match (cheapest ~usable ~cost, brute) with
         | None, None -> true
         | Some (p, c), Some b ->
             c = b && path_cost p = b && Array.for_all usable (ids p)
         | _ -> false
       in
       let first_wins =
-        match
-          Noc.Rect.cheapest m rect ~usable:(fun _ -> true) ~cost:(fun _ -> 1.)
-        with
+        match cheapest ~usable:(fun _ -> true) ~cost:(fun _ -> 1.) with
         | Some (p, _) -> Noc.Path.equal p (Noc.Path.xy ~src ~snk)
         | None -> false
       in

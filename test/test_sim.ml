@@ -17,6 +17,34 @@ let test_config_validation () =
   Alcotest.check_raises "packet size"
     (Invalid_argument "Sim.Config: packet_flits < 1") (fun () ->
       Sim.Config.validate { Sim.Config.default with packet_flits = 0 });
+  (* Capacities no array can hold fail here, before [create] allocates. *)
+  let huge =
+    "Sim.Config: num_vcs * buffer_flits exceeds Sys.max_array_length"
+  in
+  Alcotest.check_raises "huge buffers" (Invalid_argument huge) (fun () ->
+      Sim.Config.validate { Sim.Config.default with buffer_flits = max_int });
+  Alcotest.check_raises "huge VC count" (Invalid_argument huge) (fun () ->
+      Sim.Config.validate { Sim.Config.default with num_vcs = max_int });
+  Alcotest.check_raises "huge injection queue"
+    (Invalid_argument
+       "Sim.Config: max_pending_packets exceeds Sys.max_array_length")
+    (fun () ->
+      Sim.Config.validate
+        { Sim.Config.default with max_pending_packets = max_int });
+  (* Per link the queues fit, but not over every link of the mesh. *)
+  let config =
+    { Sim.Config.default with num_vcs = 2; buffer_flits = 1 lsl 52 }
+  in
+  Sim.Config.validate config;
+  Alcotest.check_raises "queues over every link"
+    (Invalid_argument
+       "Sim.Config: links * num_vcs * buffer_flits exceeds \
+        Sys.max_array_length")
+    (fun () ->
+      let mesh = Noc.Mesh.square 2 in
+      ignore
+        (Sim.Network.create ~config km
+           (Routing.Xy.route mesh [ comm 0 (coord 1 1) (coord 2 2) 100. ])));
   Sim.Config.validate Sim.Config.default
 
 let test_single_comm_full_delivery () =

@@ -177,7 +177,7 @@ let test_solve_flows_conservation () =
           let l = Noc.Mesh.link_of_id mesh id in
           bump l.Noc.Mesh.src share;
           bump l.Noc.Mesh.dst (-.share))
-        fl.link_ids;
+        fl.dag.ids;
       Hashtbl.iter
         (fun core excess ->
           let expect =
