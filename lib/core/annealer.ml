@@ -1,38 +1,18 @@
-(* Cost change of replacing [old_p] by [new_p] for [rate] units, scored
-   through the delta engine's memoized cost table (the loads carry no
-   fault, so the capped lookup reduces to the plain penalized cost). *)
-let move_delta sc loads rate old_p new_p =
-  let mesh = Noc.Load.mesh loads in
-  let changes = Hashtbl.create 32 in
-  let bump sign l =
-    let id = Noc.Mesh.link_id mesh l in
-    let d = try Hashtbl.find changes id with Not_found -> 0. in
-    Hashtbl.replace changes id (d +. (sign *. rate))
-  in
-  Noc.Path.iter_links old_p (bump (-1.));
-  Noc.Path.iter_links new_p (bump 1.);
-  Hashtbl.fold
-    (fun id d acc ->
-      if Float.abs d < 1e-12 then acc
-      else
-        let before = Noc.Load.get loads id in
-        acc +. Delta.cost sc id (before +. d) -. Delta.cost sc id before)
-    changes 0.
-
 (* A local mutation: divert the path around one of its random links; falls
    back to a fresh random path when the geometry offers no diversion. *)
 let mutate rng (comm : Traffic.Communication.t) path =
-  let links = Noc.Path.links path in
+  let n = Noc.Path.length path in
   let fresh () =
     Noc.Path.random
       ~choose:(Traffic.Rng.int rng)
       ~src:comm.src ~snk:comm.snk
   in
-  if Array.length links = 0 then fresh ()
+  if n = 0 then fresh ()
   else if Traffic.Rng.bool rng then fresh ()
   else
-    let l = links.(Traffic.Rng.int rng (Array.length links)) in
-    match Xy_improver.divert path l with Some p -> p | None -> fresh ()
+    match Xy_improver.divert path (Traffic.Rng.int rng n) with
+    | Some p -> p
+    | None -> fresh ()
 
 let anneal rng mesh model comms ~iterations =
   let comms = Array.of_list comms in
@@ -75,7 +55,9 @@ let anneal rng mesh model comms ~iterations =
     let proposal = mutate rng comms.(i) paths.(i) in
     if not (Noc.Path.equal proposal paths.(i)) then begin
       let rate = comms.(i).Traffic.Communication.rate in
-      let delta = move_delta sc loads rate paths.(i) proposal in
+      (* The loads carry no fault, so the capped lookup reduces to the
+         plain penalized cost. *)
+      let delta = Xy_improver.move_delta sc loads rate paths.(i) proposal in
       let accept =
         delta <= 0.
         || Traffic.Rng.float rng < Float.exp (-.delta /. !temp)

@@ -188,10 +188,14 @@ let add t id delta =
     else if old_eff >= t.max_eff then t.max_dirty <- true
   end
 
-let add_link t l delta = add t (Noc.Mesh.link_id (Noc.Load.mesh t.loads) l) delta
-let add_path t path rate = Noc.Path.iter_links path (fun l -> add_link t l rate)
+let add_path t path rate =
+  Noc.Path.iter_ids (Noc.Load.mesh t.loads) path (fun id -> add t id rate)
+
 let remove_path t path rate = add_path t path (-.rate)
-let add_walk t walk rate = Noc.Walk.iter_links walk (fun l -> add_link t l rate)
+
+let add_walk t walk rate =
+  Noc.Walk.iter_ids (Noc.Load.mesh t.loads) walk (fun id -> add t id rate)
+
 let remove_walk t walk rate = add_walk t walk (-.rate)
 
 let add_route t (r : Solution.route) =

@@ -146,8 +146,7 @@ let occupant_shares mesh routes n =
     (fun (r : Solution.route) ->
       let comm = r.Solution.comm in
       let cid = comm.Traffic.Communication.id in
-      let touch share link =
-        let id = Noc.Mesh.link_id mesh link in
+      let touch share id =
         match
           List.find_opt
             (fun (c, _) -> c.Traffic.Communication.id = cid)
@@ -157,10 +156,10 @@ let occupant_shares mesh routes n =
         | None -> acc.(id) <- (comm, ref share) :: acc.(id)
       in
       List.iter
-        (fun (p, w) -> Noc.Path.iter_links p (touch w))
+        (fun (p, w) -> Noc.Path.iter_ids mesh p (touch w))
         r.Solution.paths;
       List.iter
-        (fun (w, sh) -> Noc.Walk.iter_links w (touch sh))
+        (fun (w, sh) -> Noc.Walk.iter_ids mesh w (touch sh))
         r.Solution.detours)
     routes;
   Array.map List.rev acc

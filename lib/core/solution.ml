@@ -112,18 +112,13 @@ let loads ?fault t =
     t.routes;
   loads
 
-let iter_route_links r f =
-  List.iter
-    (fun (p, _) -> Array.iter f (Noc.Path.links p))
-    r.paths;
-  List.iter
-    (fun (w, _) -> Array.iter f (Noc.Walk.links w))
-    r.detours
+let iter_route_ids mesh r f =
+  List.iter (fun (p, _) -> Noc.Path.iter_ids mesh p f) r.paths;
+  List.iter (fun (w, _) -> Noc.Walk.iter_ids mesh w f) r.detours
 
 let route_crosses mesh mask r =
   let hit = ref false in
-  iter_route_links r (fun l ->
-      if mask.(Noc.Mesh.link_id mesh l) then hit := true);
+  iter_route_ids mesh r (fun id -> if mask.(id) then hit := true);
   !hit
 
 let path_of t comm =

@@ -63,10 +63,10 @@ val loads : ?fault:Noc.Fault.t -> t -> Noc.Load.t
     carried by the returned {!Noc.Load.t} so evaluation sees the degraded
     capacities. *)
 
-val iter_route_links : route -> (Noc.Mesh.link -> unit) -> unit
-(** Apply the function to every directed link of every part of the route
-    (paths first, then detour walks; a link used by several parts is
-    visited once per part). *)
+val iter_route_ids : Noc.Mesh.t -> route -> (int -> unit) -> unit
+(** Apply the function to the {!Noc.Mesh.link_id} of every directed link
+    of every part of the route, in hop order (paths first, then detour
+    walks; a link used by several parts is visited once per part). *)
 
 val route_crosses : Noc.Mesh.t -> bool array -> route -> bool
 (** [route_crosses mesh mask r]: some link of the route has its

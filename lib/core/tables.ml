@@ -27,11 +27,13 @@ let compile solution =
         Hashtbl.replace destinations id comm.snk;
         match r.paths with
         | [ (path, _) ] ->
-            Array.iter
-              (fun (l : Noc.Mesh.link) ->
-                Hashtbl.replace entries (l.src, id)
-                  (Forward (Noc.Mesh.step_of_link l)))
-              (Noc.Path.links path);
+            let cores = Noc.Path.cores path in
+            for i = 0 to Array.length cores - 2 do
+              Hashtbl.replace entries (cores.(i), id)
+                (Forward
+                   (Noc.Mesh.step_of_link
+                      (Noc.Mesh.link ~src:cores.(i) ~dst:cores.(i + 1))))
+            done;
             Hashtbl.replace entries (comm.snk, id) Eject
         | _ ->
             raise

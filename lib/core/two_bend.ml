@@ -1,13 +1,12 @@
 (* Added penalized cost of routing [rate] over the candidate, scored
    through the delta engine's memoized cost table. *)
 let added_cost sc loads rate path =
-  let mesh = Noc.Load.mesh loads in
-  Array.fold_left
-    (fun acc l ->
-      let id = Noc.Mesh.link_id mesh l in
+  let acc = ref 0. in
+  Noc.Path.iter_ids (Noc.Load.mesh loads) path (fun id ->
       let before = Noc.Load.get loads id in
-      acc +. Delta.cost sc id (before +. rate) -. Delta.cost sc id before)
-    0. (Noc.Path.links path)
+      acc :=
+        !acc +. Delta.cost sc id (before +. rate) -. Delta.cost sc id before);
+  !acc
 
 let best_candidate sc loads (comm : Traffic.Communication.t) =
   let candidates = Noc.Path.two_bend_all ~src:comm.src ~snk:comm.snk in

@@ -17,11 +17,19 @@
     overload always pays; the returned solution is judged with the exact
     model as usual. *)
 
-val divert :
-  Noc.Path.t -> Noc.Mesh.link -> Noc.Path.t option
-(** [divert path link] is the diverted Manhattan path avoiding [link], or
-    [None] when [link] is not on [path] or the geometry offers no
-    alternative (endpoint rows/columns). Exposed for testing. *)
+val divert : Noc.Path.t -> int -> Noc.Path.t option
+(** [divert path k] is the diverted Manhattan path avoiding the link of
+    hop [k] (the [k]-th id of {!Noc.Path.ids}, from 0), or [None] when [k]
+    is not a hop index of [path] or the geometry offers no alternative
+    (endpoint rows/columns). Used by the annealer's local move. *)
+
+val move_delta :
+  Delta.scorer -> Noc.Load.t -> float -> Noc.Path.t -> Noc.Path.t -> float
+(** [move_delta sc loads rate old_p new_p] is the change of penalized cost
+    of moving [rate] units from [old_p] to [new_p], scored through [sc]'s
+    memoized cost table without mutating [loads]. Links on both paths
+    cancel; the sum runs over the other links in [Hashtbl] order. Shared
+    with the annealer. *)
 
 val route :
   ?order:Traffic.Communication.order ->

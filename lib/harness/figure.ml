@@ -198,24 +198,8 @@ let figserve =
         Optim.Online.heuristic ~name:"SRV0" ~rate:x ~sleep:false ();
       ])
 
-let all =
-  [
-    fig7a;
-    fig7b;
-    fig7c;
-    fig8a;
-    fig8b;
-    fig8c;
-    fig9a;
-    fig9b;
-    fig9c;
-    figf;
-    figs;
-    figpf;
-    figrec;
-    figserve;
-    figpareto;
-  ]
+let paper = [ fig7a; fig7b; fig7c; fig8a; fig8b; fig8c; fig9a; fig9b; fig9c ]
+let all = paper @ [ figf; figs; figpf; figrec; figserve; figpareto ]
 
 let find id =
   let id = String.lowercase_ascii id in

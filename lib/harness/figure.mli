@@ -131,9 +131,13 @@ val figpareto : t
     front. Paired: the same workloads (and the same slope fault) at
     every budget, so only measurement fidelity moves along x. *)
 
+val paper : t list
+(** The nine paper figures in paper order: the instances the paper's
+    Section 6.4 statistics pool. *)
+
 val all : t list
-(** The nine paper figures in paper order, then {!figf}, {!figs},
-    {!figpf}, {!figrec}, {!figserve} and {!figpareto}. *)
+(** {!paper}, then {!figf}, {!figs}, {!figpf}, {!figrec}, {!figserve} and
+    {!figpareto}. *)
 
 val find : string -> t option
 (** Lookup by [id] (case-insensitive). *)

@@ -49,8 +49,8 @@ let csv (r : Runner.result) =
   Buffer.contents buf
 
 (* The shared chip frame: cores are [+], each inter-core gap renders
-   whatever [cell u v] says about the pair of opposite links between
-   cores [u] and [v]. *)
+   whatever [cell a b] says about the pair of opposite links between two
+   neighbouring cores, by their ids: [a] leaves the upper-left core. *)
 let chip_map mesh cell =
   let p = Noc.Mesh.rows mesh and q = Noc.Mesh.cols mesh in
   let buf = Buffer.create 1024 in
@@ -62,7 +62,10 @@ let chip_map mesh cell =
         let u = Noc.Coord.make ~row ~col
         and v = Noc.Coord.make ~row ~col:(col + 1) in
         Buffer.add_char buf '-';
-        Buffer.add_char buf (cell u v);
+        Buffer.add_char buf
+          (cell
+             (Noc.Mesh.step_id mesh u Noc.Mesh.East)
+             (Noc.Mesh.step_id mesh v Noc.Mesh.West));
         Buffer.add_char buf '-'
       end
     done;
@@ -72,7 +75,10 @@ let chip_map mesh cell =
       for col = 1 to q do
         let u = Noc.Coord.make ~row ~col
         and v = Noc.Coord.make ~row:(row + 1) ~col in
-        Buffer.add_char buf (cell u v);
+        Buffer.add_char buf
+          (cell
+             (Noc.Mesh.step_id mesh u Noc.Mesh.South)
+             (Noc.Mesh.step_id mesh v Noc.Mesh.North));
         if col < q then Buffer.add_string buf "   "
       done;
       Buffer.add_char buf '\n'
@@ -81,13 +87,9 @@ let chip_map mesh cell =
   Buffer.contents buf
 
 let heatmap ?(capacity = 3500.) loads =
-  let cell u v =
-    (* Busier direction of the two opposite links between cores u and v. *)
-    let load =
-      Float.max
-        (Noc.Load.get_link loads (Noc.Mesh.link ~src:u ~dst:v))
-        (Noc.Load.get_link loads (Noc.Mesh.link ~src:v ~dst:u))
-    in
+  let cell a b =
+    (* Busier direction of the two opposite links. *)
+    let load = Float.max (Noc.Load.get loads a) (Noc.Load.get loads b) in
     if load <= 0. then '.'
     else if load > capacity +. 1e-9 then '!'
     else
@@ -108,9 +110,8 @@ let power_heatmap (p : Routing.Probe.t) =
         if Float.is_finite l.link_power then Float.max m l.link_power else m)
       0. p.grid
   in
-  let cell u v =
-    let la = p.grid.(Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:u ~dst:v)) in
-    let lb = p.grid.(Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:v ~dst:u)) in
+  let cell a b =
+    let la = p.grid.(a) and lb = p.grid.(b) in
     if la.overloaded || lb.overloaded then '!'
     else
       let w = Float.max la.link_power lb.link_power in

@@ -73,11 +73,8 @@ let num_dead t =
       | Mesh.West | Mesh.North -> ());
   !n
 
-let path_usable t path =
-  Array.for_all (fun l -> usable t l) (Path.links path)
-
-let walk_usable t walk =
-  Array.for_all (fun l -> usable t l) (Walk.links walk)
+let path_usable t path = Array.for_all (usable_id t) (Path.ids t.mesh path)
+let walk_usable t walk = Array.for_all (usable_id t) (Walk.ids t.mesh walk)
 
 (* Connectivity of the surviving undirected graph (edges are killed in both
    directions, so one direction suffices). *)

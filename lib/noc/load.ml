@@ -7,17 +7,12 @@ let mesh t = t.mesh
 let fault t = t.fault
 let copy t = { t with loads = Array.copy t.loads }
 let get t id = t.loads.(id)
-let get_link t l = t.loads.(Mesh.link_id t.mesh l)
 
 let factor t id =
   match t.fault with None -> 1. | Some f -> Fault.factor f id
 
-let factor_link t l = factor t (Mesh.link_id t.mesh l)
-
 let usable t id =
   match t.fault with None -> true | Some f -> Fault.usable_id f id
-
-let usable_link t l = usable t (Mesh.link_id t.mesh l)
 
 (* Load rescaled to the healthy capacity scale: a link at factor [phi]
    carrying [x] behaves like a healthy link carrying [x / phi]. Dead links
@@ -53,10 +48,9 @@ let add t id delta =
      else x)
 
 let set t id x = t.loads.(id) <- x
-let add_link t l delta = add t (Mesh.link_id t.mesh l) delta
-let add_path t path rate = Path.iter_links path (fun l -> add_link t l rate)
+let add_path t path rate = Path.iter_ids t.mesh path (fun id -> add t id rate)
 let remove_path t path rate = add_path t path (-.rate)
-let add_walk t walk rate = Walk.iter_links walk (fun l -> add_link t l rate)
+let add_walk t walk rate = Walk.iter_ids t.mesh walk (fun id -> add t id rate)
 let max_load t = Array.fold_left max 0. t.loads
 let total t = Array.fold_left ( +. ) 0. t.loads
 

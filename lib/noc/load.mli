@@ -22,17 +22,11 @@ val copy : t -> t
 val get : t -> int -> float
 (** Load of the link with the given {!Mesh.link_id}. *)
 
-val get_link : t -> Mesh.link -> float
-
 val factor : t -> int -> float
 (** Capacity factor of the link under the carried fault ([1.] without one). *)
 
-val factor_link : t -> Mesh.link -> float
-
 val usable : t -> int -> bool
 (** The link is not dead under the carried fault (always true without one). *)
-
-val usable_link : t -> Mesh.link -> bool
 
 val get_effective : t -> int -> float
 (** Load rescaled to the healthy capacity scale: a link at factor [phi]
@@ -54,10 +48,9 @@ val set : t -> int -> float -> unit
     journal rollback, which must reproduce the pre-speculation state
     bit-exactly ([old -. d +. d] would not). *)
 
-val add_link : t -> Mesh.link -> float -> unit
-
 val add_path : t -> Path.t -> float -> unit
-(** Routes [rate] units along every link of the path. *)
+(** Routes [rate] units along every link of the path.
+    @raise Invalid_argument if the path leaves the mesh. *)
 
 val remove_path : t -> Path.t -> float -> unit
 (** Inverse of {!add_path}. *)

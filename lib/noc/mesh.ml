@@ -40,17 +40,18 @@ let link_exists t l =
 let east_count t = t.rows * (t.cols - 1)
 let south_count t = (t.rows - 1) * t.cols
 
+let step_id t { Coord.row = u; col = v } = function
+  | East -> ((u - 1) * (t.cols - 1)) + (v - 1)
+  | West -> east_count t + ((u - 1) * (t.cols - 1)) + (v - 2)
+  | South -> (2 * east_count t) + ((u - 1) * t.cols) + (v - 1)
+  | North -> (2 * east_count t) + south_count t + ((u - 2) * t.cols) + (v - 1)
+
 let link_id t l =
   if not (link_exists t l) then
     invalid_arg
       (Format.asprintf "Mesh.link_id: %a->%a not in %dx%d mesh" Coord.pp l.src
          Coord.pp l.dst t.rows t.cols);
-  let { Coord.row = u; col = v } = l.src in
-  match step_of_link l with
-  | East -> ((u - 1) * (t.cols - 1)) + (v - 1)
-  | West -> east_count t + ((u - 1) * (t.cols - 1)) + (v - 2)
-  | South -> (2 * east_count t) + ((u - 1) * t.cols) + (v - 1)
-  | North -> (2 * east_count t) + south_count t + ((u - 2) * t.cols) + (v - 1)
+  step_id t l.src (step_of_link l)
 
 let link ~src ~dst = { src; dst }
 

@@ -40,10 +40,19 @@ val step_of_link : link -> step
 val link_exists : t -> link -> bool
 (** Both endpoints are in the mesh and one step apart. *)
 
+val step_id : t -> Coord.t -> step -> int
+(** [step_id t c s] is the dense identifier of the link leaving core [c]
+    in direction [s]. The four directions are stored one after another
+    (East, West, South, North); within one direction the ids are row-major
+    by source core: one column further adds 1, one row further adds
+    [cols - 1] to a horizontal link and [cols] to a vertical one. This is
+    the one copy of the layout: {!link_id}, [Rect.compile], [Path.iter_ids]
+    and [Walk.iter_ids] all number links through it. Unchecked: the caller
+    guarantees that the link exists. *)
+
 val link_id : t -> link -> int
-(** Dense identifier of a directed link. Within one direction the ids are
-    row-major by source core: one column further adds 1, one row further
-    adds [cols - 1] to a horizontal link and [cols] to a vertical one.
+(** Dense identifier of a directed link: {!step_id} of its source and
+    direction.
     @raise Invalid_argument if the link does not exist in the mesh. *)
 
 val link_of_id : t -> int -> link

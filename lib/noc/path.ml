@@ -45,16 +45,36 @@ let cores t =
   done;
   out
 
-let links t =
-  let cs = cores t in
-  Array.init (length t) (fun i -> Mesh.link ~src:cs.(i) ~dst:cs.(i + 1))
+(* A Manhattan path stays inside the rectangle of its endpoints, so two
+   corner checks cover every hop. *)
+let iter_ids mesh t f =
+  if not (Mesh.in_mesh mesh t.src && Mesh.in_mesh mesh t.snk) then
+    invalid_arg
+      (Format.asprintf "Path.iter_ids: %a->%a not in %a" Coord.pp t.src
+         Coord.pp t.snk Mesh.pp mesh);
+  let d = quadrant t in
+  let rs = Quadrant.row_step d and cs = Quadrant.col_step d in
+  let across = if cs > 0 then Mesh.East else Mesh.West
+  and down = if rs > 0 then Mesh.South else Mesh.North in
+  let c = ref t.src in
+  Array.iter
+    (fun m ->
+      let { Coord.row; col } = !c in
+      match m with
+      | H ->
+          f (Mesh.step_id mesh !c across);
+          c := Coord.make ~row ~col:(col + cs)
+      | V ->
+          f (Mesh.step_id mesh !c down);
+          c := Coord.make ~row:(row + rs) ~col)
+    t.moves
 
-let iter_links t f = Array.iter f (links t)
-
-let mem_link t l =
-  Array.exists
-    (fun l' -> Coord.equal l.Mesh.src l'.Mesh.src && Coord.equal l.dst l'.dst)
-    (links t)
+let ids mesh t =
+  let out = Array.make (length t) 0 and k = ref 0 in
+  iter_ids mesh t (fun id ->
+      out.(!k) <- id;
+      incr k);
+  out
 
 let bends t =
   let n = length t in

@@ -3,7 +3,7 @@
     A Manhattan path is a monotone staircase: every hop moves one step closer
     to the sink, so its length is exactly the Manhattan distance between the
     endpoints. A path is represented by its endpoints and the sequence of
-    axis choices; the actual cores and links are derived. *)
+    axis choices; the actual cores and link ids are derived. *)
 
 type move =
   | H  (** One hop along the column (horizontal) axis, toward the sink. *)
@@ -41,12 +41,14 @@ val quadrant : t -> Quadrant.t
 val cores : t -> Coord.t array
 (** The [length + 1] cores traversed, source first. *)
 
-val links : t -> Mesh.link array
-(** The [length] directed links traversed, in order. *)
+val iter_ids : Mesh.t -> t -> (int -> unit) -> unit
+(** Applies the function to the {!Mesh.link_id} of every link traversed,
+    in hop order. The ids come from the moves through {!Mesh.step_id}.
+    @raise Invalid_argument if either endpoint is off the mesh (checked
+    once: a Manhattan path stays inside its endpoints' rectangle). *)
 
-val iter_links : t -> (Mesh.link -> unit) -> unit
-
-val mem_link : t -> Mesh.link -> bool
+val ids : Mesh.t -> t -> int array
+(** The [length] link ids of {!iter_ids}, in hop order. *)
 
 val bends : t -> int
 (** Number of direction changes along the path ([xy] and [yx] have at most

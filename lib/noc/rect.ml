@@ -30,19 +30,21 @@ type dag = {
    the source; slots are laid out step by step, each step's cores by
    increasing row distance, each core's horizontal link first. A link id
    is its direction's id at the source plus fixed row and column strides
-   ({!Mesh.link_id}). *)
+   ({!Mesh.step_id}). *)
 let compile mesh t =
+  if not (Mesh.in_mesh mesh t.src) then
+    invalid_arg "Rect.compile: source off the mesh";
   if not (Mesh.in_mesh mesh t.snk) then
     invalid_arg "Rect.compile: sink off the mesh";
   let w = t.dcol + 1 and n = length t and cols = Mesh.cols mesh in
   let rs = Quadrant.row_step t.quadrant
   and cs = Quadrant.col_step t.quadrant in
   (* The ids of the source's horizontal and vertical links, when present. *)
-  let from_src extent dst =
-    if extent = 0 then 0 else Mesh.link_id mesh (Mesh.link ~src:t.src ~dst)
+  let from_src extent step =
+    if extent = 0 then 0 else Mesh.step_id mesh t.src step
   in
-  let h0 = from_src t.dcol { t.src with col = t.src.col + cs }
-  and v0 = from_src t.drow { t.src with row = t.src.row + rs } in
+  let h0 = from_src t.dcol (if cs > 0 then Mesh.East else Mesh.West)
+  and v0 = from_src t.drow (if rs > 0 then Mesh.South else Mesh.North) in
   let nslots = (t.drow * w) + (t.dcol * (t.drow + 1)) in
   let ids = Array.make nslots 0
   and tail = Array.make nslots 0

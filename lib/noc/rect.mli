@@ -46,7 +46,9 @@ type dag = private {
 }
 
 val compile : Mesh.t -> t -> dag
-(** @raise Invalid_argument if the rectangle leaves the mesh. *)
+(** A slot's id is the {!Mesh.step_id} of the source's link in the same
+    direction plus the layout's row and column strides.
+    @raise Invalid_argument if the source or the sink is off the mesh. *)
 
 val out_degree : dag -> int -> int
 (** Number of out-slots of a core offset: 2 inside, 1 on the sink's row or

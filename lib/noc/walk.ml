@@ -18,19 +18,16 @@ let snk t = t.cores.(Array.length t.cores - 1)
 let length t = Array.length t.cores - 1
 let cores t = Array.copy t.cores
 
-let links t =
-  Array.init (length t) (fun i ->
-      Mesh.link ~src:t.cores.(i) ~dst:t.cores.(i + 1))
+(* A walk may leave any rectangle, so every hop is validated. *)
+let hop_id mesh t i =
+  Mesh.link_id mesh (Mesh.link ~src:t.cores.(i) ~dst:t.cores.(i + 1))
 
-let iter_links t f =
+let ids mesh t = Array.init (length t) (hop_id mesh t)
+
+let iter_ids mesh t f =
   for i = 0 to length t - 1 do
-    f (Mesh.link ~src:t.cores.(i) ~dst:t.cores.(i + 1))
+    f (hop_id mesh t i)
   done
-
-let mem_link t (l : Mesh.link) =
-  let found = ref false in
-  iter_links t (fun l' -> if l' = l then found := true);
-  !found
 
 let detour_hops t = length t - Coord.manhattan (src t) (snk t)
 

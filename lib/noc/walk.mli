@@ -25,12 +25,13 @@ val length : t -> int
 
 val cores : t -> Coord.t array
 
-val links : t -> Mesh.link array
-(** The [length] directed links traversed, in order. *)
+val iter_ids : Mesh.t -> t -> (int -> unit) -> unit
+(** Applies the function to the {!Mesh.link_id} of every link traversed,
+    in hop order (a revisited link once per visit).
+    @raise Invalid_argument if a hop leaves the mesh (checked per hop). *)
 
-val iter_links : t -> (Mesh.link -> unit) -> unit
-
-val mem_link : t -> Mesh.link -> bool
+val ids : Mesh.t -> t -> int array
+(** The [length] link ids of {!iter_ids}, in hop order. *)
 
 val detour_hops : t -> int
 (** [length t - manhattan (src t) (snk t)]: extra hops beyond the shortest

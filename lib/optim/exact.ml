@@ -65,11 +65,11 @@ let route ?(max_nodes = 5_000_000) ?fault model mesh comms =
                  link's (possibly fault-degraded) ceiling. *)
               let fits =
                 Array.for_all
-                  (fun l ->
+                  (fun id ->
                     Power.Model.is_feasible_capped model
-                      ~factor:(Noc.Load.factor_link loads l)
-                      (Noc.Load.get_link loads l +. rate))
-                  (Noc.Path.links path)
+                      ~factor:(Noc.Load.factor loads id)
+                      (Noc.Load.get loads id +. rate))
+                  (Noc.Path.ids mesh path)
               in
               if fits then begin
                 Noc.Load.add_path loads path rate;

@@ -280,8 +280,8 @@ let step t (event : Traffic.Trace.event) =
               t.pending_shed
       | Some r ->
           let touched = Array.make (Noc.Mesh.num_links t.mesh) false in
-          Routing.Solution.iter_route_links r (fun l ->
-              touched.(Noc.Mesh.link_id t.mesh l) <- true);
+          Routing.Solution.iter_route_ids t.mesh r (fun id ->
+              touched.(id) <- true);
           Routing.Delta.remove_route t.eng r;
           t.live_routes <-
             List.filter (fun (i, _) -> i <> id) t.live_routes;

@@ -95,9 +95,8 @@ let widened_search sc loads history ~capacity (comm : Traffic.Communication.t)
        let cu = coord_of.(!u) in
        List.iter
          (fun nb ->
-           let l = Noc.Mesh.link ~src:cu ~dst:nb in
-           if Noc.Load.usable_link loads l then begin
-             let id = Noc.Mesh.link_id mesh l in
+           let id = Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:cu ~dst:nb) in
+           if Noc.Load.usable loads id then begin
              let c =
                dist.(!u) +. link_cost sc loads history ~capacity ~rate id
              in
@@ -144,8 +143,7 @@ let search model sc loads history ~capacity (comm : Traffic.Communication.t) =
   match manhattan_search sc loads history ~capacity comm with
   | Some (path, cost) ->
       let settled = ref true in
-      Noc.Path.iter_links path (fun l ->
-          let id = Noc.Mesh.link_id mesh l in
+      Noc.Path.iter_ids mesh path (fun id ->
           if
             history.(id) > 0.
             || not (link_fits model loads ~rate:comm.rate id)

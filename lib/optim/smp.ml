@@ -108,8 +108,7 @@ let make_slot ~s ~max_pool ?fault (base : Routing.Solution.route)
    shift free on the receiving side. *)
 let level_room model mesh loads path =
   let room = ref infinity in
-  Noc.Path.iter_links path (fun l ->
-      let id = Noc.Mesh.link_id mesh l in
+  Noc.Path.iter_ids mesh path (fun id ->
       let load = Noc.Load.get loads id in
       match
         Power.Model.required_frequency_capped model
@@ -135,8 +134,7 @@ let attempt eng sc mesh s slot a b delta =
       let m = Routing.Delta.mark eng in
       let diff = ref 0. in
       let shift p d =
-        Noc.Path.iter_links p (fun l ->
-            let id = Noc.Mesh.link_id mesh l in
+        Noc.Path.iter_ids mesh p (fun id ->
             let before = Routing.Delta.cost sc id (Noc.Load.get loads id) in
             Routing.Delta.add eng id d;
             let after = Routing.Delta.cost sc id (Noc.Load.get loads id) in

@@ -81,12 +81,6 @@ type t = {
   mutable kills : (int * int) list;  (* (absolute cycle, link id) pending *)
 }
 
-let path_links mesh path =
-  Array.map (Noc.Mesh.link_id mesh) (Noc.Path.links path)
-
-let walk_links mesh walk =
-  Array.map (Noc.Mesh.link_id mesh) (Noc.Walk.links walk)
-
 (* ---------------- per-domain input tables ---------------- *)
 
 (* A campaign sweeps many solutions over the same mesh shape; the
@@ -138,10 +132,10 @@ let create ?(config = Config.default) ?arena model solution =
            let total = r.comm.Traffic.Communication.rate in
            let all_routes =
              List.map
-               (fun (p, share) -> (path_links mesh p, share /. total))
+               (fun (p, share) -> (Noc.Path.ids mesh p, share /. total))
                r.paths
              @ List.map
-                 (fun (w, share) -> (walk_links mesh w, share /. total))
+                 (fun (w, share) -> (Noc.Walk.ids mesh w, share /. total))
                  r.detours
            in
            {
@@ -504,7 +498,7 @@ let arbitrate t =
 let reroute_via_xy t q (comm : Traffic.Communication.t) current_core =
   let p = t.owner.(q) and snk = comm.snk in
   if not (Noc.Coord.equal current_core snk) then begin
-    let tail_ids = path_links t.mesh (Noc.Path.xy ~src:current_core ~snk) in
+    let tail_ids = Noc.Path.ids t.mesh (Noc.Path.xy ~src:current_core ~snk) in
     t.pkt_route.(p) <-
       Array.append (Array.sub t.pkt_route.(p) 0 (t.hop.(q) + 1)) tail_ids;
     t.pkt_escaped.(p) <- true;

@@ -5,9 +5,9 @@ let loads ~p' ~total =
   let loads = Noc.Load.create mesh in
   let core row col = Noc.Coord.make ~row ~col in
   let add_right u v w =
-    Noc.Load.add_link loads (Noc.Mesh.link ~src:(core u v) ~dst:(core u (v + 1))) w
+    Noc.Load.add loads (Noc.Mesh.step_id mesh (core u v) Noc.Mesh.East) w
   and add_down u v w =
-    Noc.Load.add_link loads (Noc.Mesh.link ~src:(core u v) ~dst:(core (u + 1) v)) w
+    Noc.Load.add loads (Noc.Mesh.step_id mesh (core u v) Noc.Mesh.South) w
   in
   (* First half of the chip. Odd diagonals D_(2k+1) (k = 0..p'-1): each of
      the k+1 cores C(j, 2k+2-j) sends h_(k+1) = K/(k+1) rightward. *)
@@ -39,8 +39,9 @@ let loads ~p' ~total =
         let sigma (c : Noc.Coord.t) =
           Noc.Coord.make ~row:(p + 1 - c.col) ~col:(p + 1 - c.row)
         in
-        Noc.Load.add_link mirrored
-          (Noc.Mesh.link ~src:(sigma l.dst) ~dst:(sigma l.src))
+        Noc.Load.add mirrored
+          (Noc.Mesh.link_id mesh
+             (Noc.Mesh.link ~src:(sigma l.dst) ~dst:(sigma l.src)))
           w
       end)
     loads;

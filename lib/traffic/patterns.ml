@@ -91,18 +91,11 @@ let hotspot rng mesh ~n ~hotspot ~bias ~weight =
   if n > 0 && Noc.Mesh.num_cores mesh < 2 then
     invalid_arg "Patterns.hotspot: fewer than two cores";
   List.init n (fun id ->
-      let rate =
-        if weight.Workload.w_lo = weight.Workload.w_hi then weight.Workload.w_lo
-        else Rng.uniform rng ~lo:weight.Workload.w_lo ~hi:weight.Workload.w_hi
-      in
+      let rate = Workload.draw_weight rng weight in
       if Rng.float rng < bias then begin
         (* Toward the hotspot, from a random distinct source. *)
         let rec draw () =
-          let src =
-            Noc.Coord.make
-              ~row:(Rng.range rng ~lo:1 ~hi:(Noc.Mesh.rows mesh))
-              ~col:(Rng.range rng ~lo:1 ~hi:(Noc.Mesh.cols mesh))
-          in
+          let src = Workload.random_core rng mesh in
           if Noc.Coord.equal src hotspot then draw () else src
         in
         Communication.make ~id ~src:(draw ()) ~snk:hotspot ~rate

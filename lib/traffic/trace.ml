@@ -51,10 +51,6 @@ let lifetime rng = Rng.uniform rng ~lo:(0.5 *. mean_lifetime) ~hi:(1.5 *. mean_l
 (* Exponential inter-arrival with instantaneous rate [lambda]. *)
 let exp_draw rng lambda = -.Float.log1p (-.Rng.float rng) /. lambda
 
-let draw_weight rng (w : Workload.weight) =
-  if w.Workload.w_lo = w.Workload.w_hi then w.Workload.w_lo
-  else Rng.uniform rng ~lo:w.Workload.w_lo ~hi:w.Workload.w_hi
-
 let hotspot_core mesh =
   Noc.Coord.make
     ~row:((Noc.Mesh.rows mesh + 1) / 2)
@@ -97,7 +93,7 @@ let generate ?(id_base = 0) rng mesh ~profile ~arrivals ~rate ~weight =
     in
     let comm =
       Communication.make ~id:(id_base + i) ~src ~snk
-        ~rate:(draw_weight rng weight)
+        ~rate:(Workload.draw_weight rng weight)
     in
     let life = lifetime rng in
     events :=

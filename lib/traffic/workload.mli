@@ -26,6 +26,13 @@ val around : float -> weight
 (** [around avg] is U\[avg-250, avg+250\] clamped to stay positive — the
     Figure 8 sweep (see DESIGN.md, under-specified detail #1). *)
 
+val draw_weight : Rng.t -> weight -> float
+(** A rate uniform in the band: one {!Rng.uniform} draw, none when
+    [w_lo = w_hi]. *)
+
+val random_core : Rng.t -> Noc.Mesh.t -> Noc.Coord.t
+(** A uniformly random core: one {!Rng.range} draw per axis. *)
+
 val random_pair : Rng.t -> Noc.Mesh.t -> Noc.Coord.t * Noc.Coord.t
 (** A uniformly random ordered pair of {e distinct} cores.
     @raise Invalid_argument on a mesh with fewer than two cores. *)

@@ -415,8 +415,8 @@ let test_occupancy_matches_formula () =
       l_dead
   in
   let loads = Noc.Load.create ~fault mesh in
-  Noc.Load.add_link loads l_degraded 400.;
-  Noc.Load.add_link loads l_healthy 400.;
+  Noc.Load.add loads (Noc.Mesh.link_id mesh l_degraded) 400.;
+  Noc.Load.add loads (Noc.Mesh.link_id mesh l_healthy) 400.;
   let occ ~dead l =
     Routing.Delta.occupancy loads ~dead ~rate:100. (Noc.Mesh.link_id mesh l)
   in

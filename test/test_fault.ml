@@ -146,9 +146,10 @@ let test_walk_detour_measured () =
   check_int "length" 4 (Noc.Walk.length w);
   check_int "two extra hops" 2 (Noc.Walk.detour_hops w);
   check_bool "not manhattan" false (Noc.Walk.is_manhattan w);
-  check_bool "traverses its links" true
-    (Noc.Walk.mem_link w (link 2 2 2 3));
-  check_bool "not other links" false (Noc.Walk.mem_link w (link 1 1 1 2))
+  let mesh = Noc.Mesh.square 3 in
+  let mem l = Array.mem (Noc.Mesh.link_id mesh l) (Noc.Walk.ids mesh w) in
+  check_bool "traverses its links" true (mem (link 2 2 2 3));
+  check_bool "not other links" false (mem (link 1 1 1 2))
 
 let test_walk_validation () =
   let rejects cores =
@@ -196,16 +197,17 @@ let test_load_effective_inflation () =
   in
   let fault = Noc.Fault.kill_link fault (link 2 1 2 2) in
   let loads = Noc.Load.create ~fault mesh in
-  let effective l = Noc.Load.get_effective loads (Noc.Mesh.link_id mesh l) in
-  Noc.Load.add_link loads (link 1 1 1 2) 700.;
-  check_float "raw load" 700. (Noc.Load.get_link loads (link 1 1 1 2));
+  let id l = Noc.Mesh.link_id mesh l in
+  let effective l = Noc.Load.get_effective loads (id l) in
+  Noc.Load.add loads (id (link 1 1 1 2)) 700.;
+  check_float "raw load" 700. (Noc.Load.get loads (id (link 1 1 1 2)));
   check_float "effective doubled" 1400. (effective (link 1 1 1 2));
-  Noc.Load.add_link loads (link 2 1 2 2) 10.;
+  Noc.Load.add loads (id (link 2 1 2 2)) 10.;
   check_bool "dead link load is infinite" true
     (effective (link 2 1 2 2) = infinity);
   check_bool "dead link unusable" false
-    (Noc.Load.usable_link loads (link 2 1 2 2));
-  Noc.Load.add_link loads (link 1 2 1 3) 500.;
+    (Noc.Load.usable loads (id (link 2 1 2 2)));
+  Noc.Load.add loads (id (link 1 2 1 3)) 500.;
   check_float "healthy link untouched" 500. (effective (link 1 2 1 3))
 
 (* ------------------------------------------------------------------ *)

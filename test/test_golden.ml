@@ -184,7 +184,9 @@ let degraded_loads mesh factor x =
       factor
   in
   let loads = Noc.Load.create ~fault:f mesh in
-  Noc.Load.add_link loads (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)) x;
+  Noc.Load.add loads
+    (Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)))
+    x;
   (f, loads)
 
 let test_degraded_feasible_same_power () =
@@ -193,7 +195,9 @@ let test_degraded_feasible_same_power () =
   let mesh = Noc.Mesh.square 3 in
   let _, loads = degraded_loads mesh 0.5 900. in
   let healthy = Noc.Load.create mesh in
-  Noc.Load.add_link healthy (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)) 900.;
+  Noc.Load.add healthy
+    (Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)))
+    900.;
   let rd = Routing.Evaluate.of_loads km loads in
   let rh = Routing.Evaluate.of_loads km healthy in
   check_bool "feasible while a level survives" true rd.Routing.Evaluate.feasible;

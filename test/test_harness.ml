@@ -323,13 +323,14 @@ let test_heatmap_shape_and_symbols () =
   let mesh = Noc.Mesh.square 3 in
   let loads = Noc.Load.create mesh in
   let link r1 c1 r2 c2 =
-    Noc.Mesh.link
-      ~src:(Noc.Coord.make ~row:r1 ~col:c1)
-      ~dst:(Noc.Coord.make ~row:r2 ~col:c2)
+    Noc.Mesh.link_id mesh
+      (Noc.Mesh.link
+         ~src:(Noc.Coord.make ~row:r1 ~col:c1)
+         ~dst:(Noc.Coord.make ~row:r2 ~col:c2))
   in
-  Noc.Load.add_link loads (link 1 1 1 2) 3500.;  (* full: '9' *)
-  Noc.Load.add_link loads (link 2 1 2 2) 350.;   (* one tenth: '1' *)
-  Noc.Load.add_link loads (link 1 1 2 1) 4000.;  (* overloaded: '!' *)
+  Noc.Load.add loads (link 1 1 1 2) 3500.;  (* full: '9' *)
+  Noc.Load.add loads (link 2 1 2 2) 350.;   (* one tenth: '1' *)
+  Noc.Load.add loads (link 1 1 2 1) 4000.;  (* overloaded: '!' *)
   let s = Harness.Render.heatmap loads in
   let lines = String.split_on_char '\n' (String.trim s) in
   check_int "5 lines for 3x3" 5 (List.length lines);
@@ -351,17 +352,18 @@ let test_heatmap_uses_busier_direction () =
       ~src:(Noc.Coord.make ~row:1 ~col:2)
       ~dst:(Noc.Coord.make ~row:1 ~col:1)
   in
-  Noc.Load.add_link loads fwd 100.;
-  Noc.Load.add_link loads bwd 3400.;
+  Noc.Load.add loads (Noc.Mesh.link_id mesh fwd) 100.;
+  Noc.Load.add loads (Noc.Mesh.link_id mesh bwd) 3400.;
   let s = Harness.Render.heatmap loads in
   check_bool "max of both directions" true ((List.nth (String.split_on_char '\n' s) 0).[2] = '9')
 
 let test_heatmap_single_row () =
   let mesh = Noc.Mesh.create ~rows:1 ~cols:4 in
   let loads = Noc.Load.create mesh in
-  Noc.Load.add_link loads
-    (Noc.Mesh.link ~src:(Noc.Coord.make ~row:1 ~col:1)
-       ~dst:(Noc.Coord.make ~row:1 ~col:2))
+  Noc.Load.add loads
+    (Noc.Mesh.link_id mesh
+       (Noc.Mesh.link ~src:(Noc.Coord.make ~row:1 ~col:1)
+          ~dst:(Noc.Coord.make ~row:1 ~col:2)))
     1750.;
   let s = String.trim (Harness.Render.heatmap loads) in
   check_int "single line" 1 (List.length (String.split_on_char '\n' s));

@@ -144,6 +144,30 @@ let test_step_of_link () =
   check_bool "vertical" false
     (is_horizontal (link ~src:(coord 1 1) ~dst:(coord 2 1)))
 
+(* [step_id] is the one copy of the id layout: on every link of every mesh
+   up to 6x7 it names the link [link_id] does. *)
+let test_step_id_matches_link_id () =
+  for rows = 1 to 6 do
+    for cols = 1 to 7 do
+      let m = Noc.Mesh.create ~rows ~cols in
+      let links = ref 0 in
+      Array.iter
+        (fun c ->
+          List.iter
+            (fun s ->
+              match Noc.Mesh.move m c s with
+              | None -> ()
+              | Some d ->
+                  incr links;
+                  check_int "step id"
+                    (Noc.Mesh.link_id m (Noc.Mesh.link ~src:c ~dst:d))
+                    (Noc.Mesh.step_id m c s))
+            Noc.Mesh.[ East; West; South; North ])
+        (Noc.Mesh.all_cores m);
+      check_int "every link" (Noc.Mesh.num_links m) !links
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Path *)
 
@@ -216,11 +240,13 @@ let test_count_degenerate () =
       ignore (Noc.Path.count ~src:(coord 34 34) ~snk:(coord 1 1)))
 
 let test_mem_link () =
+  let m = Noc.Mesh.square 3 in
   let p = Noc.Path.xy ~src:(coord 1 1) ~snk:(coord 2 3) in
+  let mem l = Array.mem (Noc.Mesh.link_id m l) (Noc.Path.ids m p) in
   check_bool "first hop" true
-    (Noc.Path.mem_link p (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)));
+    (mem (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)));
   check_bool "absent" false
-    (Noc.Path.mem_link p (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 2 1)))
+    (mem (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 2 1)))
 
 let test_make_validates () =
   Alcotest.check_raises "wrong counts"
@@ -260,6 +286,42 @@ let prop_two_bend_subset_of_all =
       List.for_all
         (fun p -> List.exists (Noc.Path.equal p) all)
         (Noc.Path.two_bend_all ~src ~snk))
+
+(* Route ids against [link_id] of consecutive cores, on non-square meshes:
+   a random Manhattan path between random corners (every quadrant), and a
+   random unit-step walk, which revisits cores and links freely. *)
+let prop_ids_match_core_pairs =
+  QCheck.Test.make ~name:"Path.ids and Walk.ids = link_id of core pairs"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair (triple (int_range 1 7) (int_range 1 9) (int_range 1 30)) nat))
+    (fun ((rows, cols, steps), seed) ->
+      QCheck.assume (rows <> cols);
+      let m = Noc.Mesh.create ~rows ~cols in
+      let rng = Traffic.Rng.create seed in
+      let core () =
+        coord
+          (1 + Traffic.Rng.int rng rows)
+          (1 + Traffic.Rng.int rng cols)
+      in
+      let pairs cores =
+        Array.init
+          (Array.length cores - 1)
+          (fun i ->
+            Noc.Mesh.link_id m
+              (Noc.Mesh.link ~src:cores.(i) ~dst:cores.(i + 1)))
+      in
+      let src = core () and snk = core () in
+      let p = Noc.Path.random ~choose:(Traffic.Rng.int rng) ~src ~snk in
+      let walk = ref [ src ] in
+      for _ = 1 to steps do
+        let nbs = Noc.Mesh.neighbors m (List.hd !walk) in
+        walk := List.nth nbs (Traffic.Rng.int rng (List.length nbs)) :: !walk
+      done;
+      let w = Noc.Walk.of_cores (Array.of_list (List.rev !walk)) in
+      Noc.Path.ids m p = pairs (Noc.Path.cores p)
+      && Noc.Walk.ids m w = pairs (Noc.Walk.cores w))
 
 let test_link_family_counts () =
   (* The id layout packs East, West, South, North contiguously; classify
@@ -356,6 +418,13 @@ let test_rect_steps () =
     (Invalid_argument "Rect.compile: sink off the mesh") (fun () ->
       ignore (Noc.Rect.compile (Noc.Mesh.square 2) r))
 
+let test_rect_source_off_mesh () =
+  Alcotest.check_raises "source off the mesh"
+    (Invalid_argument "Rect.compile: source off the mesh") (fun () ->
+      ignore
+        (Noc.Rect.compile (Noc.Mesh.square 3)
+           (Noc.Rect.make ~src:(coord 0 2) ~snk:(coord 2 2))))
+
 let test_rect_quadrants () =
   (* The rectangle machinery must work identically in all four quadrants. *)
   let m = Noc.Mesh.square 6 in
@@ -417,9 +486,7 @@ let prop_every_path_stays_in_rect =
         (fun acc p ->
           acc
           && Array.for_all (contains_core rect) (Noc.Path.cores p)
-          && Array.for_all
-               (fun l -> Array.mem (Noc.Mesh.link_id m l) d.ids)
-               (Noc.Path.links p))
+          && Array.for_all (fun id -> Array.mem id d.ids) (Noc.Path.ids m p))
         true ~src ~snk)
 
 (* The shared rectangle search against brute force over every Manhattan
@@ -449,7 +516,7 @@ let prop_cheapest_is_brute_force =
              ~usable:(fun s -> usable d.ids.(s))
              ~cost:(fun s -> cost d.ids.(s)))
       in
-      let ids p = Array.map (Noc.Mesh.link_id m) (Noc.Path.links p) in
+      let ids = Noc.Path.ids m in
       let path_cost p =
         Array.fold_left (fun c id -> c +. cost id) 0. (ids p)
       in
@@ -486,20 +553,34 @@ let test_load_add_remove () =
   let p = Noc.Path.xy ~src:(coord 1 1) ~snk:(coord 4 4) in
   Noc.Load.add_path loads p 2.5;
   check_float "on path" 2.5
-    (Noc.Load.get_link loads (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)));
+    (Noc.Load.get loads
+       (Noc.Mesh.link_id m (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2))));
   check_float "total" (2.5 *. 6.) (Noc.Load.total loads);
   check_int "active" 6 (Noc.Load.active_links loads);
   Noc.Load.remove_path loads p 2.5;
   check_float "max after removal" 0. (Noc.Load.max_load loads);
   check_int "no active" 0 (Noc.Load.active_links loads)
 
+(* Paths are checked at their corners, before any hop is added: an
+   off-mesh corner raises and leaves the loads untouched. *)
+let test_load_off_mesh_path () =
+  let m = Noc.Mesh.square 3 in
+  let loads = Noc.Load.create m in
+  List.iter
+    (fun (src, snk) ->
+      (match Noc.Load.add_path loads (Noc.Path.xy ~src ~snk) 1. with
+      | () -> Alcotest.fail "expected Invalid_argument"
+      | exception Invalid_argument _ -> ());
+      check_float "nothing added" 0. (Noc.Load.total loads))
+    [ (coord 1 1, coord 3 4); (coord 0 2, coord 2 2); (coord 2 2, coord 4 1) ]
+
 let test_load_overloaded_sorted () =
   let m = Noc.Mesh.square 3 in
   let loads = Noc.Load.create m in
   let l1 = Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)
   and l2 = Noc.Mesh.link ~src:(coord 2 2) ~dst:(coord 3 2) in
-  Noc.Load.add_link loads l1 5.;
-  Noc.Load.add_link loads l2 9.;
+  Noc.Load.add loads (Noc.Mesh.link_id m l1) 5.;
+  Noc.Load.add loads (Noc.Mesh.link_id m l2) 9.;
   (match Noc.Load.overloaded loads ~capacity:4. with
   | [ (id2, 9.); (id1, 5.) ] ->
       check_int "hottest first" (Noc.Mesh.link_id m l2) id2;
@@ -608,6 +689,8 @@ let () =
           Alcotest.test_case "neighbors" `Quick test_neighbors;
           Alcotest.test_case "step of link" `Quick test_step_of_link;
           Alcotest.test_case "link families" `Quick test_link_family_counts;
+          Alcotest.test_case "step id = link id" `Quick
+            test_step_id_matches_link_id;
         ] );
       ( "path",
         [
@@ -630,18 +713,22 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_path_valid;
           QCheck_alcotest.to_alcotest prop_two_bend_subset_of_all;
           QCheck_alcotest.to_alcotest prop_diag_index_in_range;
+          QCheck_alcotest.to_alcotest prop_ids_match_core_pairs;
         ] );
       ( "rect",
         [
           Alcotest.test_case "steps" `Quick test_rect_steps;
           Alcotest.test_case "all quadrants" `Quick test_rect_quadrants;
           Alcotest.test_case "out_links order" `Quick test_rect_out_links_order;
+          Alcotest.test_case "source off the mesh" `Quick
+            test_rect_source_off_mesh;
           QCheck_alcotest.to_alcotest prop_every_path_stays_in_rect;
           QCheck_alcotest.to_alcotest prop_cheapest_is_brute_force;
         ] );
       ( "load",
         [
           Alcotest.test_case "add/remove" `Quick test_load_add_remove;
+          Alcotest.test_case "off-mesh path" `Quick test_load_off_mesh_path;
           Alcotest.test_case "overloaded sorted" `Quick
             test_load_overloaded_sorted;
           Alcotest.test_case "copy isolated" `Quick test_load_copy_isolated;

@@ -55,10 +55,12 @@ let test_solution_loads_and_paths () =
   check_int "num paths" 3 (Routing.Solution.num_paths s);
   check_int "max paths per comm" 2 (Routing.Solution.max_paths_per_comm s);
   let loads = Routing.Solution.loads s in
-  check_float "shared xy hop" 11.
-    (Noc.Load.get_link loads (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2)));
-  check_float "yx hop" 3.
-    (Noc.Load.get_link loads (Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 2 1)));
+  let get src dst =
+    Noc.Load.get loads
+      (Noc.Mesh.link_id (Noc.Mesh.square 2) (Noc.Mesh.link ~src ~dst))
+  in
+  check_float "shared xy hop" 11. (get (coord 1 1) (coord 1 2));
+  check_float "yx hop" 3. (get (coord 1 1) (coord 2 1));
   check_bool "path_of single" true
     (match Routing.Solution.path_of s c1 with
     | Some p -> Noc.Path.equal p xy
@@ -273,6 +275,17 @@ let test_two_equal_comms_split_apart () =
 (* ------------------------------------------------------------------ *)
 (* XYI diversion move *)
 
+(* [divert] takes a hop index; these name the hop by its link. *)
+let hop_of p l =
+  let ids = Noc.Path.ids mesh8 p and id = Noc.Mesh.link_id mesh8 l in
+  let rec go k =
+    if k >= Array.length ids then -1 else if ids.(k) = id then k else go (k + 1)
+  in
+  go 0
+
+let divert_link p l = Routing.Xy_improver.divert p (hop_of p l)
+let mem_link p l = Array.mem (Noc.Mesh.link_id mesh8 l) (Noc.Path.ids mesh8 p)
+
 let test_divert_vertical () =
   (* Path (1,1)->(1,2)->(2,2)->(3,2)->(3,3); divert off (2,2)->(3,2). *)
   let p =
@@ -280,9 +293,9 @@ let test_divert_vertical () =
       [| coord 1 1; coord 1 2; coord 2 2; coord 3 2; coord 3 3 |]
   in
   let l = Noc.Mesh.link ~src:(coord 2 2) ~dst:(coord 3 2) in
-  match Routing.Xy_improver.divert p l with
+  match divert_link p l with
   | Some p' ->
-      check_bool "avoids link" false (Noc.Path.mem_link p' l);
+      check_bool "avoids link" false (mem_link p' l);
       check_int "same length" (Noc.Path.length p) (Noc.Path.length p');
       check_bool "same endpoints" true
         (Noc.Coord.equal (Noc.Path.src p') (coord 1 1)
@@ -295,9 +308,9 @@ let test_divert_horizontal () =
       [| coord 1 1; coord 1 2; coord 2 2; coord 3 2; coord 3 3 |]
   in
   let l = Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 1 2) in
-  match Routing.Xy_improver.divert p l with
+  match divert_link p l with
   | Some p' ->
-      check_bool "avoids link" false (Noc.Path.mem_link p' l);
+      check_bool "avoids link" false (mem_link p' l);
       check_int "same length" (Noc.Path.length p) (Noc.Path.length p')
   | None -> Alcotest.fail "diversion exists"
 
@@ -305,15 +318,16 @@ let test_divert_unavailable () =
   (* Vertical link on the source column: no earlier column to descend in. *)
   let p = Noc.Path.yx ~src:(coord 1 1) ~snk:(coord 3 3) in
   let l = Noc.Mesh.link ~src:(coord 1 1) ~dst:(coord 2 1) in
-  check_bool "no diversion" true (Routing.Xy_improver.divert p l = None);
+  check_bool "no diversion" true (divert_link p l = None);
   (* Horizontal link with no later vertical hop. *)
   let p = Noc.Path.yx ~src:(coord 1 1) ~snk:(coord 3 3) in
   let l = Noc.Mesh.link ~src:(coord 3 1) ~dst:(coord 3 2) in
-  check_bool "no diversion after last descent" true
-    (Routing.Xy_improver.divert p l = None);
-  (* Link not on the path at all. *)
+  check_bool "no diversion after last descent" true (divert_link p l = None);
+  (* Link not on the path at all: no hop index names it. *)
   let l = Noc.Mesh.link ~src:(coord 5 5) ~dst:(coord 5 6) in
-  check_bool "absent link" true (Routing.Xy_improver.divert p l = None)
+  check_bool "absent link" true (divert_link p l = None);
+  check_bool "hop past the end" true
+    (Routing.Xy_improver.divert p (Noc.Path.length p) = None)
 
 let prop_divert_valid_all_quadrants =
   QCheck.Test.make ~name:"divert keeps Manhattan validity in all quadrants"
@@ -326,16 +340,17 @@ let prop_divert_valid_all_quadrants =
       let src = coord r1 c1 and snk = coord r2 c2 in
       let rng = Traffic.Rng.create ((r1 * 31) + c1 + (r2 * 7) + c2) in
       let p = Noc.Path.random ~choose:(Traffic.Rng.int rng) ~src ~snk in
-      Array.for_all
-        (fun l ->
-          match Routing.Xy_improver.divert p l with
+      let ids = Noc.Path.ids mesh8 p in
+      List.for_all
+        (fun k ->
+          match Routing.Xy_improver.divert p k with
           | None -> true
           | Some p' ->
-              (not (Noc.Path.mem_link p' l))
+              (not (Array.mem ids.(k) (Noc.Path.ids mesh8 p')))
               && Noc.Path.length p' = Noc.Path.length p
               && Noc.Coord.equal (Noc.Path.src p') src
               && Noc.Coord.equal (Noc.Path.snk p') snk)
-        (Noc.Path.links p))
+        (List.init (Array.length ids) Fun.id))
 
 let test_xyi_never_worse_than_xy () =
   for seed = 0 to 20 do

@@ -69,10 +69,13 @@ let test_fig2_powers () =
    elsewhere — the construction is a genuine routing of K units. *)
 let net_flow loads mesh core =
   let inflow = ref 0. and outflow = ref 0. in
+  let get src dst =
+    Noc.Load.get loads (Noc.Mesh.link_id mesh (Noc.Mesh.link ~src ~dst))
+  in
   List.iter
     (fun nb ->
-      outflow := !outflow +. Noc.Load.get_link loads (Noc.Mesh.link ~src:core ~dst:nb);
-      inflow := !inflow +. Noc.Load.get_link loads (Noc.Mesh.link ~src:nb ~dst:core))
+      outflow := !outflow +. get core nb;
+      inflow := !inflow +. get nb core)
     (Noc.Mesh.neighbors mesh core);
   !outflow -. !inflow
 
@@ -237,8 +240,9 @@ let test_gadget_witness_saturates () =
       let q = Noc.Mesh.cols g.Theory.Np_gadget.mesh in
       for col = 1 to q do
         check_float "vertical link saturated" g.Theory.Np_gadget.bandwidth
-          (Noc.Load.get_link loads
-             (Noc.Mesh.link ~src:(coord 1 col) ~dst:(coord 2 col)))
+          (Noc.Load.get loads
+             (Noc.Mesh.link_id g.Theory.Np_gadget.mesh
+                (Noc.Mesh.link ~src:(coord 1 col) ~dst:(coord 2 col))))
       done
 
 let test_gadget_bad_partition_is_infeasible () =
