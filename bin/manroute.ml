@@ -840,7 +840,7 @@ let recover_cmd =
   let events_t =
     Arg.(
       value
-      & opt pos_int_conv 8
+      & opt pos_int_conv Optim.Recover.default_events
       & info [ "events" ] ~docv:"N"
           ~doc:
             "Length of the fault-event schedule to survive (default 8; \

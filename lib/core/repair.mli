@@ -24,25 +24,30 @@ val route_usable : Noc.Fault.t -> Solution.route -> bool
     links. What {!solution} uses to decide which routes to keep — exposed
     so an incremental engine ([Optim.Recover]) can make the same call. *)
 
+val cheapest_manhattan :
+  Noc.Load.t ->
+  Traffic.Communication.t ->
+  cost:(int -> float) ->
+  (Noc.Path.t * float) option
+(** The cheapest Manhattan path of the communication's bounding rectangle
+    under per-link costs [cost id], with its cost, among the paths whose
+    links the loads' fault leaves usable ({!Noc.Load.usable}); [None] when
+    the fault cut every one. {!Noc.Rect.cheapest}'s tie rule and [cost]
+    calls. The first stage of {!local_route} and of PathFinder. *)
+
 val detour :
-  Noc.Fault.t ->
-  Noc.Mesh.t ->
-  src:Noc.Coord.t ->
-  snk:Noc.Coord.t ->
-  Noc.Walk.t option
-(** Shortest walk over the surviving links (BFS), Manhattan or not; [None]
-    when the endpoints are disconnected. *)
+  Noc.Load.t -> src:Noc.Coord.t -> snk:Noc.Coord.t -> Noc.Walk.t option
+(** Shortest walk over the links usable under the loads' fault (the
+    {!Noc.Mesh.reach} BFS), Manhattan or not; [None] when the endpoints
+    are disconnected. *)
 
 val local_route :
-  Noc.Fault.t ->
-  Delta.scorer ->
-  Traffic.Communication.t ->
-  Solution.route option
-(** Local repair of one communication against the scorer's loads, which
-    must carry the fault: the cheapest surviving Manhattan path of its
-    bounding rectangle (marginal capped penalized power through the
-    scorer's memoized table), else the shortest {!detour} walk, else
-    [None] when the endpoints are disconnected. Counts one
-    [detour_searches]; the loads are left untouched. What {!solution}
-    applies to each cut route, shared with the incremental engines
-    ([Optim.Recover], [Optim.Online]). *)
+  Delta.scorer -> Traffic.Communication.t -> Solution.route option
+(** Local repair of one communication against the scorer's loads, whose
+    fault decides which links survive: the {!cheapest_manhattan} path
+    under marginal capped penalized power (through the scorer's memoized
+    table), else the shortest {!detour} walk, else [None] when the
+    endpoints are disconnected. Counts one [detour_searches]; the loads
+    are left untouched. What {!solution} applies to each cut route,
+    shared with the incremental engines ([Optim.Recover],
+    [Optim.Online]). *)

@@ -11,12 +11,18 @@ let is_trivial t = Array.for_all (fun f -> f = 1.) t.factor
 let reverse (l : Mesh.link) = Mesh.link ~src:l.Mesh.dst ~dst:l.Mesh.src
 
 (* Physical faults hit the wire, not a direction: every builder below acts
-   on both directed links of the edge. *)
-let set_edge t l f =
+   on both directed links of each edge, which the [*_ids] iterators hand
+   out one after the other. *)
+let set_ids t ids f =
   let factor = Array.copy t.factor in
-  factor.(Mesh.link_id t.mesh l) <- f;
-  factor.(Mesh.link_id t.mesh (reverse l)) <- f;
+  ids (fun id -> factor.(id) <- f);
   { t with factor }
+
+let edge_ids mesh l f =
+  f (Mesh.link_id mesh l);
+  f (Mesh.link_id mesh (reverse l))
+
+let set_edge t l f = set_ids t (edge_ids t.mesh l) f
 
 let kill_link t l = set_edge t l 0.
 
@@ -27,29 +33,30 @@ let degrade_link t l f =
     invalid_arg (Printf.sprintf "Fault.degrade_link: factor %g" f);
   set_edge t l f
 
-let incident_links mesh core =
-  List.concat_map
-    (fun nb -> [ Mesh.link ~src:core ~dst:nb; Mesh.link ~src:nb ~dst:core ])
-    (Mesh.neighbors mesh core)
+let check_router mesh core =
+  if not (Mesh.in_mesh mesh core) then
+    invalid_arg (Format.asprintf "Fault.kill_router: %a" Coord.pp core)
+
+(* Every edge incident to an in-mesh router. *)
+let router_ids mesh core f =
+  Mesh.iter_neighbors mesh core (fun _ out into ->
+      f out;
+      f into)
+
+(* [router_ids] of every router of the rectangle spanned by two corners,
+   clipped to the mesh: links between two inside routers come twice. *)
+let region_ids mesh ~(a : Coord.t) ~(b : Coord.t) f =
+  for row = max 1 (min a.row b.row) to min (Mesh.rows mesh) (max a.row b.row) do
+    for col = max 1 (min a.col b.col) to min (Mesh.cols mesh) (max a.col b.col) do
+      router_ids mesh (Coord.make ~row ~col) f
+    done
+  done
 
 let kill_router t core =
-  if not (Mesh.in_mesh t.mesh core) then
-    invalid_arg (Format.asprintf "Fault.kill_router: %a" Coord.pp core);
-  let factor = Array.copy t.factor in
-  List.iter
-    (fun l -> factor.(Mesh.link_id t.mesh l) <- 0.)
-    (incident_links t.mesh core);
-  { t with factor }
+  check_router t.mesh core;
+  set_ids t (router_ids t.mesh core) 0.
 
-let kill_region t ~a ~b =
-  let lo_r = min a.Coord.row b.Coord.row and hi_r = max a.Coord.row b.Coord.row in
-  let lo_c = min a.Coord.col b.Coord.col and hi_c = max a.Coord.col b.Coord.col in
-  let inside (c : Coord.t) =
-    c.row >= lo_r && c.row <= hi_r && c.col >= lo_c && c.col <= hi_c
-  in
-  Array.fold_left
-    (fun t core -> if inside core then kill_router t core else t)
-    t (Mesh.all_cores t.mesh)
+let kill_region t ~a ~b = set_ids t (region_ids t.mesh ~a ~b) 0.
 
 let dead_links t =
   let out = ref [] in
@@ -63,53 +70,31 @@ let degraded_links t =
         out := (l, t.factor.(id)) :: !out);
   List.rev !out
 
-(* Dead undirected edges: both directions at factor 0 count once. *)
-let num_dead t =
-  let n = ref 0 in
+(* Each undirected edge whose factor satisfies [keep], once, at its
+   canonical (East/South) direction, in id order. *)
+let edges t keep =
+  let out = ref [] in
   Mesh.iter_links t.mesh (fun id l ->
-      (* Count each edge at its canonical (East/South) direction. *)
       match Mesh.step_of_link l with
-      | Mesh.East | Mesh.South -> if t.factor.(id) = 0. then incr n
+      | Mesh.East | Mesh.South -> if keep t.factor.(id) then out := l :: !out
       | Mesh.West | Mesh.North -> ());
-  !n
+  Array.of_list (List.rev !out)
+
+let num_dead t = Array.length (edges t (fun f -> f = 0.))
+let alive_edges t = edges t (fun f -> f > 0.)
+
+(* The candidate set for a [Restore] event (the dual of [alive_edges]). *)
+let broken_edges t = edges t (fun f -> f < 1.)
 
 let path_usable t path = Array.for_all (usable_id t) (Path.ids t.mesh path)
 let walk_usable t walk = Array.for_all (usable_id t) (Walk.ids t.mesh walk)
 
 (* Connectivity of the surviving undirected graph (edges are killed in both
-   directions, so one direction suffices). *)
+   directions, so reaching every core from one suffices). *)
 let connected t =
-  let rows = Mesh.rows t.mesh and cols = Mesh.cols t.mesh in
-  let idx (c : Coord.t) = ((c.row - 1) * cols) + (c.col - 1) in
-  let seen = Array.make (rows * cols) false in
-  let start = Coord.make ~row:1 ~col:1 in
-  let stack = ref [ start ] in
-  seen.(idx start) <- true;
-  let count = ref 1 in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | c :: rest ->
-        stack := rest;
-        List.iter
-          (fun nb ->
-            if (not seen.(idx nb)) && usable t (Mesh.link ~src:c ~dst:nb) then begin
-              seen.(idx nb) <- true;
-              incr count;
-              stack := nb :: !stack
-            end)
-          (Mesh.neighbors t.mesh c)
-  done;
-  !count = rows * cols
-
-(* Canonical (East/South) directions enumerate each undirected edge once. *)
-let alive_edges t =
-  let out = ref [] in
-  Mesh.iter_links t.mesh (fun id l ->
-      match Mesh.step_of_link l with
-      | Mesh.East | Mesh.South -> if t.factor.(id) > 0. then out := l :: !out
-      | Mesh.West | Mesh.North -> ());
-  Array.of_list (List.rev !out)
+  Array.for_all
+    (fun p -> p >= 0)
+    (Mesh.reach t.mesh ~usable:(usable_id t) ~src:(Coord.make ~row:1 ~col:1))
 
 (* Fisher-Yates driven by [choose], as in {!Path.random}: deterministic for
    a deterministic chooser. *)
@@ -164,16 +149,6 @@ let pp ppf t =
     Format.fprintf ppf "%d dead edges, %d degraded links on %a" dead deg
       Mesh.pp t.mesh
 
-(* Canonical-direction edges that are not at full capacity: the candidate
-   set for a [Restore] event (the dual of [alive_edges]). *)
-let broken_edges t =
-  let out = ref [] in
-  Mesh.iter_links t.mesh (fun id l ->
-      match Mesh.step_of_link l with
-      | Mesh.East | Mesh.South -> if t.factor.(id) < 1. then out := l :: !out
-      | Mesh.West | Mesh.North -> ());
-  Array.of_list (List.rev !out)
-
 type fault = t
 
 module Schedule = struct
@@ -213,23 +188,16 @@ module Schedule = struct
       t.events;
     List.rev !acc
 
-  (* Directed links whose capacity the event may change; duplicates are
-     possible for regions (links between two inside routers). *)
   let touched mesh event =
-    match event with
-    | Kill_link l | Degrade_link (l, _) | Restore l -> [ l; reverse l ]
-    | Kill_router c -> incident_links mesh c
-    | Kill_region { a; b } ->
-        let lo_r = min a.Coord.row b.Coord.row
-        and hi_r = max a.Coord.row b.Coord.row in
-        let lo_c = min a.Coord.col b.Coord.col
-        and hi_c = max a.Coord.col b.Coord.col in
-        Array.fold_left
-          (fun acc (c : Coord.t) ->
-            if c.row >= lo_r && c.row <= hi_r && c.col >= lo_c && c.col <= hi_c
-            then incident_links mesh c @ acc
-            else acc)
-          [] (Mesh.all_cores mesh)
+    let acc = ref [] in
+    let add id = acc := id :: !acc in
+    (match event with
+    | Kill_link l | Degrade_link (l, _) | Restore l -> edge_ids mesh l add
+    | Kill_router c ->
+        check_router mesh c;
+        router_ids mesh c add
+    | Kill_region { a; b } -> region_ids mesh ~a ~b add);
+    List.rev !acc
 
   let random ?init ~choose ~events:n mesh =
     if n < 0 then invalid_arg "Fault.Schedule.random: negative events";

@@ -122,9 +122,11 @@ module Schedule : sig
   val play : ?init:fault -> t -> fault list
   (** Scenario after each successive event ([length t] elements). *)
 
-  val touched : Mesh.t -> event -> Mesh.link list
-  (** Directed links whose capacity the event may change (both directions;
-      may contain duplicates for regions). *)
+  val touched : Mesh.t -> event -> int list
+  (** Ids of the directed links whose capacity the event may change (both
+      directions; links between two routers of a region come twice).
+      @raise Invalid_argument on a link or a router off the mesh, as
+      {!apply} does. *)
 
   val random :
     ?init:fault ->

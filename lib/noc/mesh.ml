@@ -93,12 +93,47 @@ let iter_links t f =
     f id (link_of_id t id)
   done
 
-let all_cores t =
-  Array.init (num_cores t) (fun i ->
-      Coord.make ~row:((i / t.cols) + 1) ~col:((i mod t.cols) + 1))
+let core_index t (c : Coord.t) = ((c.row - 1) * t.cols) + (c.col - 1)
 
-let is_horizontal l =
-  match step_of_link l with East | West -> true | South | North -> false
+let core_of_index t i =
+  Coord.make ~row:((i / t.cols) + 1) ~col:((i mod t.cols) + 1)
+
+let all_cores t = Array.init (num_cores t) (core_of_index t)
+
+(* A link and its reverse sit [east_count] ids apart horizontally and
+   [south_count] vertically (see [step_id]). *)
+let iter_neighbors t (c : Coord.t) f =
+  let i = core_index t c and ec = east_count t and sc = south_count t in
+  let go step nb apart =
+    let out = step_id t c step in
+    f nb out (out + apart)
+  in
+  if c.col < t.cols then go East (i + 1) ec;
+  if c.col > 1 then go West (i - 1) (-ec);
+  if c.row < t.rows then go South (i + t.cols) sc;
+  if c.row > 1 then go North (i - t.cols) (-sc)
+
+(* The FIFO queue and the neighbour order fix which shortest walk the
+   parents spell out; fault repair's detours, and so the figure digests,
+   depend on both. *)
+let reach t ~usable ~src =
+  let n = num_cores t in
+  let parent = Array.make n (-1) and queue = Array.make n 0 in
+  let s = core_index t src in
+  parent.(s) <- s;
+  queue.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    iter_neighbors t (core_of_index t u) (fun v out _ ->
+        if parent.(v) < 0 && usable out then begin
+          parent.(v) <- u;
+          queue.(!tail) <- v;
+          incr tail
+        end)
+  done;
+  parent
 
 let pp ppf t = Format.fprintf ppf "%dx%d mesh" t.rows t.cols
 let pp_link ppf l = Format.fprintf ppf "%a->%a" Coord.pp l.src Coord.pp l.dst

@@ -46,9 +46,9 @@ val step_id : t -> Coord.t -> step -> int
     (East, West, South, North); within one direction the ids are row-major
     by source core: one column further adds 1, one row further adds
     [cols - 1] to a horizontal link and [cols] to a vertical one. This is
-    the one copy of the layout: {!link_id}, [Rect.compile], [Path.iter_ids]
-    and [Walk.iter_ids] all number links through it. Unchecked: the caller
-    guarantees that the link exists. *)
+    the one copy of the layout: {!link_id}, {!iter_neighbors},
+    [Rect.compile], [Path.iter_ids] and [Walk.iter_ids] all number links
+    through it. Unchecked: the caller guarantees that the link exists. *)
 
 val link_id : t -> link -> int
 (** Dense identifier of a directed link: {!step_id} of its source and
@@ -70,10 +70,30 @@ val neighbors : t -> Coord.t -> Coord.t list
 
 val iter_links : t -> (int -> link -> unit) -> unit
 
-val all_cores : t -> Coord.t array
-(** Row-major enumeration of the cores. *)
+val core_index : t -> Coord.t -> int
+(** Row-major index of a core in [0 .. num_cores - 1], the one copy of the
+    core numbering. Unchecked: the caller guarantees that the core is in
+    the mesh. *)
 
-val is_horizontal : link -> bool
+val core_of_index : t -> int -> Coord.t
+(** Inverse of {!core_index}. *)
+
+val all_cores : t -> Coord.t array
+(** Row-major enumeration of the cores: {!core_of_index} of [0, 1, ...]. *)
+
+val iter_neighbors : t -> Coord.t -> (int -> int -> int -> unit) -> unit
+(** [iter_neighbors t c f] calls [f nb out into] for each neighbour of
+    [c], in {!neighbors} order (East, West, South, North): [nb] is the
+    neighbour's {!core_index}, [out] the id of the link [c -> nb] and
+    [into] the id of [nb -> c]. No link record is built. Unchecked, like
+    {!step_id}: the caller guarantees that [c] is in the mesh. *)
+
+val reach : t -> usable:(int -> bool) -> src:Coord.t -> int array
+(** Breadth-first search from [src] over the links whose id satisfies
+    [usable]: per {!core_index}, the index of the core it is first reached
+    from ([src] is its own parent), or [-1] when it is unreachable. FIFO,
+    neighbours in {!iter_neighbors} order: following parents back gives a
+    shortest usable walk, the same on every run. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -155,7 +155,7 @@ let readmit t reroutes readmitted =
   List.iter
     (fun s ->
       incr reroutes;
-      match Recover.readmit t.fault t.eng s.comm with
+      match Recover.readmit t.eng s.comm with
       | Some r ->
           t.live_routes <-
             t.live_routes @ [ (s.comm.Traffic.Communication.id, r) ];
@@ -213,9 +213,7 @@ let step t (event : Traffic.Trace.event) =
   | Traffic.Trace.Arrive comm -> (
       t.s_arrivals <- t.s_arrivals + 1;
       incr reroutes;
-      match
-        Routing.Repair.local_route t.fault (Routing.Delta.scorer_of t.eng) comm
-      with
+      match Routing.Repair.local_route (Routing.Delta.scorer_of t.eng) comm with
       | None ->
           (* The fault disconnects the endpoints: park the request for
              readmission once capacity returns. *)
@@ -299,7 +297,7 @@ let step t (event : Traffic.Trace.event) =
                   let m = Routing.Delta.mark t.eng in
                   Routing.Delta.remove_route t.eng r0;
                   match
-                    Routing.Repair.local_route t.fault
+                    Routing.Repair.local_route
                       (Routing.Delta.scorer_of t.eng)
                       r0.comm
                   with

@@ -3,9 +3,11 @@
 
     The batch model fixes a workload, routes it, evaluates it. This
     engine instead {e serves} a {!Traffic.Trace}: each {b arrival} is
-    admitted by a delta-scored candidate path (the cheapest surviving
-    Manhattan path, else a detour walk) speculatively applied through
-    the {!Routing.Delta} mark/rollback journal; when admission
+    admitted by a delta-scored candidate path
+    ({!Routing.Repair.local_route} against the engine's loads, which
+    carry the fault: the cheapest surviving Manhattan path, else a detour
+    walk) speculatively applied through the {!Routing.Delta}
+    mark/rollback journal; when admission
     overloads a link, the engine escalates exactly like the
     {!Recover} ladder — neighborhood PathFinder negotiation
     ({!Pathfinder.refine} with persistent history), then global

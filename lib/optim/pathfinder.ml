@@ -42,40 +42,24 @@ let link_fits model loads ~rate id =
     ~factor:(Noc.Load.factor loads id)
     (Noc.Load.get loads id +. rate)
 
-(* Cheapest surviving Manhattan path of the bounding rectangle under the
-   negotiated cost — the search {!Routing.Repair.local_route} runs, with
-   the congestion-shaped objective. [None] when a fault cut every
-   rectangle path. *)
-let manhattan_search sc loads history ~capacity (comm : Traffic.Communication.t)
-    =
-  let d =
-    Noc.Rect.compile (Noc.Load.mesh loads) (Traffic.Communication.rect comm)
-  in
-  let cost = link_cost sc loads history ~capacity ~rate:comm.rate in
-  Option.map
-    (fun (slots, c) -> (Noc.Rect.path d slots, c))
-    (Noc.Rect.cheapest d
-       ~usable:(fun s -> Noc.Load.usable loads d.ids.(s))
-       ~cost:(fun s -> cost d.ids.(s)))
-
 (* Cheapest surviving walk over the whole mesh (Dijkstra on the directed
    links, negotiated cost): the widening step when the rectangle is cut
-   or congested. Ties break by fewer hops, then by the smallest core
-   index and the {!Noc.Mesh.neighbors} enumeration order — fully
-   deterministic, like the BFS detours of {!Routing.Repair}. *)
+   or congested. The node settled next is the cheapest, then the one of
+   fewer hops, then the one of smallest core index: that rule alone picks
+   among equal walks (a node relaxes each neighbour through its one link,
+   so their order cannot matter), as deterministic as the BFS detours of
+   {!Routing.Repair}. *)
 let widened_search sc loads history ~capacity (comm : Traffic.Communication.t)
     =
   let mesh = Noc.Load.mesh loads in
   let rate = comm.rate in
-  let cols = Noc.Mesh.cols mesh in
-  let idx (c : Noc.Coord.t) = ((c.row - 1) * cols) + (c.col - 1) in
   let n = Noc.Mesh.num_cores mesh in
-  let coord_of = Noc.Mesh.all_cores mesh in
   let dist = Array.make n infinity in
   let hops = Array.make n max_int in
   let parent = Array.make n (-1) in
   let visited = Array.make n false in
-  let src = idx comm.src and snk = idx comm.snk in
+  let src = Noc.Mesh.core_index mesh comm.src
+  and snk = Noc.Mesh.core_index mesh comm.snk in
   dist.(src) <- 0.;
   hops.(src) <- 0;
   (try
@@ -90,28 +74,25 @@ let widened_search sc loads history ~capacity (comm : Traffic.Communication.t)
               || (dist.(v) = dist.(!u) && hops.(v) < hops.(!u)))
          then u := v
        done;
-       if !u < 0 || !u = snk then raise Exit;
-       visited.(!u) <- true;
-       let cu = coord_of.(!u) in
-       List.iter
-         (fun nb ->
-           let id = Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:cu ~dst:nb) in
+       let u = !u in
+       if u < 0 || u = snk then raise Exit;
+       visited.(u) <- true;
+       Noc.Mesh.iter_neighbors mesh (Noc.Mesh.core_of_index mesh u)
+         (fun v id _ ->
            if Noc.Load.usable loads id then begin
              let c =
-               dist.(!u) +. link_cost sc loads history ~capacity ~rate id
+               dist.(u) +. link_cost sc loads history ~capacity ~rate id
              in
-             let h = hops.(!u) + 1 in
-             let v = idx nb in
+             let h = hops.(u) + 1 in
              if
                (not visited.(v))
                && (c < dist.(v) || (c = dist.(v) && h < hops.(v)))
              then begin
                dist.(v) <- c;
                hops.(v) <- h;
-               parent.(v) <- !u
+               parent.(v) <- u
              end
            end)
-         (Noc.Mesh.neighbors mesh cu)
      done
    with Exit -> ());
   if dist.(snk) = infinity then None
@@ -120,7 +101,7 @@ let widened_search sc loads history ~capacity (comm : Traffic.Communication.t)
     let cur = ref snk in
     while !cur <> src do
       let p = parent.(!cur) in
-      rev := coord_of.(p) :: !rev;
+      rev := Noc.Mesh.core_of_index mesh p :: !rev;
       cur := p
     done;
     Some (Noc.Walk.of_cores (Array.of_list !rev), dist.(snk))
@@ -140,7 +121,10 @@ let search model sc loads history ~capacity (comm : Traffic.Communication.t) =
   let mesh = Noc.Load.mesh loads in
   let m = Routing.Metrics.current () in
   m.Routing.Metrics.paths_scored <- m.Routing.Metrics.paths_scored + 1;
-  match manhattan_search sc loads history ~capacity comm with
+  match
+    Routing.Repair.cheapest_manhattan loads comm
+      ~cost:(link_cost sc loads history ~capacity ~rate:comm.rate)
+  with
   | Some (path, cost) ->
       let settled = ref true in
       Noc.Path.iter_ids mesh path (fun id ->

@@ -18,7 +18,8 @@
 
     Per-communication search is a two-stage affair mirroring
     {!Routing.Repair}: the cheapest Manhattan path of the bounding
-    rectangle first ({!Noc.Rect.cheapest}, dead links excluded),
+    rectangle first ({!Routing.Repair.cheapest_manhattan}, whose search
+    fault repair runs under marginal power),
     widening to a full-mesh Dijkstra walk when a fault cut the rectangle
     or when the rectangle's best path still overloads a link and a
     strictly cheaper walk exists. Candidate scoring is

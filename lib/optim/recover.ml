@@ -133,8 +133,8 @@ let shed_lightest eng rep lives shed =
 
 (* Speculative readmission: route [comm] locally and keep it only when
    the whole state stays feasible, rolled back bit-exactly otherwise. *)
-let readmit fault eng comm =
-  match Routing.Repair.local_route fault (Routing.Delta.scorer_of eng) comm with
+let readmit eng comm =
+  match Routing.Repair.local_route (Routing.Delta.scorer_of eng) comm with
   | None -> None
   | Some r ->
       let m = Routing.Delta.mark eng in
@@ -190,7 +190,7 @@ let step t event =
   List.iter
     (fun i ->
       incr reroutes;
-      match Routing.Repair.local_route t.fault sc t.comms.(i) with
+      match Routing.Repair.local_route sc t.comms.(i) with
       | Some r ->
           Routing.Delta.add_route eng r;
           t.routes.(i) <- Some r
@@ -221,7 +221,7 @@ let step t event =
        the links this event touched or the report convicts. *)
     let over = Routing.Evaluate.overload_mask t.mesh !rep in
     List.iter
-      (fun l -> over.(Noc.Mesh.link_id t.mesh l) <- true)
+      (fun id -> over.(id) <- true)
       (Noc.Fault.Schedule.touched t.mesh event);
     let neighborhood = ref [] in
     for i = n - 1 downto 0 do
@@ -263,7 +263,7 @@ let step t event =
     match (t.routes.(i), t.reasons.(i)) with
     | None, Some _ when not shed_this_event.(i) -> (
         incr reroutes;
-        match readmit t.fault eng t.comms.(i) with
+        match readmit eng t.comms.(i) with
         | None -> ()
         | Some r ->
             t.routes.(i) <- Some r;

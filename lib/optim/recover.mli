@@ -141,12 +141,12 @@ val shed_lightest :
     call [shed] on its key and route. *)
 
 val readmit :
-  Noc.Fault.t -> Routing.Delta.t -> Traffic.Communication.t ->
-  Routing.Solution.route option
+  Routing.Delta.t -> Traffic.Communication.t -> Routing.Solution.route option
 (** Speculative readmission, shared with {!Online}: add
-    {!Routing.Repair.local_route}'s route for a shed communication under
-    a journal mark and keep it only when the whole state stays feasible;
-    otherwise roll back bit-exactly and return [None]. *)
+    {!Routing.Repair.local_route}'s route for a shed communication (under
+    the fault the engine's loads carry) under a journal mark and keep it
+    only when the whole state stays feasible; otherwise roll back
+    bit-exactly and return [None]. *)
 
 val pp_reason : Format.formatter -> shed_reason -> unit
 

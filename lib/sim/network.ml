@@ -111,10 +111,10 @@ let link_rate config model load =
 
 let inputs_table mesh nlinks =
   Array.init nlinks (fun l ->
-      let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
-      List.map
-        (fun nb -> Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:nb ~dst:src))
-        (Noc.Mesh.neighbors mesh src))
+      let ins = ref [] in
+      Noc.Mesh.iter_neighbors mesh (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src
+        (fun _ _ into -> ins := into :: !ins);
+      List.rev !ins)
 
 let create ?(config = Config.default) ?arena model solution =
   Config.validate config;

@@ -20,8 +20,6 @@ let equal a b =
   a.id = b.id && Noc.Coord.equal a.src b.src && Noc.Coord.equal a.snk b.snk
   && a.rate = b.rate
 
-let compare_id a b = Int.compare a.id b.id
-
 type order = By_rate_desc | By_length_desc | By_rate_per_length_desc
 
 let key order c =

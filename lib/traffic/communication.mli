@@ -34,8 +34,6 @@ val total_rate : t list -> float
 val equal : t -> t -> bool
 (** Structural equality (including id). *)
 
-val compare_id : t -> t -> int
-
 (** Processing orders used by the greedy heuristics. The paper processes
     communications by decreasing weight; the other criteria are kept for the
     ablation study. *)

@@ -34,13 +34,6 @@ let bits_of n =
   let rec go acc m = if m <= 1 then acc else go (acc + 1) (m / 2) in
   go 0 n
 
-let index mesh (c : Noc.Coord.t) =
-  ((c.row - 1) * Noc.Mesh.cols mesh) + (c.col - 1)
-
-let core_of_index mesh i =
-  let q = Noc.Mesh.cols mesh in
-  Noc.Coord.make ~row:((i / q) + 1) ~col:((i mod q) + 1)
-
 let image t mesh (c : Noc.Coord.t) =
   let q = Noc.Mesh.cols mesh in
   match t with
@@ -52,7 +45,7 @@ let image t mesh (c : Noc.Coord.t) =
   | Bit_complement | Bit_reverse | Shuffle ->
       let n = Noc.Mesh.num_cores mesh in
       let b = bits_of n in
-      let i = index mesh c in
+      let i = Noc.Mesh.core_index mesh c in
       let j =
         match t with
         | Bit_complement -> lnot i land (n - 1)
@@ -65,7 +58,7 @@ let image t mesh (c : Noc.Coord.t) =
         | Shuffle -> ((i lsl 1) lor (i lsr (b - 1))) land (n - 1)
         | Transpose | Tornado | Neighbor -> assert false
       in
-      core_of_index mesh j
+      Noc.Mesh.core_of_index mesh j
 
 let communications t ~rate mesh =
   if rate <= 0. then invalid_arg "Patterns.communications: rate <= 0";

@@ -272,7 +272,8 @@ let test_repair_detour_helper () =
   let fault =
     Noc.Fault.kill_link (Noc.Fault.healthy mesh) (link 1 2 1 3)
   in
-  (match Routing.Repair.detour fault mesh ~src:(coord 1 1) ~snk:(coord 1 3) with
+  let detour fault = Routing.Repair.detour (Noc.Load.create ~fault mesh) in
+  (match detour fault ~src:(coord 1 1) ~snk:(coord 1 3) with
   | Some w ->
       check_int "shortest surviving walk" 4 (Noc.Walk.length w);
       check_bool "walk avoids dead links" true (Noc.Fault.walk_usable fault w)
@@ -281,7 +282,7 @@ let test_repair_detour_helper () =
   let cut = Noc.Fault.kill_router cut (coord 2 1) in
   let cut = Noc.Fault.kill_router cut (coord 2 2) in
   check_bool "None when disconnected" true
-    (Routing.Repair.detour cut mesh ~src:(coord 1 1) ~snk:(coord 3 3) = None)
+    (detour cut ~src:(coord 1 1) ~snk:(coord 3 3) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-aware heuristics *)
@@ -347,10 +348,88 @@ let prop_repair_avoids_dead_links =
       match Routing.Repair.solution fault km s with
       | exception Routing.Repair.No_route c ->
           (* The exception must only fire on true disconnection. *)
-          Routing.Repair.detour fault mesh ~src:c.Traffic.Communication.src
-            ~snk:c.Traffic.Communication.snk
+          Routing.Repair.detour
+            (Noc.Load.create ~fault mesh)
+            ~src:c.Traffic.Communication.src ~snk:c.Traffic.Communication.snk
           = None
       | repaired -> solution_respects fault repaired)
+
+(* Components of the surviving graph by union-find over its alive edges,
+   read edge by edge through [Fault.usable]: independent of the BFS that
+   [Fault.connected] and [Repair.detour] share. *)
+let components fault =
+  let mesh = Noc.Fault.mesh fault in
+  let rows = Noc.Mesh.rows mesh and cols = Noc.Mesh.cols mesh in
+  let index (c : Noc.Coord.t) = ((c.row - 1) * cols) + c.col - 1 in
+  let uf = Array.init (rows * cols) Fun.id in
+  let rec find i = if uf.(i) = i then i else find uf.(i) in
+  let union a b =
+    if Noc.Fault.usable fault (Noc.Mesh.link ~src:a ~dst:b) then
+      uf.(find (index a)) <- find (index b)
+  in
+  for r = 1 to rows do
+    for c = 1 to cols do
+      if c < cols then union (coord r c) (coord r (c + 1));
+      if r < rows then union (coord r c) (coord (r + 1) c)
+    done
+  done;
+  fun c -> find (index c)
+
+let prop_connectivity_matches_union_find =
+  QCheck.Test.make
+    ~name:"connected and detour agree with a union-find of the alive edges"
+    ~count:150
+    QCheck.(
+      quad (int_range 1 6) (int_range 1 6) (int_range 0 1_000_000)
+        (int_range 0 10))
+    (fun (rows, cols, seed, kills) ->
+      let mesh = Noc.Mesh.create ~rows ~cols in
+      let rng = Traffic.Rng.create seed in
+      let pick n = Traffic.Rng.int rng n in
+      let core () = coord (1 + pick rows) (1 + pick cols) in
+      let near (c : Noc.Coord.t) =
+        coord (min rows (c.row + pick 3)) (min cols (c.col + pick 3))
+      in
+      let kill f =
+        match pick 6 with
+        | 4 -> Noc.Fault.kill_router f (core ())
+        | 5 ->
+            let a = core () in
+            Noc.Fault.kill_region f ~a ~b:(near a)
+        | _ -> (
+            let a = core () in
+            match
+              Noc.Mesh.move mesh a
+                [| Noc.Mesh.East; West; South; North |].(pick 4)
+            with
+            | Some b -> Noc.Fault.kill_link f (Noc.Mesh.link ~src:a ~dst:b)
+            | None -> f)
+      in
+      let fault = ref (Noc.Fault.healthy mesh) in
+      for _ = 1 to kills do
+        fault := kill !fault
+      done;
+      let fault = !fault in
+      let comp = components fault in
+      let cores = Noc.Mesh.all_cores mesh in
+      let loads = Noc.Load.create ~fault mesh in
+      Noc.Fault.connected fault
+      = Array.for_all (fun c -> comp c = comp cores.(0)) cores
+      && Array.for_all
+           (fun src ->
+             Array.for_all
+               (fun snk ->
+                 Noc.Coord.equal src snk
+                 ||
+                 match Routing.Repair.detour loads ~src ~snk with
+                 | Some w ->
+                     comp src = comp snk
+                     && Noc.Coord.equal (Noc.Walk.src w) src
+                     && Noc.Coord.equal (Noc.Walk.snk w) snk
+                     && Noc.Fault.walk_usable fault w
+                 | None -> comp src <> comp snk)
+               cores)
+           cores)
 
 let test_all_heuristics_avoid_dead_links () =
   let mesh = Noc.Mesh.square 6 in
@@ -501,6 +580,7 @@ let () =
           quick "detour helper" test_repair_detour_helper;
           QCheck_alcotest.to_alcotest prop_repair_idempotent;
           QCheck_alcotest.to_alcotest prop_repair_avoids_dead_links;
+          QCheck_alcotest.to_alcotest prop_connectivity_matches_union_find;
         ] );
       ( "heuristics",
         [

@@ -140,9 +140,9 @@ let test_step_of_link () =
   check_bool "north" true
     (step_of_link (link ~src:(coord 2 1) ~dst:(coord 1 1)) = North);
   check_bool "horizontal" true
-    (is_horizontal (link ~src:(coord 1 2) ~dst:(coord 1 1)));
-  check_bool "vertical" false
-    (is_horizontal (link ~src:(coord 1 1) ~dst:(coord 2 1)))
+    (step_of_link (link ~src:(coord 1 2) ~dst:(coord 1 1)) = West);
+  check_bool "vertical" true
+    (step_of_link (link ~src:(coord 1 1) ~dst:(coord 2 1)) = South)
 
 (* [step_id] is the one copy of the id layout: on every link of every mesh
    up to 6x7 it names the link [link_id] does. *)
@@ -165,6 +165,40 @@ let test_step_id_matches_link_id () =
             Noc.Mesh.[ East; West; South; North ])
         (Noc.Mesh.all_cores m);
       check_int "every link" (Noc.Mesh.num_links m) !links
+    done
+  done
+
+(* [iter_neighbors] is the per-neighbour view of the same layout: on
+   every core of every mesh up to 6x7 it visits the cores [neighbors]
+   lists, in that order, handing out the [link_id]s of both directions,
+   and [core_of_index] inverts the row-major [core_index]. *)
+let test_iter_neighbors_matches_neighbors () =
+  for rows = 1 to 6 do
+    for cols = 1 to 7 do
+      let m = Noc.Mesh.create ~rows ~cols in
+      let k = ref 0 in
+      for row = 1 to rows do
+        for col = 1 to cols do
+          let c = coord row col in
+          check_int "row-major index" !k (Noc.Mesh.core_index m c);
+          incr k;
+          check_bool "core_of_index inverts core_index" true
+            (Noc.Coord.equal c
+               (Noc.Mesh.core_of_index m (Noc.Mesh.core_index m c)));
+          let seen = ref [] in
+          Noc.Mesh.iter_neighbors m c (fun nb out into ->
+              let d = Noc.Mesh.core_of_index m nb in
+              seen := d :: !seen;
+              check_int "out id"
+                (Noc.Mesh.link_id m (Noc.Mesh.link ~src:c ~dst:d))
+                out;
+              check_int "into id"
+                (Noc.Mesh.link_id m (Noc.Mesh.link ~src:d ~dst:c))
+                into);
+          check_bool "the neighbors, in order" true
+            (List.rev !seen = Noc.Mesh.neighbors m c)
+        done
+      done
     done
   done
 
@@ -467,8 +501,8 @@ let test_rect_out_links_order () =
   in
   (match out_links (coord 1 1) with
   | [ h; v ] ->
-      check_bool "horizontal first" true (Noc.Mesh.is_horizontal h);
-      check_bool "then vertical" false (Noc.Mesh.is_horizontal v)
+      check_bool "horizontal first" true (Noc.Mesh.step_of_link h = East);
+      check_bool "then vertical" true (Noc.Mesh.step_of_link v = South)
   | _ -> Alcotest.fail "expected two out links");
   check_int "sink row: single link" 1 (List.length (out_links (coord 3 2)));
   check_int "sink: none" 0 (List.length (out_links (coord 3 3)))
@@ -691,6 +725,8 @@ let () =
           Alcotest.test_case "link families" `Quick test_link_family_counts;
           Alcotest.test_case "step id = link id" `Quick
             test_step_id_matches_link_id;
+          Alcotest.test_case "iter_neighbors = neighbors" `Quick
+            test_iter_neighbors_matches_neighbors;
         ] );
       ( "path",
         [

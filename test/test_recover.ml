@@ -83,7 +83,10 @@ let prop_schedule_targets_always_valid =
         (fun e f ->
           (* Whatever the event touched is inside the mesh. *)
           List.for_all
-            (fun l -> Noc.Fault.factor_link f l >= 0.)
+            (fun id ->
+              id >= 0
+              && id < Noc.Mesh.num_links mesh
+              && Noc.Fault.factor f id >= 0.)
             (Noc.Fault.Schedule.touched mesh e))
         (Noc.Fault.Schedule.events s)
         states)
@@ -115,11 +118,47 @@ let test_schedule_apply_semantics () =
   check_int "play yields one state per event" 2 (List.length (play sched));
   check_bool "touched covers both directions" true
     (let t = touched m3 (Kill_link l) in
-     List.mem l t && List.mem (link 1 2 1 1) t);
+     List.mem (Noc.Mesh.link_id m3 l) t
+     && List.mem (Noc.Mesh.link_id m3 (link 1 2 1 1)) t);
   check_bool "negative event count rejected" true
     (match
        draw_schedule 1 (-1)
      with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* [touched] names, as ids, exactly the links the event's [apply] changes
+   on a healthy mesh (a region names each link between two of its
+   routers twice), and rejects an off-mesh router as [apply] does. *)
+let test_touched_ids () =
+  let m = Noc.Mesh.square 4 in
+  let healthy = Noc.Fault.healthy m in
+  let open Noc.Fault.Schedule in
+  let changed e =
+    let f = apply healthy e in
+    List.filter
+      (fun id -> Noc.Fault.factor f id <> 1.)
+      (List.init (Noc.Mesh.num_links m) Fun.id)
+  in
+  let region = Kill_region { a = coord 3 3; b = coord 2 2 } in
+  List.iter
+    (fun e ->
+      check_bool
+        (Format.asprintf "%a" pp_event e)
+        true
+        (List.sort_uniq Int.compare (touched m e) = changed e))
+    [
+      Kill_link (link 2 2 2 3);
+      Degrade_link (link 1 1 2 1, 0.5);
+      Kill_router (coord 1 1);
+      Kill_router (coord 2 3);
+      region;
+    ];
+  check_int "four inner edges named twice"
+    (List.length (changed region) + 8)
+    (List.length (touched m region));
+  check_bool "off-mesh router rejected" true
+    (match touched m (Kill_router (coord 5 1)) with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -425,6 +464,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_schedule_targets_always_valid;
           Alcotest.test_case "apply/final/play/touched semantics" `Quick
             test_schedule_apply_semantics;
+          Alcotest.test_case "touched ids = changed links" `Quick
+            test_touched_ids;
         ] );
       ( "oracle",
         [
